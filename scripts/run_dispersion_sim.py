@@ -15,22 +15,9 @@ import time
 
 import numpy as np
 
-from comreg.data import Dataset
-from comreg.dist import sample_many
+from comreg.data import simulate
 from comreg.fit import fit_com
 from comreg.infer import dispersion_test
-
-
-def simulate(n, beta, nu, seed):
-    rng = np.random.default_rng(seed)
-    beta = np.asarray(beta, dtype=float)
-    X = np.column_stack(
-        [np.ones(n)]
-        + [rng.uniform(0.0, 1.0, size=n) for _ in range(len(beta) - 1)]
-    )
-    y = sample_many(np.exp(X @ beta), nu, rng)
-    names = tuple(["intercept"] + [f"x{j + 1}" for j in range(len(beta) - 1)])
-    return Dataset(y=y, X=X, names=names)
 
 
 def main():

@@ -9,47 +9,89 @@ I/O failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
+from scipy.special import expit
 
-from . import baselines, diag, dist, fit, infer
-from .data import DataError, Dataset, linear_predictor, load_csv
+from . import baselines, data, diag, dist, fit, infer
+from .data import Dataset, linear_predictor, load_csv
 
 EXIT_OK = 0
 EXIT_STAT = 1
 EXIT_IO = 2
 
+# Exit code of each failure a subcommand may raise; the first matching
+# class wins.  LinAlgError and DataError are ValueErrors, so order matters.
+ERROR_EXIT = (
+    (fit.FitError, EXIT_STAT),           # includes a non-converged COM-Poisson fit
+    (baselines.BaselineError, EXIT_STAT),
+    (dist.TruncationError, EXIT_STAT),
+    (np.linalg.LinAlgError, EXIT_STAT),
+    (OSError, EXIT_IO),                  # unreadable input, unwritable output
+    (ValueError, EXIT_IO),               # DataError and invalid option values
+)
+# Failures that compare reports as a "failed: ..." row instead of exiting.
+STAT_ERRORS = tuple(cls for cls, code in ERROR_EXIT if code == EXIT_STAT)
 
-class CliError(Exception):
-    def __init__(self, message: str, exit_code: int):
-        super().__init__(message)
-        self.exit_code = exit_code
+
+def _fit_com(ds: Dataset) -> fit.FitResult:
+    fr = fit.fit_com(ds)
+    if not fr.converged:
+        raise fit.FitError("COM-Poisson fit did not converge")
+    return fr
+
+
+def _com_fitted(ds: Dataset, fr: fit.FitResult, kind: str) -> np.ndarray:
+    # the closed-form mean only where it is valid; the median otherwise
+    lam = np.exp(linear_predictor(ds, fr.beta))
+    use_mean = kind == "mean" and dist.approx_mean_valid(lam, fr.nu)
+    return fit.fitted_values(ds, fr, kind="mean_approx" if use_mean else "median")
+
+
+def _mean_fitted(ds: Dataset, bf: baselines.BaselineFit, kind: str) -> np.ndarray:
+    return np.exp(linear_predictor(ds, bf.beta))
+
+
+def _probability_fitted(ds: Dataset, bf: baselines.BaselineFit, kind: str) -> np.ndarray:
+    return expit(linear_predictor(ds, bf.beta))
+
+
+@dataclass(frozen=True)
+class Model:
+    """How the CLI fits, predicts and reports one model."""
+
+    report_name: str
+    fit: Callable          # Dataset -> FitResult | BaselineFit
+    fitted: Callable       # (Dataset, fit, --fitted kind) -> values for the MSE
+    extra: str | None = None   # report key of the parameter beyond beta
+
+
+MODELS = {
+    "com": Model("com-poisson", _fit_com, _com_fitted, extra="nu"),
+    "poisson": Model("poisson", baselines.fit_poisson, _mean_fitted),
+    "negbin": Model("negbin", baselines.fit_negbin, _mean_fitted, extra="r"),
+    "logistic": Model("logistic", baselines.fit_logistic, _probability_fitted),
+    "rgpr": Model("rgpr", baselines.fit_rgpr, _mean_fitted, extra="alpha"),
+}
 
 
 def _parse_transforms(pairs):
     out = {}
     for item in pairs or []:
         if "=" not in item:
-            raise CliError(f"bad --transform {item!r}; expected column=log|identity", EXIT_IO)
+            raise ValueError(f"bad --transform {item!r}; expected column=log|identity")
         name, tag = item.split("=", 1)
         out[name.strip()] = tag.strip()
     return out
 
 
 def _load(args) -> Dataset:
-    try:
-        return load_csv(
-            args.data,
-            response=args.response,
-            transforms=_parse_transforms(getattr(args, "transform", None)),
-        )
-    except FileNotFoundError as exc:
-        raise CliError(f"input file not found: {exc}", EXIT_IO) from exc
-    except DataError as exc:
-        raise CliError(str(exc), EXIT_IO) from exc
+    return load_csv(args.data, response=args.response,
+                    transforms=_parse_transforms(args.transform))
 
 
 def _emit(args, payload: dict, text: str) -> None:
@@ -68,63 +110,40 @@ def _aicc_json(value: float):
     return "inf" if np.isinf(value) else value
 
 
-def _com_report(ds: Dataset, fr: fit.FitResult) -> dict:
-    aic, aicc = baselines.information_criteria(fr.loglik, fr.n_params, ds.n_obs)
-    se = fr.se
-    coeffs = [
-        {
-            "name": name,
-            "estimate": float(b),
-            "se": float(se[j]) if np.isfinite(se[j]) else None,
-            "scaled_estimate": float(b / fr.nu),
-        }
-        for j, (name, b) in enumerate(zip(ds.names, fr.beta))
-    ]
-    return {
-        "model": "com-poisson",
-        "coefficients": coeffs,
-        "scaled_note": "scaled_estimate = estimate / nu, for crude comparison "
-                       "with Poisson-scale coefficients",
-        "nu": {
-            "estimate": float(fr.nu),
-            "se": float(se[-1]) if np.isfinite(se[-1]) and not fr.boundary else None,
-            "boundary": bool(fr.boundary),
-        },
-        "loglik": float(fr.loglik),
-        "aic": float(aic),
-        "aicc": _aicc_json(aicc),
-        "converged": bool(fr.converged),
-        "iterations": int(fr.iterations),
-        "errors": [],
-    }
+def _finite_or_none(value) -> float | None:
+    return float(value) if value is not None and np.isfinite(value) else None
 
 
-def _baseline_report(ds: Dataset, bf: baselines.BaselineFit) -> dict:
-    aic, aicc = baselines.information_criteria(bf.loglik, bf.n_params, ds.n_obs)
-    se = bf.se
-    coeffs = [
-        {
-            "name": name,
-            "estimate": float(b),
-            "se": float(se[j]) if np.isfinite(se[j]) else None,
-        }
-        for j, (name, b) in enumerate(zip(ds.names, bf.beta))
-    ]
+def _fit_report(ds: Dataset, model: Model, f) -> dict:
+    """JSON report of one fitted model, COM-Poisson or baseline."""
+    aic, aicc = baselines.information_criteria(f.loglik, f.n_params, ds.n_obs)
+    se = f.se
     report = {
-        "model": bf.model_kind,
-        "coefficients": coeffs,
-        "loglik": float(bf.loglik),
+        "model": model.report_name,
+        "coefficients": [
+            {"name": name, "estimate": float(b), "se": _finite_or_none(se[j])}
+            for j, (name, b) in enumerate(zip(ds.names, f.beta))
+        ],
+        "loglik": float(f.loglik),
         "aic": float(aic),
         "aicc": _aicc_json(aicc),
-        "converged": bool(bf.converged),
+        "converged": bool(f.converged),
         "errors": [],
     }
-    if bf.extra is not None:
-        key = "r" if bf.model_kind == "negbin" else "alpha"
-        report[key] = {
-            "estimate": float(bf.extra),
-            "se": float(bf.extra_se) if bf.extra_se is not None else None,
-            "boundary": bool(bf.boundary),
+    if isinstance(f, fit.FitResult):
+        for c in report["coefficients"]:
+            c["scaled_estimate"] = c["estimate"] / f.nu
+        report["scaled_note"] = ("scaled_estimate = estimate / nu, for crude comparison "
+                                 "with Poisson-scale coefficients")
+        report["iterations"] = int(f.iterations)
+        extra, extra_se = f.nu, se[-1]
+    else:
+        extra, extra_se = f.extra, f.extra_se
+    if extra is not None:
+        report[model.extra] = {
+            "estimate": float(extra),
+            "se": None if f.boundary else _finite_or_none(extra_se),
+            "boundary": bool(f.boundary),
         }
     return report
 
@@ -147,41 +166,20 @@ def _coef_text(report: dict) -> str:
 
 def cmd_fit(args) -> int:
     ds = _load(args)
-    try:
-        if args.model == "com":
-            fr = fit.fit_com(ds)
-            if not fr.converged:
-                raise CliError("COM-Poisson fit did not converge", EXIT_STAT)
-            report = _com_report(ds, fr)
-        elif args.model == "poisson":
-            report = _baseline_report(ds, baselines.fit_poisson(ds))
-        elif args.model == "negbin":
-            report = _baseline_report(ds, baselines.fit_negbin(ds))
-        elif args.model == "logistic":
-            report = _baseline_report(ds, baselines.fit_logistic(ds))
-        elif args.model == "rgpr":
-            report = _baseline_report(ds, baselines.fit_rgpr(ds))
-        else:
-            raise CliError(f"unknown model {args.model!r}", EXIT_IO)
-    except baselines.BaselineError as exc:
-        raise CliError(str(exc), EXIT_STAT) from exc
-    except (fit.FitError, dist.TruncationError) as exc:
-        raise CliError(str(exc), EXIT_STAT) from exc
+    model = MODELS[args.model]
+    report = _fit_report(ds, model, model.fit(ds))
     _emit(args, report, _coef_text(report))
     return EXIT_OK
 
 
 def cmd_test(args) -> int:
     ds = _load(args)
-    try:
-        res = infer.dispersion_test(
-            ds,
-            bootstrap_calibrate=args.bootstrap_calibrate,
-            n_boot=args.n_boot,
-            seed=args.seed,
-        )
-    except (fit.FitError, baselines.BaselineError) as exc:
-        raise CliError(str(exc), EXIT_STAT) from exc
+    res = infer.dispersion_test(
+        ds,
+        bootstrap_calibrate=args.bootstrap_calibrate,
+        n_boot=args.n_boot,
+        seed=args.seed,
+    )
     payload = {
         "model": "dispersion-test",
         "statistic": res.statistic,
@@ -206,15 +204,10 @@ def cmd_test(args) -> int:
 
 def cmd_bootstrap(args) -> int:
     ds = _load(args)
-    try:
-        fr = fit.fit_com(ds)
-        if not fr.converged:
-            raise CliError("COM-Poisson fit did not converge", EXIT_STAT)
-        boot = infer.parametric_bootstrap(
-            ds, fr, n_boot=args.n_boot, ci_level=args.ci, seed=args.seed
-        )
-    except (fit.FitError, baselines.BaselineError) as exc:
-        raise CliError(str(exc), EXIT_STAT) from exc
+    fr = MODELS["com"].fit(ds)
+    boot = infer.parametric_bootstrap(
+        ds, fr, n_boot=args.n_boot, ci_level=args.ci, seed=args.seed
+    )
     payload = {
         "model": "com-poisson-bootstrap",
         "n_boot": boot.n_boot,
@@ -237,13 +230,8 @@ def cmd_bootstrap(args) -> int:
 
 def cmd_diagnose(args) -> int:
     ds = _load(args)
-    try:
-        fr = fit.fit_com(ds)
-        if not fr.converged:
-            raise CliError("COM-Poisson fit did not converge", EXIT_STAT)
-        report = diag.diagnostics_report(ds, fr, deviance_kind=args.deviance)
-    except (fit.FitError, baselines.BaselineError, np.linalg.LinAlgError) as exc:
-        raise CliError(str(exc), EXIT_STAT) from exc
+    fr = MODELS["com"].fit(ds)
+    report = diag.diagnostics_report(ds, fr, deviance_kind=args.deviance)
     payload = {"model": "com-poisson-diagnostics", "errors": []}
     body = report.to_dict()
     # observation numbers are reported 1-based
@@ -266,44 +254,18 @@ def cmd_diagnose(args) -> int:
 
 def cmd_compare(args) -> int:
     ds = _load(args)
-    models = args.models.split(",")
     fits: dict = {}
     fitted: dict = {}
-    for name in models:
-        name = name.strip()
+    for name in (m.strip() for m in args.models.split(",")):
+        model = MODELS.get(name)
+        if model is None:
+            raise ValueError(f"unknown model {name!r} in --models")
         try:
-            if name == "com":
-                fr = fit.fit_com(ds)
-                if not fr.converged:
-                    raise baselines.NonConvergenceError("COM-Poisson fit did not converge")
-                fits["com-poisson"] = fr
-                lam = np.exp(linear_predictor(ds, fr.beta))
-                valid = all(dist.approx_mean_valid(l, fr.nu) for l in lam)
-                kind = "mean_approx" if (args.fitted == "mean" and valid) else "median"
-                fitted["com-poisson"] = fit.fitted_values(ds, fr, kind=kind)
-            elif name == "poisson":
-                bf = baselines.fit_poisson(ds)
-                fits["poisson"] = bf
-                fitted["poisson"] = np.exp(linear_predictor(ds, bf.beta))
-            elif name == "negbin":
-                bf = baselines.fit_negbin(ds)
-                fits["negbin"] = bf
-                fitted["negbin"] = np.exp(linear_predictor(ds, bf.beta))
-            elif name == "rgpr":
-                bf = baselines.fit_rgpr(ds)
-                fits["rgpr"] = bf
-                mu = np.exp(linear_predictor(ds, bf.beta))
-                fitted["rgpr"] = mu
-            elif name == "logistic":
-                bf = baselines.fit_logistic(ds)
-                fits["logistic"] = bf
-                from scipy.special import expit
-
-                fitted["logistic"] = expit(linear_predictor(ds, bf.beta))
-            else:
-                raise CliError(f"unknown model {name!r} in --models", EXIT_IO)
-        except baselines.BaselineError as exc:
-            fits[name if name != "com" else "com-poisson"] = exc
+            f = model.fit(ds)
+            fitted[model.report_name] = model.fitted(ds, f, args.fitted)
+        except STAT_ERRORS as exc:
+            f = exc
+        fits[model.report_name] = f
     comp = baselines.compare_models(ds, fits, fitted)
     rows_json = []
     lines = [f"{'model':<14} {'loglik':>10} {'k':>3} {'AIC':>9} {'AICc':>9} {'MSE':>8}  status"]
@@ -334,29 +296,12 @@ def cmd_compare(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    beta = np.asarray([float(b) for b in args.beta.split(",")], dtype=float)
-    nu = args.nu
-    if nu < 0:
-        raise CliError("nu must be nonnegative", EXIT_IO)
-    rng = np.random.default_rng(args.seed)
-    n_cov = len(beta) - 1
-    X = np.column_stack(
-        [np.ones(args.n)]
-        + [rng.uniform(args.x_min, args.x_max, size=args.n) for _ in range(n_cov)]
-    )
-    lam = np.exp(X @ beta)
-    if nu == 0 and np.any(lam >= 1):
-        raise CliError("nu=0 requires every lambda_i < 1 for the simulated design", EXIT_IO)
     try:
-        y = dist.sample_many(lam, nu, rng)
-    except dist.TruncationError as exc:
-        raise CliError(str(exc), EXIT_STAT) from exc
-    header = ["y"] + [f"x{j + 1}" for j in range(n_cov)]
-    with open(args.output, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for i in range(args.n):
-            writer.writerow([int(y[i]), *(repr(float(v)) for v in X[i, 1:])])
+        beta = [float(b) for b in args.beta.split(",")]
+    except ValueError:
+        raise ValueError(f"bad --beta {args.beta!r}; expected comma-separated numbers") from None
+    ds = data.simulate(args.n, beta, args.nu, args.seed, args.x_min, args.x_max)
+    data.write_csv(ds, args.output)
     print(f"wrote {args.n} rows to {args.output}")
     return EXIT_OK
 
@@ -377,8 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fit", help="fit one regression model")
     add_data_args(p)
-    p.add_argument("--model", choices=["com", "poisson", "negbin", "logistic", "rgpr"],
-                   default="com")
+    p.add_argument("--model", choices=list(MODELS), default="com")
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("test", help="dispersion likelihood-ratio test")
@@ -428,12 +372,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
+    except tuple(cls for cls, _ in ERROR_EXIT) as exc:
         if getattr(args, "format", "text") == "json":
             print(json.dumps({"errors": [{"message": str(exc)}]}, indent=2))
         else:
             print(f"error: {exc}", file=sys.stderr)
-        return exc.exit_code
+        return next(code for cls, code in ERROR_EXIT if isinstance(exc, cls))
 
 
 if __name__ == "__main__":

@@ -15,6 +15,8 @@ from typing import Mapping, Sequence
 import numpy as np
 import scipy.linalg
 
+from . import dist
+
 RANK_RTOL = 1e-10
 
 _TRANSFORMS = {
@@ -37,21 +39,23 @@ class Dataset:
     response_name: str = "y"
 
     def __post_init__(self):
-        y = np.asarray(self.y)
+        yf = np.asarray(self.y, dtype=float)
         X = np.asarray(self.X, dtype=float)
-        object.__setattr__(self, "y", np.asarray(y, dtype=np.int64))
         object.__setattr__(self, "X", X)
         n, ncol = X.shape
-        if len(y) != n:
-            raise DataError(f"y has {len(y)} rows but X has {n}")
+        if len(yf) != n:
+            raise DataError(f"y has {len(yf)} rows but X has {n}")
         if not np.all(np.isfinite(X)):
             raise DataError("X contains non-finite entries")
-        yf = np.asarray(y, dtype=float)
-        if np.any(yf < 0) or np.any(yf != np.floor(yf)) or not np.all(np.isfinite(yf)):
-            bad = int(np.flatnonzero((yf < 0) | (yf != np.floor(yf)))[0])
+        # inf passes the sign and integrality tests, so test finiteness too
+        invalid = ~np.isfinite(yf) | (yf < 0) | (yf != np.floor(yf))
+        if invalid.any():
+            bad = int(np.flatnonzero(invalid)[0])
             raise DataError(
-                f"response must be nonnegative integers; row {bad} has value {yf[bad]}"
+                f"response {self.response_name!r} must be nonnegative integers; "
+                f"data row {bad + 1} has value {yf[bad]:g}"
             )
+        object.__setattr__(self, "y", np.asarray(self.y, dtype=np.int64))
         if len(self.names) != ncol:
             raise DataError("names length must match X column count")
         if not np.allclose(X[:, 0], 1.0):
@@ -96,7 +100,7 @@ def load_csv(
     """
     path = Path(path)
     if not path.exists():
-        raise FileNotFoundError(path)
+        raise FileNotFoundError(f"input file not found: {path}")
     transforms = dict(transforms or {})
 
     with open(path, newline="", encoding="utf-8") as fh:
@@ -132,14 +136,6 @@ def load_csv(
     table = np.array(rows, dtype=float)
     col = {name: table[:, j] for j, name in enumerate(header)}
 
-    yf = col[response]
-    if np.any(yf < 0) or np.any(yf != np.floor(yf)):
-        bad = int(np.flatnonzero((yf < 0) | (yf != np.floor(yf)))[0])
-        raise DataError(
-            f"{path}: response {response!r} must be nonnegative integers; "
-            f"data row {bad + 1} has value {yf[bad]:g}"
-        )
-
     if covariates is None:
         covariates = [name for name in header if name != response]
     unknown = set(transforms) - set(header)
@@ -164,12 +160,15 @@ def load_csv(
         cols.append(_TRANSFORMS[tag](values))
         names.append(name if tag == "identity" else f"log_{name}")
 
-    return Dataset(
-        y=yf.astype(np.int64),
-        X=np.column_stack(cols),
-        names=tuple(names),
-        response_name=response,
-    )
+    try:
+        return Dataset(
+            y=col[response],
+            X=np.column_stack(cols),
+            names=tuple(names),
+            response_name=response,
+        )
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
 
 
 def write_csv(ds: Dataset, path: str | Path) -> None:
@@ -182,6 +181,36 @@ def write_csv(ds: Dataset, path: str | Path) -> None:
             writer.writerow(
                 [int(ds.y[i]), *(repr(float(v)) for v in ds.X[i, 1:])]
             )
+
+
+def simulate(
+    n: int,
+    beta: Sequence[float],
+    nu: float,
+    seed: int,
+    x_min: float = 0.0,
+    x_max: float = 1.0,
+) -> Dataset:
+    """Simulated COM-Poisson regression data with uniform covariates.
+
+    X is an intercept plus len(beta) - 1 columns from U(x_min, x_max),
+    then y_i ~ COM-Poisson(exp(x_i' beta), nu), all drawn in that order
+    from default_rng(seed).  An unusable design raises DataError; counts
+    too large for the series raise dist.TruncationError.
+    """
+    beta = np.asarray(beta, dtype=float)
+    if n < 1:
+        raise DataError(f"n must be a positive integer, got {n}")
+    if not (np.isfinite(nu) and nu >= 0):
+        raise DataError(f"nu must be a nonnegative finite real, got {nu}")
+    rng = np.random.default_rng(seed)
+    n_cov = len(beta) - 1
+    X = np.column_stack(
+        [np.ones(n)] + [rng.uniform(x_min, x_max, size=n) for _ in range(n_cov)]
+    )
+    y = dist.sample_many(np.exp(X @ beta), nu, rng)
+    names = tuple(["intercept"] + [f"x{j + 1}" for j in range(n_cov)])
+    return Dataset(y=y, X=X, names=names)
 
 
 def linear_predictor(ds: Dataset, beta: np.ndarray) -> np.ndarray:

@@ -21,6 +21,7 @@ from .fit import FitResult
 
 LEVERAGE_FLAG_FACTOR = 2.0
 RESIDUAL_FLAG = 2.0
+MAX_BRACKET_STEPS = 60
 
 
 @dataclass
@@ -91,30 +92,44 @@ def _saturated_log_lambda(target: float, nu: float, policy: dist.SeriesPolicy) -
     def mean_minus(loglam):
         return dist.mean_exact(dist.ComParams(float(np.exp(loglam)), nu), policy) - target
 
-    lo, hi = -5.0, 5.0
-    while mean_minus(lo) > 0 and lo > -200:
-        lo -= 5.0
-    while mean_minus(hi) < 0 and hi < 200:
-        hi += 5.0
-    if mean_minus(lo) > 0 or mean_minus(hi) < 0:
-        raise RuntimeError(f"could not bracket saturated lambda for mean {target}")
-    return float(scipy.optimize.brentq(mean_minus, lo, hi, xtol=1e-10, rtol=1e-12))
+    # The mean is close to lambda^(1/nu), so the root lies near
+    # nu log(target), and a step of nu in log lambda moves the mean by
+    # about a factor e: the bracket stays where the series is short.
+    lo = hi = nu * np.log(target)
+    f_lo = f_hi = mean_minus(lo)
+    for _ in range(MAX_BRACKET_STEPS):
+        if f_lo <= 0 <= f_hi:
+            return float(scipy.optimize.brentq(mean_minus, lo, hi, xtol=1e-10, rtol=1e-12))
+        if f_lo > 0:
+            lo -= nu
+            f_lo = mean_minus(lo)
+        else:
+            hi += nu
+            f_hi = mean_minus(hi)
+    raise RuntimeError(f"could not bracket saturated lambda for mean {target}")
 
 
-def _unit_deviance_exact(y: float, lam_fit: float, mu: float, nu: float,
-                         policy: dist.SeriesPolicy) -> float:
+def _saturated_loglik(y: float, nu: float, policy: dist.SeriesPolicy) -> float:
+    """log L(y, y; nu), the log-pmf of y at the lambda whose mean is y.
+
+    For y = 0 this is the lambda -> 0 limit, where P(0) -> 1, so 0.
+    """
+    if y == 0:
+        return 0.0
+    loglam_sat = _saturated_log_lambda(float(y), nu, policy)
+    return dist.log_pmf(int(y), dist.ComParams(float(np.exp(loglam_sat)), nu), policy)
+
+
+def _unit_deviance_exact(y: float, lam_fit: float, nu: float,
+                         policy: dist.SeriesPolicy, saturated: dict) -> float:
     """d = -2 [log L(mu, y; nu) - log L(y, y; nu)] via saturated lambda.
 
-    For y = 0 the saturated likelihood is the lambda -> 0 limit, where
-    P(0) -> 1 and the saturated log-likelihood is 0.
+    saturated caches log L(y, y; nu) by y, so each distinct y is solved once.
     """
+    if y not in saturated:
+        saturated[y] = _saturated_loglik(y, nu, policy)
     ll_fit = dist.log_pmf(int(y), dist.ComParams(lam_fit, nu), policy)
-    if y == 0:
-        ll_sat = 0.0
-    else:
-        loglam_sat = _saturated_log_lambda(float(y), nu, policy)
-        ll_sat = dist.log_pmf(int(y), dist.ComParams(float(np.exp(loglam_sat)), nu), policy)
-    return max(0.0, -2.0 * (ll_fit - ll_sat))
+    return max(0.0, -2.0 * (ll_fit - saturated[y]))
 
 
 def _unit_deviance_approx(y: float, mu: float, nu: float,
@@ -158,6 +173,7 @@ def deviance_residuals(
     y = ds.y.astype(float)
     out = np.empty(ds.n_obs)
     notes: dict[int, str] = {}
+    saturated: dict[float, float] = {}
     for i in range(ds.n_obs):
         d = None
         if kind == "approx":
@@ -166,7 +182,7 @@ def deviance_residuals(
                 notes[i] = "approximation domain violated; exact deviance used"
         if d is None:
             try:
-                d = _unit_deviance_exact(y[i], lam[i], mu[i], fr.nu, policy)
+                d = _unit_deviance_exact(y[i], lam[i], fr.nu, policy, saturated)
             except RuntimeError as exc:
                 notes[i] = f"deviance unavailable: {exc}"
                 out[i] = np.nan

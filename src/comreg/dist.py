@@ -188,9 +188,10 @@ def mean_approx(p: ComParams) -> float:
     return float(p.lam ** (1.0 / p.nu) - (p.nu - 1.0) / (2.0 * p.nu))
 
 
-def approx_mean_valid(lam: float, nu: float) -> bool:
-    """Validity region of the mean approximation: nu <= 1 or lambda > 10^nu."""
-    return nu <= 1.0 or lam > 10.0**nu
+def approx_mean_valid(lam, nu: float) -> bool:
+    """Validity region of the mean approximation: nu <= 1 or lambda > 10^nu
+    (for every entry when lam is an array)."""
+    return bool(nu <= 1.0 or np.all(np.asarray(lam) > 10.0**nu))
 
 
 def cdf(y: int, p: ComParams, policy: SeriesPolicy = DEFAULT_POLICY) -> float:
@@ -200,14 +201,25 @@ def cdf(y: int, p: ComParams, policy: SeriesPolicy = DEFAULT_POLICY) -> float:
     return float(min(1.0, pmf[0][: int(y) + 1].sum()))
 
 
+def inverse_cdf(pmf: np.ndarray, u) -> np.ndarray:
+    """Smallest support index whose cumulative mass reaches u, per pmf row.
+
+    u broadcasts against the rows of pmf (a single row may be 1-D); the
+    result is clipped to the last support point.  Each cumulative row is
+    non-decreasing, so counting its entries below u is a left-sided
+    binary search, done for all rows at once.
+    """
+    cum = np.cumsum(pmf, axis=-1)
+    idx = (cum < np.asarray(u, dtype=float)[..., None]).sum(axis=-1)
+    return np.minimum(idx, pmf.shape[-1] - 1)
+
+
 def quantile(q: float, p: ComParams, policy: SeriesPolicy = DEFAULT_POLICY) -> int:
     """Smallest y with CDF(y) >= q (left-continuous inverse)."""
     if not (0 < q < 1):
         raise ValueError(f"q must lie in (0, 1), got {q}")
-    s, pmf = pmf_table(p.lam, p.nu, policy)
-    cum = np.cumsum(pmf[0])
-    idx = int(np.searchsorted(cum, q, side="left"))
-    return min(idx, len(s) - 1)
+    _, pmf = pmf_table(p.lam, p.nu, policy)
+    return int(inverse_cdf(pmf[0], q))
 
 
 def sample(
@@ -217,11 +229,8 @@ def sample(
     policy: SeriesPolicy = DEFAULT_POLICY,
 ):
     """Inverse-CDF sampling driven by an explicit random source."""
-    s, pmf = pmf_table(p.lam, p.nu, policy)
-    cum = np.cumsum(pmf[0])
-    u = rng.uniform(size=size)
-    draws = np.searchsorted(cum, u, side="left")
-    draws = np.minimum(draws, len(s) - 1)
+    _, pmf = pmf_table(p.lam, p.nu, policy)
+    draws = inverse_cdf(pmf[0], rng.uniform(size=size))
     if size is None:
         return int(draws)
     return draws.astype(np.int64)
@@ -235,11 +244,5 @@ def sample_many(
 ) -> np.ndarray:
     """One draw per entry of lam (shared nu); used for regression resampling."""
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
-    s, pmf = pmf_table(lam, nu, policy)
-    cum = np.cumsum(pmf, axis=1)
-    u = rng.uniform(size=len(lam))
-    # searchsorted row by row; supports differ only through the shared grid
-    draws = np.array(
-        [np.searchsorted(cum[i], u[i], side="left") for i in range(len(lam))]
-    )
-    return np.minimum(draws, len(s) - 1).astype(np.int64)
+    _, pmf = pmf_table(lam, nu, policy)
+    return inverse_cdf(pmf, rng.uniform(size=len(lam))).astype(np.int64)

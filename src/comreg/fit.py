@@ -9,7 +9,7 @@ from the covariance of the sufficient statistics (Y, log Y!).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.optimize
@@ -58,7 +58,6 @@ class FitResult:
     converged: bool
     iterations: int
     boundary: bool = False   # nu pinned at nu_floor/nu_ceiling; nu covariance unreliable
-    loglik_trace: list = field(default_factory=list)
 
     @property
     def scaled_beta(self) -> np.ndarray:
@@ -195,19 +194,11 @@ def fit_com(
             g[p1] = 0.0
         return -ll, -g
 
-    trace: list[float] = []
-
-    def track(zk):
-        val = neg(zk)[0]
-        if np.isfinite(val):
-            trace.append(-val)
-
     res = scipy.optimize.minimize(
         neg,
         z0,
         jac=True,
         method="BFGS",
-        callback=track,
         options={"gtol": settings.grad_tol, "maxiter": settings.max_iter},
     )
 
@@ -246,7 +237,6 @@ def fit_com(
         converged=converged,
         iterations=int(res.nit),
         boundary=boundary,
-        loglik_trace=trace,
     )
 
 
@@ -263,17 +253,13 @@ def fitted_values(
     """
     lam = np.exp(linear_predictor(ds, fr.beta))
     if kind == "mean_approx":
-        if not all(dist.approx_mean_valid(l, fr.nu) for l in lam):
+        if not dist.approx_mean_valid(lam, fr.nu):
             raise ValueError(
                 "mean approximation invalid here (requires nu <= 1 or "
                 "lambda_i > 10^nu for every observation); use kind='median'"
             )
         return lam ** (1.0 / fr.nu) - (fr.nu - 1.0) / (2.0 * fr.nu)
     if kind == "median":
-        s, pmf = dist.pmf_table(lam, fr.nu, policy)
-        cum = np.cumsum(pmf, axis=1)
-        med = np.array(
-            [np.searchsorted(cum[i], 0.5, side="left") for i in range(len(lam))]
-        )
-        return np.minimum(med, len(s) - 1).astype(float)
+        _, pmf = dist.pmf_table(lam, fr.nu, policy)
+        return dist.inverse_cdf(pmf, 0.5).astype(float)
     raise ValueError(f"unknown fitted-value kind {kind!r}")

@@ -1,6 +1,5 @@
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from comreg.data import Dataset, load_csv
@@ -18,18 +17,3 @@ def airfreight() -> Dataset:
 def airfreight_path() -> Path:
     return AIRFREIGHT_CSV
 
-
-def simulate_dataset(n, beta, nu, seed, x_min=0.0, x_max=1.0):
-    """Simulated COM-Poisson regression data with uniform covariates."""
-    from comreg.dist import sample_many
-
-    rng = np.random.default_rng(seed)
-    beta = np.asarray(beta, dtype=float)
-    X = np.column_stack(
-        [np.ones(n)]
-        + [rng.uniform(x_min, x_max, size=n) for _ in range(len(beta) - 1)]
-    )
-    lam = np.exp(X @ beta)
-    y = sample_many(lam, nu, rng)
-    names = tuple(["intercept"] + [f"x{j + 1}" for j in range(len(beta) - 1)])
-    return Dataset(y=y, X=X, names=names)

@@ -18,7 +18,7 @@ from comreg.baselines import (
     fit_poisson,
     fit_rgpr,
 )
-from comreg.data import Dataset, linear_predictor
+from comreg.data import Dataset, linear_predictor, simulate
 from comreg.diag import hat_diagonal  # noqa: F401  (import check: diag is part of the gate)
 from comreg.dist import (
     ComParams,
@@ -33,8 +33,6 @@ from comreg.dist import (
 )
 from comreg.fit import fit_com, fitted_values
 from comreg.infer import dispersion_test, parametric_bootstrap
-
-from conftest import simulate_dataset
 
 
 def _verdict(capsys, number, label, checks):
@@ -128,6 +126,7 @@ def test_criterion_05_dispersion_test(airfreight, capsys):
     _verdict(capsys, 5, "airfreight-dispersion-test", checks)
 
 
+@pytest.mark.slow
 def test_criterion_06_bootstrap(airfreight, airfreight_com, capsys):
     t0 = time.perf_counter()
     boot = parametric_bootstrap(
@@ -173,7 +172,7 @@ def test_criterion_07_logistic_limit(capsys):
 
 def test_criterion_08_overdispersed_scale(capsys):
     t0 = time.perf_counter()
-    ds = simulate_dataset(868, [0.6, 0.5, -0.3], 0.35, seed=2024)
+    ds = simulate(868, [0.6, 0.5, -0.3], 0.35, seed=2024)
     fr = fit_com(ds)
     res = dispersion_test(ds)
     elapsed = time.perf_counter() - t0
@@ -256,11 +255,12 @@ def test_criterion_09_distribution_kernel(capsys):
     _verdict(capsys, 9, "distribution-kernel-invariants", checks)
 
 
+@pytest.mark.slow
 def test_criterion_10_null_calibration(capsys):
     n_sims = 500
     rejections = 0
     for rep in range(n_sims):
-        ds = simulate_dataset(200, [0.8, 0.4], 1.0, seed=40_000 + rep)
+        ds = simulate(200, [0.8, 0.4], 1.0, seed=40_000 + rep)
         if dispersion_test(ds).p_value < 0.05:
             rejections += 1
     rate = rejections / n_sims

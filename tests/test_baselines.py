@@ -15,10 +15,8 @@ from comreg.baselines import (
     negbin_loglik,
     rgpr_loglik,
 )
-from comreg.data import Dataset
+from comreg.data import Dataset, simulate
 from comreg.fit import fit_com, fitted_values
-
-from conftest import simulate_dataset
 
 
 def gamma_poisson_dataset(n, beta, r, seed):
@@ -186,5 +184,5 @@ class TestNesting:
         assert com.loglik >= pois.loglik - 1e-6
 
     def test_com_dominates_poisson_simulated(self):
-        ds = simulate_dataset(300, [0.8, -0.2], 0.6, seed=23)
+        ds = simulate(300, [0.8, -0.2], 0.6, seed=23)
         assert fit_com(ds).loglik >= fit_poisson(ds).loglik - 1e-6

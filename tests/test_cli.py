@@ -2,9 +2,11 @@ import json
 from importlib import resources
 
 import jsonschema
+import numpy as np
 import pytest
 
-from comreg.cli import EXIT_IO, EXIT_OK, main
+from comreg.cli import EXIT_IO, EXIT_OK, EXIT_STAT, main
+from comreg.data import Dataset, write_csv
 
 
 @pytest.fixture(scope="module")
@@ -17,6 +19,29 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out
+
+
+def write_xy(path, x, y):
+    write_csv(Dataset(y=y, X=np.column_stack([np.ones(len(x)), x]),
+                      names=("intercept", "x")), path)
+    return str(path)
+
+
+@pytest.fixture(scope="module")
+def singular_path(tmp_path_factory):
+    # binary counts whose COM-Poisson information matrix is singular
+    rng = np.random.default_rng(1)
+    x = rng.uniform(0, 1, 30)
+    return write_xy(tmp_path_factory.mktemp("sing") / "d.csv", x, rng.integers(0, 2, 30))
+
+
+@pytest.fixture(scope="module")
+def huge_counts_path(tmp_path_factory):
+    # counts up to ~13 000 overrun the series truncation cap
+    rng = np.random.default_rng(0)
+    x = rng.uniform(0, 1, 30)
+    return write_xy(tmp_path_factory.mktemp("huge") / "d.csv", x,
+                    rng.poisson(np.exp(4 + 5.5 * x)))
 
 
 class TestFit:
@@ -107,6 +132,7 @@ class TestDispersionTest:
 
 
 class TestBootstrap:
+    @pytest.mark.slow
     def test_deterministic_bytes(self, capsys, airfreight_path):
         argv = [
             "bootstrap", "--data", str(airfreight_path), "--response", "broken",
@@ -159,6 +185,35 @@ class TestCompare:
         assert rows["com-poisson"]["mse"] == pytest.approx(1.90, abs=0.05)
 
 
+class TestFitErrors:
+    @pytest.mark.parametrize("sub", ["fit", "test", "diagnose", "bootstrap"])
+    def test_truncation_exit_one(self, capsys, huge_counts_path, sub):
+        extra = ["--seed", "1", "--n-boot", "100"] if sub == "bootstrap" else []
+        code, out = run_cli(capsys, sub, "--data", huge_counts_path,
+                            "--response", "y", "--format", "json", *extra)
+        assert code == EXIT_STAT
+        assert "not converged" in json.loads(out)["errors"][0]["message"]
+
+    def test_singular_information_exit_one(self, capsys, singular_path):
+        code, out = run_cli(capsys, "diagnose", "--data", singular_path,
+                            "--response", "y", "--format", "json")
+        assert code == EXIT_STAT
+        assert "not invertible" in json.loads(out)["errors"][0]["message"]
+
+    @pytest.mark.parametrize("which, reason", [
+        ("singular_path", "not invertible"),
+        ("huge_counts_path", "not converged"),
+    ])
+    def test_compare_reports_failed_row(self, capsys, request, which, reason):
+        code, out = run_cli(capsys, "compare", "--data", request.getfixturevalue(which),
+                            "--response", "y", "--format", "json")
+        assert code == EXIT_OK
+        rows = {r["model"]: r for r in json.loads(out)["rows"]}
+        assert rows["com-poisson"]["status"].startswith("failed")
+        assert reason in rows["com-poisson"]["status"]
+        assert rows["poisson"]["status"] == "ok"
+
+
 class TestSimulate:
     def test_roundtrip_fit(self, capsys, tmp_path):
         dest = tmp_path / "sim.csv"
@@ -190,3 +245,23 @@ class TestSimulate:
             "--nu", "0.0", "--seed", "1", "--output", str(tmp_path / "g.csv"),
         )
         assert code == EXIT_IO
+
+    @pytest.mark.parametrize("argv", [
+        ["--n", "10", "--beta", "0.5,abc"],
+        ["--n", "-1", "--beta", "0.5,0.3"],
+        ["--n", "1", "--beta", "0.5,0.3"],     # too few rows to fit
+        ["--n", "20", "--beta", "0.5", "--nu", "-1"],
+    ])
+    def test_usage_errors_exit_two(self, capsys, tmp_path, argv):
+        dest = tmp_path / "bad.csv"
+        argv = ["simulate", "--nu", "1.0", "--seed", "1", "--output", str(dest), *argv]
+        assert main(argv) == EXIT_IO
+        assert "error:" in capsys.readouterr().err
+        assert not dest.exists()
+
+    def test_truncation_exit_one(self, capsys, tmp_path):
+        code, _ = run_cli(
+            capsys, "simulate", "--n", "5", "--beta", "12",
+            "--nu", "1.0", "--seed", "1", "--output", str(tmp_path / "t.csv"),
+        )
+        assert code == EXIT_STAT

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from comreg.data import DataError, Dataset, linear_predictor, load_csv, write_csv
+from comreg.data import DataError, Dataset, linear_predictor, load_csv, simulate, write_csv
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -38,6 +38,13 @@ class TestLoadCsv:
         rows = "\n".join(f"{i},{i}" for i in range(8))
         path = write(tmp_path, f"x,y\n{rows}\n1,-3\n")
         with pytest.raises(DataError, match="nonnegative"):
+            load_csv(path, response="y")
+
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_nonfinite_response_names_row(self, tmp_path, value):
+        rows = "\n".join(f"{i},{i}" for i in range(8))
+        path = write(tmp_path, f"x,y\n1,2\n2,{value}\n{rows}\n")
+        with pytest.raises(DataError, match=rf"data\.csv: response 'y'.*data row 2 has value {value}"):
             load_csv(path, response="y")
 
     def test_duplicated_covariate_is_rank_deficient(self, tmp_path):
@@ -92,11 +99,34 @@ class TestDatasetInvariants:
         with pytest.raises(DataError, match="intercept"):
             Dataset(y=np.arange(8), X=X, names=("a", "intercept"))
 
+    def test_nonfinite_response_rejected(self):
+        X = np.column_stack([np.ones(4), np.arange(4.0)])
+        with pytest.raises(DataError, match="data row 2 has value inf"):
+            Dataset(y=[1, np.inf, 2, 3], X=X, names=("intercept", "x"))
+
     def test_immutability(self, airfreight):
         with pytest.raises(ValueError):
             airfreight.X[0, 0] = 7.0
         with pytest.raises(ValueError):
             airfreight.y[0] = 7
+
+
+class TestSimulate:
+    def test_seed_fixes_dataset(self):
+        a = simulate(40, [0.5, 0.3, -0.2], 1.5, seed=3, x_min=-1.0, x_max=2.0)
+        b = simulate(40, [0.5, 0.3, -0.2], 1.5, seed=3, x_min=-1.0, x_max=2.0)
+        assert np.array_equal(a.y, b.y) and np.array_equal(a.X, b.X)
+        assert a.names == ("intercept", "x1", "x2")
+        assert np.all((a.X[:, 1:] >= -1.0) & (a.X[:, 1:] < 2.0))
+
+    @pytest.mark.parametrize("n, nu, match", [
+        (0, 1.0, "positive"),
+        (2, 1.0, "observations"),
+        (20, -0.5, "nonnegative"),
+    ])
+    def test_unusable_design_rejected(self, n, nu, match):
+        with pytest.raises(DataError, match=match):
+            simulate(n, [0.5, 0.3], nu, seed=1)
 
 
 class TestRoundTrip:

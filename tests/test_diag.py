@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from comreg.data import Dataset
+from comreg.data import Dataset, simulate
 from comreg.diag import (
     deviance_residuals,
     diagnostics_report,
@@ -9,8 +9,6 @@ from comreg.diag import (
     pearson_residuals,
 )
 from comreg.fit import fit_com
-
-from conftest import simulate_dataset
 
 
 @pytest.fixture(scope="module")
@@ -20,7 +18,7 @@ def airfreight_fit(airfreight):
 
 @pytest.fixture(scope="module")
 def poisson_slice():
-    ds = simulate_dataset(150, [0.9, 0.5], 1.0, seed=51)
+    ds = simulate(150, [0.9, 0.5], 1.0, seed=51)
     return ds, fit_com(ds, fix_nu=1.0)
 
 
@@ -115,12 +113,13 @@ class TestDevianceResiduals:
         lam = float(np.exp(airfreight.X @ airfreight_fit.beta)[0])
         nu = airfreight_fit.nu
         mu = mean_exact(ComParams(lam, nu))
+        saturated = {}
         above = [
-            _unit_deviance_exact(y, lam, mu, nu, DEFAULT_POLICY)
+            _unit_deviance_exact(y, lam, nu, DEFAULT_POLICY, saturated)
             for y in range(int(np.ceil(mu)), int(np.ceil(mu)) + 6)
         ]
         below = [
-            _unit_deviance_exact(y, lam, mu, nu, DEFAULT_POLICY)
+            _unit_deviance_exact(y, lam, nu, DEFAULT_POLICY, saturated)
             for y in range(int(np.floor(mu)), max(-1, int(np.floor(mu)) - 6), -1)
         ]
         assert all(b >= a - 1e-9 for a, b in zip(above, above[1:]))
@@ -129,7 +128,7 @@ class TestDevianceResiduals:
     def test_approx_close_to_exact_underdispersed(self):
         # low-count under-dispersed data; the approximation is claimed
         # accurate even here
-        ds = simulate_dataset(120, [0.4, 0.5], 3.0, seed=61)
+        ds = simulate(120, [0.4, 0.5], 3.0, seed=61)
         fr = fit_com(ds)
         exact, _ = deviance_residuals(ds, fr, kind="exact")
         approx, notes = deviance_residuals(ds, fr, kind="approx")
@@ -137,6 +136,14 @@ class TestDevianceResiduals:
         assert mask.any()
         rel = np.abs(approx[mask] - exact[mask]) / np.abs(exact[mask])
         assert np.max(rel) < 0.10
+
+    def test_exact_finite_overdispersed(self):
+        # saturated lambda far above e^5 at nu = 0.35: every residual exact
+        ds = simulate(150, [0.6, 0.5], 0.35, seed=3)
+        fr = fit_com(ds)
+        r, notes = deviance_residuals(ds, fr, kind="exact")
+        assert np.all(np.isfinite(r))
+        assert notes == {}
 
     def test_unknown_kind_rejected(self, airfreight, airfreight_fit):
         with pytest.raises(ValueError):

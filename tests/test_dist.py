@@ -350,6 +350,17 @@ class TestSample:
         _, pval = chisquare(observed, probs * len(draws))
         assert pval > 1e-4
 
+    def test_inverse_cdf_is_left_search(self):
+        rng = np.random.default_rng(8)
+        pmf = rng.dirichlet(np.ones(40), size=25)
+        pmf[:, 5:9] = 0.0                  # flat stretches in the CDF
+        cum = np.cumsum(pmf, axis=1)
+        u = np.concatenate([rng.uniform(size=20), cum[20:, 3:4].ravel()])  # ties
+        expected = [np.searchsorted(cum[i], u[i], side="left") for i in range(25)]
+        # u above the retained mass clips to the last support point
+        assert np.array_equal(dist.inverse_cdf(pmf, u), np.minimum(expected, 39))
+        assert np.array_equal(dist.inverse_cdf(pmf * 0.5, 0.9), np.full(25, 39))
+
     def test_sample_many_matches_scalar_stream_independence(self):
         lam = np.array([0.5, 1.0, 2.0])
         a = dist.sample_many(lam, 1.5, np.random.default_rng(5))

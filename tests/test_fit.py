@@ -4,7 +4,7 @@ from scipy.special import gammaln
 
 from comreg import dist
 from comreg.baselines import fit_poisson
-from comreg.data import Dataset
+from comreg.data import Dataset, simulate
 from comreg.fit import (
     OptimSettings,
     fisher_information,
@@ -13,8 +13,6 @@ from comreg.fit import (
     loglik,
     score,
 )
-
-from conftest import simulate_dataset
 
 
 @pytest.fixture(scope="module")
@@ -87,7 +85,7 @@ class TestScore:
         assert np.allclose(g, fd, rtol=1e-5, atol=1e-7)
 
     def test_finite_difference_on_simulated_points(self):
-        ds = simulate_dataset(60, [0.6, 0.4], 1.6, seed=9)
+        ds = simulate(60, [0.6, 0.4], 1.6, seed=9)
         rng = np.random.default_rng(13)
         for _ in range(5):
             beta = np.array([0.6, 0.4]) + rng.normal(scale=0.1, size=2)
@@ -151,7 +149,7 @@ class TestFitCom:
         assert airfreight_fit.nu == pytest.approx(5.7818, rel=0.01)
 
     def test_poisson_data_recovers_nu_near_one(self):
-        ds = simulate_dataset(5000, [0.5, 0.3], 1.0, seed=21)
+        ds = simulate(5000, [0.5, 0.3], 1.0, seed=21)
         fr = fit_com(ds)
         assert fr.converged
         assert 0.9 < fr.nu < 1.1
@@ -174,9 +172,9 @@ class TestFitCom:
         assert np.allclose(fr.beta, pois.beta, atol=1e-6)
 
     def test_likelihood_ascent(self, airfreight, airfreight_fit):
-        trace = airfreight_fit.loglik_trace
-        assert len(trace) > 1
-        assert all(b >= a - 1e-9 for a, b in zip(trace, trace[1:]))
+        # the fit climbs from its Poisson warm start (beta_pois, nu = 1)
+        start = loglik(airfreight, fit_poisson(airfreight).beta, 1.0)
+        assert airfreight_fit.loglik >= start
 
     def test_scaled_beta(self, airfreight_fit):
         assert np.allclose(
@@ -207,7 +205,7 @@ class TestFitCom:
 
 class TestFittedValues:
     def test_mean_approx_equals_lambda_at_nu_one(self):
-        ds = simulate_dataset(200, [0.5, 0.3], 1.0, seed=2)
+        ds = simulate(200, [0.5, 0.3], 1.0, seed=2)
         fr = fit_com(ds, fix_nu=1.0)
         lam = np.exp(ds.X @ fr.beta)
         assert np.allclose(fitted_values(ds, fr, "mean_approx"), lam, rtol=1e-10)
@@ -220,7 +218,7 @@ class TestFittedValues:
     def test_mean_approx_refused_outside_validity(self):
         # under-dispersed data with small counts: nu > 1 and lambda well
         # below 10^nu, so the closed-form mean is refused
-        ds = simulate_dataset(200, [0.3, 0.4], 3.0, seed=8)
+        ds = simulate(200, [0.3, 0.4], 3.0, seed=8)
         fr = fit_com(ds)
         lam = np.exp(ds.X @ fr.beta)
         assert fr.nu > 1 and np.any(lam <= 10**fr.nu)

@@ -3,11 +3,9 @@ import pytest
 from scipy.stats import chi2, kstest
 
 from comreg.baselines import fit_poisson
-from comreg.data import Dataset
+from comreg.data import Dataset, simulate
 from comreg.fit import fit_com
 from comreg.infer import dispersion_test, parametric_bootstrap, wald_z
-
-from conftest import simulate_dataset
 
 
 @pytest.fixture(scope="module")
@@ -29,19 +27,19 @@ class TestDispersionTest:
         assert res.loglik_alt >= res.loglik_null - 1e-6
 
     def test_poisson_data_small_statistic(self):
-        ds = simulate_dataset(500, [0.8, 0.4], 1.0, seed=31)
+        ds = simulate(500, [0.8, 0.4], 1.0, seed=31)
         res = dispersion_test(ds)
         assert res.p_value > 0.01
 
     def test_overdispersed_data_large_statistic(self):
         # crash-like over-dispersion
-        ds = simulate_dataset(600, [0.6, 0.5], 0.35, seed=37)
+        ds = simulate(600, [0.6, 0.5], 0.35, seed=37)
         res = dispersion_test(ds)
         assert res.statistic > 50
         assert res.p_value < 1e-10
 
     def test_underdispersed_detected(self):
-        ds = simulate_dataset(200, [1.2, 0.5], 5.0, seed=41)
+        ds = simulate(200, [1.2, 0.5], 5.0, seed=41)
         res = dispersion_test(ds)
         assert res.p_value < 0.01
 
@@ -61,7 +59,7 @@ class TestDispersionTest:
         # C under simulated Poisson data vs chi^2_1, n=200
         stats = []
         for rep in range(500):
-            ds = simulate_dataset(200, [0.8, 0.4], 1.0, seed=10_000 + rep)
+            ds = simulate(200, [0.8, 0.4], 1.0, seed=10_000 + rep)
             stats.append(dispersion_test(ds).statistic)
         stats = np.asarray(stats)
         # one-sided comparison at the 1% level
