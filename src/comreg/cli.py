@@ -214,6 +214,7 @@ def cmd_bootstrap(args) -> int:
         "seed": boot.seed,
         "ci_level": boot.ci_level,
         "n_failed": boot.n_failed,
+        "failures": boot.failures,
         "unreliable": boot.unreliable,
         "intervals": {k: list(v) for k, v in boot.intervals.items()},
         "errors": [],

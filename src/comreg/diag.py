@@ -15,7 +15,7 @@ import numpy as np
 import scipy.optimize
 from scipy.special import gammaln
 
-from . import dist
+from . import dist, fit
 from .data import Dataset, linear_predictor
 from .fit import FitResult
 
@@ -49,11 +49,8 @@ class DiagnosticsReport:
 
 
 def _weights(ds: Dataset, fr: FitResult, policy: dist.SeriesPolicy):
-    lam = np.exp(linear_predictor(ds, fr.beta))
-    s, pmf = dist.pmf_table(lam, fr.nu, policy)
-    mu = pmf @ s
-    var = pmf @ s**2 - mu**2
-    return lam, mu, var
+    ev = fit.evaluate(ds, fr.beta, fr.nu, policy)
+    return np.exp(linear_predictor(ds, fr.beta)), ev.mean, ev.var
 
 
 def hat_diagonal(

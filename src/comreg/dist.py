@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
+from scipy.special import gammaln
 
 
 class DivergentSeriesError(ValueError):
@@ -76,7 +76,7 @@ def log_term_table(lam, nu: float, policy: SeriesPolicy = DEFAULT_POLICY):
     Vectorized over an array of lambda values (shared nu), which is the
     shape the regression likelihood needs.  Returns (support, log_terms,
     log_z) where log_terms has one row per lambda and one column per
-    support point, and log_z = logsumexp over columns.
+    support point, and log_z = log sum over columns (shifted by the row maximum).
 
     The truncation rule: the last retained term must be past the mode,
     decreasing, below rel_tol of the accumulated sum, and the geometric
@@ -99,7 +99,8 @@ def log_term_table(lam, nu: float, policy: SeriesPolicy = DEFAULT_POLICY):
     while True:
         s = np.arange(n_terms + 1, dtype=float)
         log_terms = s[None, :] * np.log(lam)[:, None] - nu * gammaln(s + 1.0)[None, :]
-        log_z = logsumexp(log_terms, axis=1)
+        top = log_terms.max(axis=1)
+        log_z = top + np.log(np.exp(log_terms - top[:, None]).sum(axis=1))
 
         last = log_terms[:, -1] - log_z
         prev = log_terms[:, -2] - log_z

@@ -2,9 +2,11 @@
 
 The model: Y_i ~ COM-Poisson(lambda_i, nu) with log lambda_i = x_i' beta
 and a shared dispersion nu.  Estimation maximizes the log-likelihood
-over (beta, log nu) by quasi-Newton ascent with the analytic score;
-standard errors come from the expected (Fisher) information assembled
-from the covariance of the sufficient statistics (Y, log Y!).
+over (beta, nu) by Fisher scoring from the Poisson fit.  The score
+and the expected (Fisher) information are covariances of the sufficient
+statistics (Y, log Y!), so one series table per (beta, nu) gives the
+loglik, both of them and the per-row moments; the standard errors come
+from the information at the optimum.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
 from scipy.special import gammaln
 
 from . import dist
@@ -29,20 +30,20 @@ class SingularInformationError(FitError):
 
 @dataclass(frozen=True)
 class OptimSettings:
-    grad_tol: float = 1e-8
-    step_tol: float = 1e-10
+    grad_tol: float = 1e-12  # Newton-decrement stop rule, relative to max(1, |loglik|)
     max_iter: int = 500
     nu_floor: float = 1e-6
     nu_ceiling: float = 1e3
 
     def __post_init__(self):
-        if not (0 < self.grad_tol < 1 and 0 < self.step_tol < 1):
-            raise ValueError("grad_tol and step_tol must lie in (0, 1)")
+        if not (0 < self.grad_tol < 1):
+            raise ValueError("grad_tol must lie in (0, 1)")
         if not (self.nu_floor < 1 < self.nu_ceiling):
             raise ValueError("need nu_floor < 1 < nu_ceiling")
 
 
 DEFAULT_SETTINGS = OptimSettings()
+MAX_HALVINGS = 30    # step halvings per scoring iteration before the fit gives up
 
 
 @dataclass
@@ -70,16 +71,69 @@ class FitResult:
         return np.sqrt(np.diag(self.cov))
 
 
-def _moment_tables(lam: np.ndarray, nu: float, policy: dist.SeriesPolicy):
-    """Per-observation moments of the sufficient statistics (Y, log Y!)."""
-    s, pmf = dist.pmf_table(lam, nu, policy)
+@dataclass(frozen=True)
+class Evaluation:
+    """Likelihood quantities at one (beta, nu), all from one series table."""
+
+    loglik: float
+    score: np.ndarray    # gradient in (beta..., nu)
+    info: np.ndarray     # expected information in (beta..., nu)
+    mean: np.ndarray     # E Y_i
+    var: np.ndarray      # var Y_i
+
+
+def evaluate(
+    ds: Dataset,
+    beta: np.ndarray,
+    nu: float,
+    policy: dist.SeriesPolicy = dist.DEFAULT_POLICY,
+) -> Evaluation:
+    """Loglik, score, expected information and per-row mean/variance at (beta, nu).
+
+    The score is (X'(y - E Y), sum(E log Y! - log y!)); the information
+    has blocks I_bb = X' diag(var Y_i) X, I_bn = -X' cov(Y_i, log Y_i!),
+    I_nn = sum var(log Y_i!).  Moments are centred before squaring, so a
+    near-degenerate row gets a small positive variance, not a
+    cancellation error.  Raises OverflowError when some lambda_i = exp(eta_i)
+    is not a positive finite double.
+    """
+    if nu < 0:
+        raise ValueError(f"nu must be nonnegative, got {nu}")
+    eta = linear_predictor(ds, beta)
+    with np.errstate(over="ignore"):
+        lam = np.exp(eta)
+    if not np.all((lam > 0) & np.isfinite(lam)):
+        raise OverflowError("linear predictor out of range: lambda overflows or underflows")
+    s, log_terms, log_z = dist.log_term_table(lam, nu, policy)
+    pmf = np.exp(log_terms - log_z[:, None])
     lf = gammaln(s + 1.0)
     mean = pmf @ s
-    var = pmf @ s**2 - mean**2
     e_lf = pmf @ lf
-    var_lf = pmf @ lf**2 - e_lf**2
-    cov_y_lf = pmf @ (s * lf) - mean * e_lf
-    return mean, var, e_lf, var_lf, cov_y_lf
+    # centred moments in two n x S buffers (allocating more costs as much
+    # as the arithmetic): dev holds s - E Y, then log s! - E log Y!
+    dev = s - mean[:, None]
+    p_dev = pmf * dev
+    var = np.einsum("ij,ij->i", p_dev, dev)
+    np.subtract(lf, e_lf[:, None], out=dev)
+    cov_y_lf = np.einsum("ij,ij->i", p_dev, dev)
+    np.multiply(pmf, dev, out=p_dev)
+    var_lf = np.einsum("ij,ij->i", p_dev, dev)
+
+    y = ds.y.astype(float)
+    lf_y = gammaln(y + 1.0)
+    p1 = ds.n_cols
+    info = np.empty((p1 + 1, p1 + 1))
+    info[:p1, :p1] = ds.X.T @ (ds.X * var[:, None])
+    info[:p1, p1] = -ds.X.T @ cov_y_lf
+    info[p1, :p1] = info[:p1, p1]
+    info[p1, p1] = var_lf.sum()
+    return Evaluation(
+        loglik=float(y @ eta - nu * lf_y.sum() - log_z.sum()),
+        score=np.concatenate([ds.X.T @ (y - mean), [float((e_lf - lf_y).sum())]]),
+        info=info,
+        mean=mean,
+        var=var,
+    )
 
 
 def loglik(
@@ -89,18 +143,7 @@ def loglik(
     policy: dist.SeriesPolicy = dist.DEFAULT_POLICY,
 ) -> float:
     """Sum_i [y_i eta_i - nu log y_i! - log Z(lambda_i, nu)]."""
-    eta = linear_predictor(ds, beta)
-    lam = np.exp(eta)
-    if nu < 0:
-        raise ValueError(f"nu must be nonnegative, got {nu}")
-    if nu == 0 and np.any(lam >= 1):
-        raise dist.DivergentSeriesError("nu=0 requires every lambda_i < 1")
-    if nu == 1:
-        log_z = lam
-    else:
-        _, _, log_z = dist.log_term_table(lam, nu, policy)
-    y = ds.y.astype(float)
-    return float(y @ eta - nu * gammaln(y + 1.0).sum() - log_z.sum())
+    return evaluate(ds, beta, nu, policy).loglik
 
 
 def score(
@@ -112,12 +155,7 @@ def score(
     """Gradient of loglik in (beta, nu): (X'(y - E Y), sum(E log Y! - log y!))."""
     if nu <= 0:
         raise ValueError(f"score requires nu > 0, got {nu}")
-    lam = np.exp(linear_predictor(ds, beta))
-    mean, _, e_lf, _, _ = _moment_tables(lam, nu, policy)
-    y = ds.y.astype(float)
-    g_beta = ds.X.T @ (y - mean)
-    g_nu = float((e_lf - gammaln(y + 1.0)).sum())
-    return np.concatenate([g_beta, [g_nu]])
+    return evaluate(ds, beta, nu, policy).score
 
 
 def fisher_information(
@@ -126,22 +164,10 @@ def fisher_information(
     nu: float,
     policy: dist.SeriesPolicy = dist.DEFAULT_POLICY,
 ) -> np.ndarray:
-    """Expected information in (beta, nu) from sufficient-statistic covariances.
-
-    Block form: I_bb = X' diag(var Y_i) X, I_bn = -X' cov(Y_i, log Y_i!),
-    I_nn = sum var(log Y_i!).
-    """
+    """Expected information in (beta, nu) from sufficient-statistic covariances."""
     if nu <= 0:
         raise ValueError(f"fisher_information requires nu > 0, got {nu}")
-    lam = np.exp(linear_predictor(ds, beta))
-    _, var, _, var_lf, cov_y_lf = _moment_tables(lam, nu, policy)
-    p1 = ds.n_cols
-    info = np.empty((p1 + 1, p1 + 1))
-    info[:p1, :p1] = ds.X.T @ (ds.X * var[:, None])
-    info[:p1, p1] = -ds.X.T @ cov_y_lf
-    info[p1, :p1] = info[:p1, p1]
-    info[p1, p1] = var_lf.sum()
-    return info
+    return evaluate(ds, beta, nu, policy).info
 
 
 def _invert_information(info: np.ndarray) -> np.ndarray:
@@ -150,7 +176,12 @@ def _invert_information(info: np.ndarray) -> np.ndarray:
         raise SingularInformationError(
             f"information matrix not invertible (condition number {cond:.3g})"
         )
-    return np.linalg.inv(info)
+    cov = np.linalg.inv(info)
+    if not np.all(np.diag(cov) > 0):
+        raise SingularInformationError(
+            "information matrix not invertible (inverse has a non-positive diagonal)"
+        )
+    return cov
 
 
 def fit_poisson_start(ds: Dataset) -> np.ndarray:
@@ -158,6 +189,16 @@ def fit_poisson_start(ds: Dataset) -> np.ndarray:
     from .baselines import fit_poisson
 
     return fit_poisson(ds).beta.copy()
+
+
+def _try_evaluate(ds, z, policy) -> Evaluation | None:
+    """evaluate at z = (beta, nu), or None where the likelihood is unusable."""
+    p1 = ds.n_cols
+    try:
+        ev = evaluate(ds, z[:p1], float(z[p1]), policy)
+    except (dist.DivergentSeriesError, dist.TruncationError, OverflowError):
+        return None
+    return ev if np.isfinite(ev.loglik) else None
 
 
 def fit_com(
@@ -168,74 +209,75 @@ def fit_com(
     nu0: float = 1.0,
     fix_nu: float | None = None,
 ) -> FitResult:
-    """Maximize the COM-Poisson log-likelihood over (beta, log nu).
+    """Maximize the COM-Poisson log-likelihood over (beta, nu) by Fisher scoring.
 
-    fix_nu pins the dispersion (e.g. fix_nu=1 gives the Poisson slice of
-    the likelihood surface) and optimizes over beta only.
+    In (beta, nu) the model is a canonical exponential family: the
+    loglik is concave and the expected information is its negative
+    Hessian, so each scoring step I step = g is a Newton step.  The step
+    is halved until the loglik does not fall.  nu is clamped to
+    [nu_floor, nu_ceiling]; at a bound whose gradient points outward
+    only beta moves, and the result is flagged boundary.  fix_nu pins
+    the dispersion (e.g. fix_nu=1 gives the Poisson slice of the
+    likelihood surface) and solves the beta block only.  converged means
+    the Newton decrement g' I^-1 g fell to grad_tol * max(1, |loglik|)
+    within max_iter steps.
     """
     p1 = ds.n_cols
     if beta0 is None:
         beta0 = fit_poisson_start(ds)
     if fix_nu is not None:
         nu0 = fix_nu
-    z0 = np.concatenate([beta0, [np.log(nu0)]])
+    lo, hi = settings.nu_floor, settings.nu_ceiling
+    z = np.concatenate([beta0, [nu0 if fix_nu is not None else np.clip(nu0, lo, hi)]])
+    ev = evaluate(ds, z[:p1], float(z[p1]), policy)
 
-    def neg(z):
-        beta, nu = z[:p1], float(np.exp(z[p1]))
+    converged = False
+    iterations = 0
+    while True:
+        g = ev.score
+        pushed_out = (z[p1] <= lo and g[p1] < 0) or (z[p1] >= hi and g[p1] > 0)
+        free = np.ones(p1 + 1, dtype=bool)
+        free[p1] = fix_nu is None and not pushed_out
+        step = np.zeros(p1 + 1)
         try:
-            ll = loglik(ds, beta, nu, policy)
-        except (dist.DivergentSeriesError, dist.TruncationError, OverflowError):
-            return np.inf, np.zeros_like(z)
-        if not np.isfinite(ll):
-            return np.inf, np.zeros_like(z)
-        g = score(ds, beta, nu, policy)
-        g[p1] *= nu  # chain rule onto the log nu scale
-        if fix_nu is not None:
-            g[p1] = 0.0
-        return -ll, -g
+            step[free] = np.linalg.solve(ev.info[np.ix_(free, free)], g[free])
+        except np.linalg.LinAlgError:
+            break
+        if g @ step <= settings.grad_tol * max(1.0, abs(ev.loglik)):
+            converged = True
+            break
+        if iterations == settings.max_iter:
+            break
+        for _ in range(MAX_HALVINGS):
+            trial = z + step
+            if fix_nu is None:
+                trial[p1] = np.clip(trial[p1], lo, hi)
+            new = _try_evaluate(ds, trial, policy)
+            if new is not None and new.loglik >= ev.loglik:
+                break
+            step /= 2.0
+        else:
+            break
+        z, ev = trial, new
+        iterations += 1
 
-    res = scipy.optimize.minimize(
-        neg,
-        z0,
-        jac=True,
-        method="BFGS",
-        options={"gtol": settings.grad_tol, "maxiter": settings.max_iter},
-    )
-
-    beta_hat = res.x[:p1]
-    nu_hat = float(np.exp(res.x[p1]))
-    grad_norm = float(np.max(np.abs(res.jac)))
-    # large-n likelihoods cannot reach an absolute 1e-8 gradient in double
-    # precision; also accept a gradient small relative to the loglik scale
-    converged = bool(
-        res.success
-        or grad_norm <= 10 * settings.grad_tol
-        or grad_norm <= 1e-6 * max(1.0, abs(float(res.fun)))
-    )
-
-    boundary = False
-    if nu_hat <= settings.nu_floor:
-        nu_hat, boundary = settings.nu_floor, True
-    elif nu_hat >= settings.nu_ceiling:
-        nu_hat, boundary = settings.nu_ceiling, True
-
-    ll_hat = loglik(ds, beta_hat, nu_hat, policy)
+    boundary = fix_nu is None and not (lo < z[p1] < hi)
     cov = np.full((p1 + 1, p1 + 1), np.nan)
     try:
-        cov = _invert_information(fisher_information(ds, beta_hat, nu_hat, policy))
+        cov = _invert_information(ev.info)
     except SingularInformationError:
         if not boundary:
             raise
 
     return FitResult(
-        beta=beta_hat,
-        nu=nu_hat,
+        beta=z[:p1].copy(),
+        nu=float(z[p1]),
         cov=cov,
-        loglik=ll_hat,
+        loglik=ev.loglik,
         n_obs=ds.n_obs,
         n_params=p1 + 1,
         converged=converged,
-        iterations=int(res.nit),
+        iterations=iterations,
         boundary=boundary,
     )
 

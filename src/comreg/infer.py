@@ -2,14 +2,26 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.stats import chi2
 
 from . import dist, fit
-from .baselines import fit_poisson, poisson_loglik
-from .data import Dataset, linear_predictor
+from .baselines import BaselineError, fit_poisson, poisson_loglik
+from .data import DataError, Dataset, linear_predictor
+
+# Failures that drop one bootstrap replicate; any other exception is a
+# defect and propagates.
+REPLICATE_ERRORS = (
+    fit.FitError,
+    BaselineError,
+    dist.TruncationError,
+    dist.DivergentSeriesError,
+    DataError,
+    np.linalg.LinAlgError,
+)
 
 
 @dataclass
@@ -35,6 +47,7 @@ class BootstrapResult:
     n_failed: int
     param_names: tuple
     unreliable: bool = False
+    failures: dict = field(default_factory=dict)   # cause -> count, summing to n_failed
 
 
 def dispersion_test(
@@ -91,7 +104,8 @@ def parametric_bootstrap(
     Each replicate draws from its own counter-indexed substream of the
     master seed, so results do not depend on execution order.  Percentile
     intervals are computed over converged replicates only; a >20% failure
-    rate marks the result unreliable.
+    rate marks the result unreliable.  failures counts the dropped
+    replicates by cause: the exception class name, or "nonconverged".
     """
     if n_boot < 100:
         raise ValueError(f"n_boot must be >= 100, got {n_boot}")
@@ -104,6 +118,7 @@ def parametric_bootstrap(
     p2 = ds.n_cols + 1
     rows = np.full((n_boot, p2), np.nan)
     ok = np.zeros(n_boot, dtype=bool)
+    failures: Counter = Counter()
     children = np.random.SeedSequence(seed).spawn(n_boot)
     for b in range(n_boot):
         rng = np.random.default_rng(children[b])
@@ -112,12 +127,15 @@ def parametric_bootstrap(
             ds_star = Dataset(y=y_star, X=ds.X, names=ds.names,
                               response_name=ds.response_name)
             fr_star = fit.fit_com(ds_star, settings=settings)
-        except Exception:
+        except REPLICATE_ERRORS as exc:
+            failures[type(exc).__name__] += 1
             continue
         if fr_star.converged:
             rows[b, :-1] = fr_star.beta
             rows[b, -1] = fr_star.nu
             ok[b] = True
+        else:
+            failures["nonconverged"] += 1
 
     n_failed = int(n_boot - ok.sum())
     good = rows[ok]
@@ -142,6 +160,7 @@ def parametric_bootstrap(
         n_failed=n_failed,
         param_names=names,
         unreliable=n_failed > 0.2 * n_boot,
+        failures=dict(sorted(failures.items())),
     )
 
 

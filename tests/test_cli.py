@@ -5,6 +5,7 @@ import jsonschema
 import numpy as np
 import pytest
 
+from comreg import fit
 from comreg.cli import EXIT_IO, EXIT_OK, EXIT_STAT, main
 from comreg.data import Dataset, write_csv
 
@@ -27,12 +28,23 @@ def write_xy(path, x, y):
     return str(path)
 
 
-@pytest.fixture(scope="module")
-def singular_path(tmp_path_factory):
-    # binary counts whose COM-Poisson information matrix is singular
+@pytest.fixture
+def singular_path(tmp_path, monkeypatch):
+    # Ordinary counts, with the information at the optimum made exactly
+    # singular (its nu row and column zeroed) at the fit's covariance step.
+    # No natural input is singular wherever the optimizer happens to stop,
+    # and what these tests check is how the CLI reports the error.
+    invert = fit._invert_information
+
+    def singular(info):
+        info = info.copy()
+        info[-1, :] = info[:, -1] = 0.0
+        return invert(info)
+
+    monkeypatch.setattr(fit, "_invert_information", singular)
     rng = np.random.default_rng(1)
     x = rng.uniform(0, 1, 30)
-    return write_xy(tmp_path_factory.mktemp("sing") / "d.csv", x, rng.integers(0, 2, 30))
+    return write_xy(tmp_path / "d.csv", x, rng.poisson(np.exp(1 + x)))
 
 
 @pytest.fixture(scope="module")
@@ -133,7 +145,7 @@ class TestDispersionTest:
 
 class TestBootstrap:
     @pytest.mark.slow
-    def test_deterministic_bytes(self, capsys, airfreight_path):
+    def test_deterministic_bytes(self, capsys, airfreight_path, schema):
         argv = [
             "bootstrap", "--data", str(airfreight_path), "--response", "broken",
             "--n-boot", "120", "--seed", "7", "--format", "json",
@@ -145,6 +157,8 @@ class TestBootstrap:
         report = json.loads(out1)
         lo, hi = report["intervals"]["nu"]
         assert lo < hi
+        jsonschema.validate(report, schema)
+        assert sum(report["failures"].values()) == report["n_failed"]
 
 
 class TestDiagnose:

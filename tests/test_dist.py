@@ -84,6 +84,15 @@ class TestLogNormalizer:
             ORACLE_LOGZ_2_15, rel=1e-11
         )
 
+    def test_table_normalizer_matches_logsumexp(self):
+        # the max-shifted sum against scipy's logsumexp as the reference
+        from scipy.special import logsumexp
+
+        lam = np.geomspace(1e-3, 20.0, 40)
+        for nu in (0.5, 1.0, 4.0):
+            _, log_terms, log_z = dist.log_term_table(lam, nu)
+            assert np.allclose(log_z, logsumexp(log_terms, axis=1), rtol=1e-14, atol=1e-14)
+
     def test_truncation_failure_raises(self):
         # nu just above 0 with lambda near 1: the series needs far more
         # terms than a tiny cap allows.

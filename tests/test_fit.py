@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 from scipy.special import gammaln
 
-from comreg import dist
-from comreg.baselines import fit_poisson
+from comreg import dist, fit
+from comreg.baselines import fit_logistic, fit_poisson
 from comreg.data import Dataset, simulate
 from comreg.fit import (
+    FitError,
     OptimSettings,
+    evaluate,
     fisher_information,
     fit_com,
     fitted_values,
@@ -141,6 +143,38 @@ class TestFisherInformation:
         assert se[2] == pytest.approx(2.597, rel=0.05)
 
 
+class TestEvaluate:
+    def test_one_table_per_evaluation(self, airfreight, monkeypatch):
+        calls = []
+        build = dist.log_term_table
+        monkeypatch.setattr(dist, "log_term_table",
+                            lambda *a, **k: calls.append(1) or build(*a, **k))
+        ev = evaluate(airfreight, np.array([2.3, 0.26]), 2.0)
+        assert len(calls) == 1
+        assert ev.mean.shape == ev.var.shape == (airfreight.n_obs,)
+        assert ev.score.shape == (3,) and ev.info.shape == (3, 3)
+
+    def test_views_agree(self, airfreight):
+        beta, nu = np.array([2.3, 0.26]), 2.0
+        ev = evaluate(airfreight, beta, nu)
+        assert loglik(airfreight, beta, nu) == ev.loglik
+        assert np.array_equal(score(airfreight, beta, nu), ev.score)
+        assert np.array_equal(fisher_information(airfreight, beta, nu), ev.info)
+
+    def test_moments_match_kernel(self, airfreight):
+        beta, nu = np.array([2.3, 0.26]), 0.7
+        ev = evaluate(airfreight, beta, nu)
+        lam = np.exp(airfreight.X @ beta)
+        for i in (0, 5, 9):
+            p = dist.ComParams(float(lam[i]), nu)
+            assert ev.mean[i] == pytest.approx(dist.mean_exact(p), rel=1e-12)
+            assert ev.var[i] == pytest.approx(dist.var_exact(p), rel=1e-9)
+
+    def test_lambda_overflow_is_typed(self, airfreight):
+        with pytest.raises(OverflowError):
+            evaluate(airfreight, np.array([800.0, 0.0]), 2.0)
+
+
 class TestFitCom:
     def test_airfreight_matches_paper(self, airfreight_fit):
         assert airfreight_fit.converged
@@ -201,6 +235,49 @@ class TestFitCom:
     def test_n_params(self, airfreight_fit):
         assert airfreight_fit.n_params == 3
         assert airfreight_fit.n_obs == 10
+
+    def test_reaches_the_reference_optima(self, airfreight_fit):
+        # optima reached by a quasi-Newton (BFGS) fit, gradient tolerance 1e-8
+        assert airfreight_fit.loglik == pytest.approx(-18.644891515, rel=1e-8)
+        fr = fit_com(simulate(868, [0.6, 0.5, -0.3], 0.35, seed=2024))
+        assert fr.converged
+        assert fr.loglik == pytest.approx(-2499.815965392, rel=1e-8)
+
+    def test_few_scoring_iterations(self, airfreight_fit):
+        assert airfreight_fit.iterations <= 25
+
+    def test_max_iter_exhausted_is_not_converged(self, airfreight):
+        fr = fit_com(airfreight, settings=OptimSettings(max_iter=1))
+        assert not fr.converged
+        assert fr.iterations == 1
+
+    def test_binary_n30_matches_logistic(self):
+        rng = np.random.default_rng(1)
+        x = rng.uniform(0, 1, 30)
+        ds = Dataset(y=rng.integers(0, 2, 30), X=np.column_stack([np.ones(30), x]),
+                     names=("intercept", "x"))
+        fr = fit_com(ds)
+        logit = fit_logistic(ds)
+        assert fr.converged and not fr.boundary
+        assert np.allclose(fr.beta, logit.beta, atol=1e-4)
+        assert np.allclose(fr.se[:-1], logit.se, atol=1e-4)
+
+    @pytest.mark.parametrize("count", [1, 3, 50])
+    def test_constant_response_never_nan_se(self, count):
+        # no finite MLE: the likelihood rises towards a point mass at count
+        rng = np.random.default_rng(0)
+        ds = Dataset(y=np.full(30, count),
+                     X=np.column_stack([np.ones(30), rng.uniform(0, 1, 30)]),
+                     names=("intercept", "x"))
+        try:
+            fr = fit_com(ds)
+        except FitError:
+            return
+        assert np.all(np.isfinite(fr.se))
+
+    def test_invert_information_refuses_negative_diagonal(self):
+        with pytest.raises(fit.SingularInformationError, match="diagonal"):
+            fit._invert_information(np.diag([1.0, -1.0]))
 
 
 class TestFittedValues:

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from scipy.stats import chi2, kstest
 
+from comreg import fit
 from comreg.baselines import fit_poisson
 from comreg.data import Dataset, simulate
-from comreg.fit import fit_com
+from comreg.fit import OptimSettings, fit_com
 from comreg.infer import dispersion_test, parametric_bootstrap, wald_z
 
 
@@ -87,6 +88,7 @@ class TestParametricBootstrap:
         lo, hi = boot_small.intervals["nu"]
         assert lo < hi
         assert boot_small.n_failed + len(boot_small.replicates) == 120
+        assert sum(boot_small.failures.values()) == boot_small.n_failed
 
     def test_percentile_equivariance_log_nu(self, boot_small):
         # monotone reparameterization commutes with percentile endpoints
@@ -94,6 +96,33 @@ class TestParametricBootstrap:
         lo, hi = np.percentile(np.log(nu_col), [5.0, 95.0], method="inverted_cdf")
         assert np.exp(lo) == pytest.approx(boot_small.intervals["nu"][0], rel=1e-10)
         assert np.exp(hi) == pytest.approx(boot_small.intervals["nu"][1], rel=1e-10)
+
+    def test_failures_tallied_by_cause(self, airfreight, airfreight_fit, monkeypatch):
+        fit_real = fit.fit_com
+        calls = []
+
+        def flaky(ds, settings):
+            calls.append(1)
+            if len(calls) % 7 == 0:
+                raise fit.SingularInformationError("information matrix not invertible")
+            if len(calls) % 5 == 0:
+                return fit_real(ds, settings=OptimSettings(max_iter=1))
+            return fit_real(ds, settings=settings)
+
+        monkeypatch.setattr(fit, "fit_com", flaky)
+        boot = parametric_bootstrap(airfreight, airfreight_fit, n_boot=100, seed=3)
+        assert boot.failures["SingularInformationError"] == 14
+        assert boot.failures["nonconverged"] >= 17
+        assert sum(boot.failures.values()) == boot.n_failed
+        assert boot.n_failed + len(boot.replicates) == 100
+
+    def test_untyped_failure_propagates(self, airfreight, airfreight_fit, monkeypatch):
+        def broken(ds, settings):
+            raise KeyError("defect")
+
+        monkeypatch.setattr(fit, "fit_com", broken)
+        with pytest.raises(KeyError):
+            parametric_bootstrap(airfreight, airfreight_fit, n_boot=100, seed=3)
 
     def test_validation(self, airfreight, airfreight_fit):
         with pytest.raises(ValueError, match="n_boot"):
