@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.optimize
 from scipy.special import digamma, expit, gammaln
 
 from .data import Dataset, linear_predictor
@@ -163,6 +162,8 @@ def fit_negbin(ds: Dataset, r0: float = 10.0) -> BaselineFit:
         )
         return -ll, -np.concatenate([g_beta, [g_r * r]])
 
+    import scipy.optimize   # deferred: only the BFGS baselines need it
+
     z0 = np.concatenate([pois.beta, [np.log(r0)]])
     res = scipy.optimize.minimize(
         neg, z0, jac=True, method="BFGS", options={"gtol": 1e-8, "maxiter": 500}
@@ -278,6 +279,8 @@ def fit_rgpr(ds: Dataset, max_iter: int = 500) -> BaselineFit:
             -y * mu / one_am + y * (y - 1.0) / one_ay - mu * (y - mu) / one_am**2
         )
         return -ll, -np.concatenate([g_beta, [g_alpha]])
+
+    import scipy.optimize
 
     z0 = np.concatenate([pois.beta, [0.0]])
     res = scipy.optimize.minimize(

@@ -30,6 +30,7 @@ ERROR_EXIT = (
     (fit.FitError, EXIT_STAT),           # includes a non-converged COM-Poisson fit
     (baselines.BaselineError, EXIT_STAT),
     (dist.TruncationError, EXIT_STAT),
+    (diag.LeverageError, EXIT_STAT),     # residuals undefined at leverage 1
     (np.linalg.LinAlgError, EXIT_STAT),
     (OSError, EXIT_IO),                  # unreadable input, unwritable output
     (ValueError, EXIT_IO),               # DataError and invalid option values

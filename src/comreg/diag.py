@@ -1,10 +1,12 @@
-"""GLM diagnostics for fitted COM-Poisson models.
+"""GLM diagnostics for fitted COM-Poisson models, from one likelihood evaluation.
 
 Leverage from the hat matrix H = W^(1/2) X (X'WX)^(-1) X' W^(1/2) with
 W = diag(var(Y_i)); Pearson residuals (y - mu)/sqrt(w (1-h)); and
-standardized deviance residuals, exact (likelihood at the saturated
-lambda found by root-finding on the mean) or via the closed-form mean
-approximation.
+standardized deviance residuals sign(y - mu) sqrt(d) / sqrt(1-h).  The
+exact unit deviance d compares each row's fitted loglik with its loglik
+at the saturated lambda, whose mean is y: one vectorised Newton on
+log lambda finds it for every distinct y.  The approximate d uses the
+closed-form mean approximation.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.optimize
 from scipy.special import gammaln
 
 from . import dist, fit
@@ -21,7 +22,11 @@ from .fit import FitResult
 
 LEVERAGE_FLAG_FACTOR = 2.0
 RESIDUAL_FLAG = 2.0
-MAX_BRACKET_STEPS = 60
+MAX_NEWTON_STEPS = 60
+
+
+class LeverageError(RuntimeError):
+    """An observation has leverage 1, so its residuals are undefined."""
 
 
 @dataclass
@@ -48,9 +53,23 @@ class DiagnosticsReport:
         }
 
 
-def _weights(ds: Dataset, fr: FitResult, policy: dist.SeriesPolicy):
+def _evaluation_and_leverage(ds: Dataset, fr: FitResult, policy: dist.SeriesPolicy):
+    """The one evaluation at the fit, and diag(H) from its variances."""
     ev = fit.evaluate(ds, fr.beta, fr.nu, policy)
-    return np.exp(linear_predictor(ds, fr.beta)), ev.mean, ev.var
+    Xw = ds.X * np.sqrt(ev.var)[:, None]
+    XtWX = ds.X.T @ (ds.X * ev.var[:, None])
+    try:
+        M = np.linalg.solve(XtWX, Xw.T)
+    except np.linalg.LinAlgError as exc:
+        raise np.linalg.LinAlgError("X'WX is singular") from exc
+    return ev, np.einsum("ij,ji->i", Xw, M)
+
+
+def _one_minus_leverage(h: np.ndarray) -> np.ndarray:
+    bad = ", ".join(f"data row {i + 1}" for i in np.flatnonzero(h >= 1.0 - 1e-12))
+    if bad:
+        raise LeverageError(f"leverage 1 at {bad}: residuals undefined")
+    return 1.0 - h
 
 
 def hat_diagonal(
@@ -59,14 +78,11 @@ def hat_diagonal(
     policy: dist.SeriesPolicy = dist.DEFAULT_POLICY,
 ) -> np.ndarray:
     """diag(H) with W = diag(var(Y_i | lambda_hat_i, nu_hat))."""
-    _, _, w = _weights(ds, fr, policy)
-    Xw = ds.X * np.sqrt(w)[:, None]
-    XtWX = ds.X.T @ (ds.X * w[:, None])
-    try:
-        M = np.linalg.solve(XtWX, Xw.T)
-    except np.linalg.LinAlgError as exc:
-        raise np.linalg.LinAlgError("X'WX is singular") from exc
-    return np.einsum("ij,ji->i", Xw, M)
+    return _evaluation_and_leverage(ds, fr, policy)[1]
+
+
+def _pearson(ds: Dataset, ev: fit.Evaluation, h: np.ndarray) -> np.ndarray:
+    return (ds.y.astype(float) - ev.mean) / np.sqrt(ev.var * _one_minus_leverage(h))
 
 
 def pearson_residuals(
@@ -75,77 +91,83 @@ def pearson_residuals(
     policy: dist.SeriesPolicy = dist.DEFAULT_POLICY,
 ) -> np.ndarray:
     """(y_i - mu_hat_i) / sqrt(w_i (1 - h_i))."""
-    _, mu, w = _weights(ds, fr, policy)
-    h = hat_diagonal(ds, fr, policy)
-    if np.any(h >= 1.0 - 1e-12):
-        bad = np.flatnonzero(h >= 1.0 - 1e-12).tolist()
-        raise ValueError(f"leverage 1 at observations {bad}: residual undefined")
-    return (ds.y.astype(float) - mu) / np.sqrt(w * (1.0 - h))
+    return _pearson(ds, *_evaluation_and_leverage(ds, fr, policy))
 
 
-def _saturated_log_lambda(target: float, nu: float, policy: dist.SeriesPolicy) -> float:
-    """log lambda at which the COM-Poisson mean equals target (target > 0)."""
+def _saturated(y: np.ndarray, nu: float, policy: dist.SeriesPolicy):
+    """Per entry of y: (log lambda whose mean is y, log-pmf of y there), and
+    {y: reason} for each y whose lambda was not found (its loglik is NaN).
 
-    def mean_minus(loglam):
-        return dist.mean_exact(dist.ComParams(float(np.exp(loglam)), nu), policy) - target
-
-    # The mean is close to lambda^(1/nu), so the root lies near
-    # nu log(target), and a step of nu in log lambda moves the mean by
-    # about a factor e: the bracket stays where the series is short.
-    lo = hi = nu * np.log(target)
-    f_lo = f_hi = mean_minus(lo)
-    for _ in range(MAX_BRACKET_STEPS):
-        if f_lo <= 0 <= f_hi:
-            return float(scipy.optimize.brentq(mean_minus, lo, hi, xtol=1e-10, rtol=1e-12))
-        if f_lo > 0:
-            lo -= nu
-            f_lo = mean_minus(lo)
-        else:
-            hi += nu
-            f_hi = mean_minus(hi)
-    raise RuntimeError(f"could not bracket saturated lambda for mean {target}")
-
-
-def _saturated_loglik(y: float, nu: float, policy: dist.SeriesPolicy) -> float:
-    """log L(y, y; nu), the log-pmf of y at the lambda whose mean is y.
-
-    For y = 0 this is the lambda -> 0 limit, where P(0) -> 1, so 0.
+    Each distinct y > 0 is solved once, by Newton on t = log lambda
+    (dE[Y]/dt = var Y) with one shared table per step, until the mean is
+    within 1e-12 relative.  The mean is near lambda^(1/nu), so the start
+    nu log y puts it near y, and a step clipped to +-nu moves it by at most
+    about a factor e.  At y = 0 the loglik is the lambda -> 0 limit, 0.
     """
-    if y == 0:
-        return 0.0
-    loglam_sat = _saturated_log_lambda(float(y), nu, policy)
-    return dist.log_pmf(int(y), dist.ComParams(float(np.exp(loglam_sat)), nu), policy)
+    targets, inv = np.unique(y, return_inverse=True)
+    with np.errstate(divide="ignore"):
+        t = nu * np.log(targets)
+    ll = np.where(targets > 0, np.nan, 0.0)
+    failed, steps = {}, 0
+    todo = np.flatnonzero(targets > 0)
+    while todo.size and steps < MAX_NEWTON_STEPS:
+        yt, lam = targets[todo], np.exp(t[todo])
+        try:
+            s, log_terms, log_z = dist.log_term_table(lam, nu, policy)
+        except dist.TruncationError as exc:
+            # a table truncates where its largest lambda does on its own
+            failed[float(yt[lam.argmax()])] = str(exc)
+            todo = np.delete(todo, lam.argmax())
+            continue
+        steps += 1
+        pmf = np.exp(log_terms - log_z[:, None])
+        mean = pmf @ s
+        var = np.einsum("ij,ij->i", pmf, (s - mean[:, None]) ** 2)
+        solved = np.abs(yt - mean) <= 1e-12 * yt
+        ll[todo[solved]] = (yt * t[todo] - nu * gammaln(yt + 1.0) - log_z)[solved]
+        with np.errstate(divide="ignore"):
+            step = np.clip((yt - mean) / var, -nu, nu)
+        t[todo[~solved]] += step[~solved]
+        todo = todo[~solved]
+    failed.update({float(v): f"saturated lambda for mean {v:g} not found in "
+                   f"{MAX_NEWTON_STEPS} Newton steps" for v in targets[todo]})
+    return t[inv], ll[inv], failed
 
 
-def _unit_deviance_exact(y: float, lam_fit: float, nu: float,
-                         policy: dist.SeriesPolicy, saturated: dict) -> float:
-    """d = -2 [log L(mu, y; nu) - log L(y, y; nu)] via saturated lambda.
-
-    saturated caches log L(y, y; nu) by y, so each distinct y is solved once.
-    """
-    if y not in saturated:
-        saturated[y] = _saturated_loglik(y, nu, policy)
-    ll_fit = dist.log_pmf(int(y), dist.ComParams(lam_fit, nu), policy)
-    return max(0.0, -2.0 * (ll_fit - saturated[y]))
-
-
-def _unit_deviance_approx(y: float, mu: float, nu: float,
-                          policy: dist.SeriesPolicy):
-    """Mean-approximation deviance; returns None where its domain fails
-    outside the patched (nu < 1, y = 0) case."""
+def _approx_unit_deviance(y: np.ndarray, mu: np.ndarray, nu: float,
+                          policy: dist.SeriesPolicy) -> np.ndarray:
+    """Mean-approximation unit deviances; NaN where its domain fails, except
+    at (nu < 1, y = 0), where the second normalizer term is set to 1."""
     a = (nu - 1.0) / (2.0 * nu)
-    if mu + a <= 0:
-        return None
-    if y + a <= 0:
-        if nu < 1.0 and y == 0:
-            # Patched case: the second normalizer term is set to 1.
-            log_z_mu = dist.log_normalizer(dist.ComParams((mu + a) ** nu, nu), policy)
-            return max(0.0, 2.0 * log_z_mu)
-        return None
-    log_z_mu = dist.log_normalizer(dist.ComParams((mu + a) ** nu, nu), policy)
-    log_z_y = dist.log_normalizer(dist.ComParams((y + a) ** nu, nu), policy)
-    d = 2.0 * (y * nu * np.log((y + a) / (mu + a)) + log_z_mu - log_z_y)
-    return max(0.0, d)
+    patched = (y == 0) & (nu < 1.0)     # there y + a < 0
+    ok = (mu + a > 0) & ((y + a > 0) | patched)
+    full = ok & ~patched
+    # one table for the fitted means and one for the distinct y; 1 stands in elsewhere
+    log_z_mu = dist.log_term_table(np.where(ok, mu + a, 1.0) ** nu, nu, policy)[2]
+    ys, inv = np.unique(np.where(full, y + a, 1.0), return_inverse=True)
+    log_z_y = np.where(full, dist.log_term_table(ys ** nu, nu, policy)[2][inv], 0.0)
+    ratio = np.where(full, (y + a) / np.where(ok, mu + a, 1.0), 1.0)
+    d = 2.0 * (y * nu * np.log(ratio) + log_z_mu - log_z_y)
+    return np.where(ok, np.maximum(0.0, d), np.nan)
+
+
+def _deviance(ds: Dataset, fr: FitResult, ev: fit.Evaluation, h: np.ndarray,
+              kind: str, policy: dist.SeriesPolicy):
+    if kind not in ("exact", "approx"):
+        raise ValueError(f"kind must be 'exact' or 'approx', got {kind!r}")
+    one_minus_h = _one_minus_leverage(h)
+    y = ds.y.astype(float)
+    d = (_approx_unit_deviance(y, ev.mean, fr.nu, policy) if kind == "approx"
+         else np.full(ds.n_obs, np.nan))
+    rows = np.flatnonzero(np.isnan(d))
+    notes = dict.fromkeys(rows.tolist() if kind == "approx" else [],
+                          "approximation domain violated; exact deviance used")
+    # each row's fitted loglik y eta - nu log y! - log Z, from the same evaluation
+    ll_fit = (y * linear_predictor(ds, fr.beta) - fr.nu * gammaln(y + 1.0) - ev.log_z)[rows]
+    _, ll_sat, failed = _saturated(y[rows], fr.nu, policy)
+    d[rows] = np.maximum(0.0, -2.0 * (ll_fit - ll_sat))
+    notes.update({int(i): f"deviance unavailable: {failed[y[i]]}" for i in rows if y[i] in failed})
+    return np.sign(y - ev.mean) * np.sqrt(d) / np.sqrt(one_minus_h), notes
 
 
 def deviance_residuals(
@@ -158,34 +180,11 @@ def deviance_residuals(
 
     kind='approx' uses the closed-form mean approximation of the unit
     deviance, falling back to the exact computation (with a note) for
-    observations outside its domain.  Returns (residuals, notes).
+    observations outside its domain.  An observation whose saturated
+    lambda cannot be found (its series truncates, or Newton runs out of
+    steps) comes back NaN with a note.  Returns (residuals, notes).
     """
-    if kind not in ("exact", "approx"):
-        raise ValueError(f"kind must be 'exact' or 'approx', got {kind!r}")
-    lam, mu, _ = _weights(ds, fr, policy)
-    h = hat_diagonal(ds, fr, policy)
-    if np.any(h >= 1.0 - 1e-12):
-        bad = np.flatnonzero(h >= 1.0 - 1e-12).tolist()
-        raise ValueError(f"leverage 1 at observations {bad}: residual undefined")
-    y = ds.y.astype(float)
-    out = np.empty(ds.n_obs)
-    notes: dict[int, str] = {}
-    saturated: dict[float, float] = {}
-    for i in range(ds.n_obs):
-        d = None
-        if kind == "approx":
-            d = _unit_deviance_approx(y[i], mu[i], fr.nu, policy)
-            if d is None:
-                notes[i] = "approximation domain violated; exact deviance used"
-        if d is None:
-            try:
-                d = _unit_deviance_exact(y[i], lam[i], fr.nu, policy, saturated)
-            except RuntimeError as exc:
-                notes[i] = f"deviance unavailable: {exc}"
-                out[i] = np.nan
-                continue
-        out[i] = np.sign(y[i] - mu[i]) * np.sqrt(d) / np.sqrt(1.0 - h[i])
-    return out, notes
+    return _deviance(ds, fr, *_evaluation_and_leverage(ds, fr, policy), kind, policy)
 
 
 def diagnostics_report(
@@ -195,9 +194,9 @@ def diagnostics_report(
     policy: dist.SeriesPolicy = dist.DEFAULT_POLICY,
 ) -> DiagnosticsReport:
     """Leverage, Pearson and deviance residuals, and conventional flag lists."""
-    h = hat_diagonal(ds, fr, policy)
-    pearson = pearson_residuals(ds, fr, policy)
-    deviance, notes = deviance_residuals(ds, fr, deviance_kind, policy)
+    ev, h = _evaluation_and_leverage(ds, fr, policy)
+    pearson = _pearson(ds, ev, h)
+    deviance, notes = _deviance(ds, fr, ev, h, deviance_kind, policy)
     h_cut = LEVERAGE_FLAG_FACTOR * fr.n_params / ds.n_obs
     flagged_h = np.flatnonzero(h > h_cut).tolist()
     flagged_r = np.flatnonzero(np.abs(deviance) > RESIDUAL_FLAG).tolist()

@@ -80,6 +80,7 @@ class Evaluation:
     info: np.ndarray     # expected information in (beta..., nu)
     mean: np.ndarray     # E Y_i
     var: np.ndarray      # var Y_i
+    log_z: np.ndarray    # log Z(lambda_i, nu); row i's loglik is y_i eta_i - nu log y_i! - log_z_i
 
 
 def evaluate(
@@ -88,7 +89,7 @@ def evaluate(
     nu: float,
     policy: dist.SeriesPolicy = dist.DEFAULT_POLICY,
 ) -> Evaluation:
-    """Loglik, score, expected information and per-row mean/variance at (beta, nu).
+    """Loglik, score, expected information and per-row moments and log Z at (beta, nu).
 
     The score is (X'(y - E Y), sum(E log Y! - log y!)); the information
     has blocks I_bb = X' diag(var Y_i) X, I_bn = -X' cov(Y_i, log Y_i!),
@@ -133,6 +134,7 @@ def evaluate(
         info=info,
         mean=mean,
         var=var,
+        log_z=log_z,
     )
 
 

@@ -6,7 +6,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import chi2
+from scipy.special import chdtrc
 
 from . import dist, fit
 from .baselines import BaselineError, fit_poisson, poisson_loglik
@@ -68,7 +68,7 @@ def dispersion_test(
     result = DispersionTest(
         statistic=stat,
         df=1,
-        p_value=float(chi2.sf(stat, df=1)),
+        p_value=float(chdtrc(1, stat)),
         loglik_null=null.loglik,
         loglik_alt=alt.loglik,
         boundary_warning=alt.boundary,

@@ -1,10 +1,15 @@
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
 
+import comreg
 from comreg import fit
 from comreg.cli import EXIT_IO, EXIT_OK, EXIT_STAT, main
 from comreg.data import Dataset, write_csv
@@ -182,6 +187,20 @@ class TestDiagnose:
         assert code == EXIT_OK
         assert "flagged residuals" in out
 
+    def test_leverage_one_exit_one(self, capsys, tmp_path, airfreight_path):
+        # an indicator of data row 3 fits that row exactly, so its residuals
+        # are undefined: a statistical failure, not a usage error
+        rows = airfreight_path.read_text().splitlines()
+        lines = [rows[0] + ",row3"] + [r + (",1" if i == 2 else ",0")
+                                        for i, r in enumerate(rows[1:])]
+        path = tmp_path / "indicator.csv"
+        path.write_text("\n".join(lines) + "\n")
+        code, out = run_cli(capsys, "diagnose", "--data", str(path),
+                            "--response", "broken", "--format", "json")
+        assert code == EXIT_STAT
+        assert json.loads(out)["errors"][0]["message"] == (
+            "leverage 1 at data row 3: residuals undefined")
+
 
 class TestCompare:
     def test_failed_model_is_a_status_row(self, capsys, airfreight_path):
@@ -279,3 +298,15 @@ class TestSimulate:
             "--nu", "1.0", "--seed", "1", "--output", str(tmp_path / "t.csv"),
         )
         assert code == EXIT_STAT
+
+
+def test_import_defers_scipy_stats_and_optimize():
+    # a fresh interpreter: neither module is loaded until a subcommand needs it
+    src = str(Path(comreg.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    code = ("import sys, comreg.cli; "
+            "print([m for m in ('scipy.stats', 'scipy.optimize') if m in sys.modules])")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True)
+    assert proc.stdout.strip() == "[]"

@@ -1,13 +1,20 @@
 import numpy as np
 import pytest
+import scipy.optimize
+from scipy.special import gammaln
 
+from comreg import fit
 from comreg.data import Dataset, simulate
 from comreg.diag import (
+    LeverageError,
+    MAX_NEWTON_STEPS,
+    _saturated,
     deviance_residuals,
     diagnostics_report,
     hat_diagonal,
     pearson_residuals,
 )
+from comreg.dist import ComParams, DEFAULT_POLICY, SeriesPolicy, log_pmf, mean_exact
 from comreg.fit import fit_com
 
 
@@ -107,21 +114,21 @@ class TestDevianceResiduals:
         assert np.all(np.sign(rd[mask]) == np.sign(rp[mask]))
 
     def test_monotone_in_distance_from_mean(self, airfreight, airfreight_fit):
-        from comreg.diag import _unit_deviance_exact
-        from comreg.dist import mean_exact, ComParams, DEFAULT_POLICY
+        from comreg.dist import mean_exact, log_normalizer, ComParams, DEFAULT_POLICY
 
         lam = float(np.exp(airfreight.X @ airfreight_fit.beta)[0])
         nu = airfreight_fit.nu
         mu = mean_exact(ComParams(lam, nu))
-        saturated = {}
-        above = [
-            _unit_deviance_exact(y, lam, nu, DEFAULT_POLICY, saturated)
-            for y in range(int(np.ceil(mu)), int(np.ceil(mu)) + 6)
-        ]
-        below = [
-            _unit_deviance_exact(y, lam, nu, DEFAULT_POLICY, saturated)
-            for y in range(int(np.floor(mu)), max(-1, int(np.floor(mu)) - 6), -1)
-        ]
+
+        def unit_deviances(ys):
+            y = np.array(list(ys), dtype=float)
+            ll_fit = y * np.log(lam) - nu * gammaln(y + 1.0) - log_normalizer(ComParams(lam, nu))
+            _, ll_sat, failed = _saturated(y, nu, DEFAULT_POLICY)
+            assert failed == {}
+            return list(np.maximum(0.0, -2.0 * (ll_fit - ll_sat)))
+
+        above = unit_deviances(range(int(np.ceil(mu)), int(np.ceil(mu)) + 6))
+        below = unit_deviances(range(int(np.floor(mu)), max(-1, int(np.floor(mu)) - 6), -1))
         assert all(b >= a - 1e-9 for a, b in zip(above, above[1:]))
         assert all(b >= a - 1e-9 for a, b in zip(below, below[1:]))
 
@@ -183,3 +190,127 @@ class TestDiagnosticsReport:
         assert np.allclose(rep.pearson, 0.0, atol=1e-5)
         assert np.allclose(rep.deviance, 0.0, atol=1e-5)
         assert rep.flagged_residual == []
+
+
+def _brentq_deviance_residuals(ds, fr):
+    """Reference: one scalar brentq per distinct y for the saturated lambda,
+    bracketed around nu log y in steps of nu, and one log_pmf per row."""
+    nu = fr.nu
+    lam = np.exp(ds.X @ fr.beta)
+    h = hat_diagonal(ds, fr)
+    saturated = {0: 0.0}
+
+    def saturated_loglik(y):
+        def mean_minus(t):
+            return mean_exact(ComParams(float(np.exp(t)), nu)) - y
+
+        lo = hi = nu * np.log(y)
+        while mean_minus(lo) > 0:
+            lo -= nu
+        while mean_minus(hi) < 0:
+            hi += nu
+        t = scipy.optimize.brentq(mean_minus, lo, hi, xtol=1e-12, rtol=1e-14)
+        return log_pmf(y, ComParams(float(np.exp(t)), nu))
+
+    out = np.empty(ds.n_obs)
+    for i, y in enumerate(int(v) for v in ds.y):
+        if y not in saturated:
+            saturated[y] = saturated_loglik(y)
+        p = ComParams(float(lam[i]), nu)
+        d = max(0.0, -2.0 * (log_pmf(y, p) - saturated[y]))
+        out[i] = np.sign(y - mean_exact(p)) * np.sqrt(d) / np.sqrt(1.0 - h[i])
+    return out
+
+
+class TestSharedEvaluation:
+    @pytest.mark.parametrize("call", [
+        lambda ds, fr: diagnostics_report(ds, fr),
+        lambda ds, fr: diagnostics_report(ds, fr, deviance_kind="approx"),
+        hat_diagonal,
+        pearson_residuals,
+        lambda ds, fr: deviance_residuals(ds, fr, kind="exact"),
+        lambda ds, fr: deviance_residuals(ds, fr, kind="approx"),
+    ])
+    def test_one_evaluation_per_call(self, airfreight, airfreight_fit, monkeypatch, call):
+        calls = []
+        evaluate = fit.evaluate
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return evaluate(*args, **kwargs)
+
+        monkeypatch.setattr(fit, "evaluate", counted)
+        call(airfreight, airfreight_fit)
+        assert len(calls) == 1
+
+    def test_report_matches_public_views(self, airfreight, airfreight_fit):
+        rep = diagnostics_report(airfreight, airfreight_fit)
+        assert np.array_equal(rep.leverage, hat_diagonal(airfreight, airfreight_fit))
+        assert np.array_equal(rep.pearson, pearson_residuals(airfreight, airfreight_fit))
+        assert np.array_equal(rep.deviance, deviance_residuals(airfreight, airfreight_fit)[0])
+
+
+class TestSaturatedNewton:
+    @pytest.mark.parametrize("nu", [0.1, 0.35, 1.0, 5.78, 30.0])
+    def test_mean_at_saturated_lambda_is_y(self, nu):
+        y = np.array([1.0, 2.0, 5.0, 39.0, 500.0])
+        log_lam, ll, failed = _saturated(y, nu, DEFAULT_POLICY)
+        assert failed == {}
+        for target, t in zip(y, log_lam):
+            assert mean_exact(ComParams(float(np.exp(t)), nu)) == pytest.approx(target, rel=1e-10)
+        # the loglik returned is log P(y) at that lambda
+        expected = [log_pmf(int(v), ComParams(float(np.exp(t)), nu)) for v, t in zip(y, log_lam)]
+        assert np.allclose(ll, expected, rtol=1e-10)
+
+    def test_zero_and_repeated_counts(self):
+        y = np.array([3.0, 0.0, 3.0, 7.0])
+        log_lam, ll, failed = _saturated(y, 0.8, DEFAULT_POLICY)
+        assert failed == {}
+        assert ll[1] == 0.0
+        assert log_lam[0] == log_lam[2] and ll[0] == ll[2]
+
+    def test_step_cap_reported(self):
+        # at nu = 1e-3 steps of +-nu cannot travel from log lambda = 0 to the root
+        _, ll, failed = _saturated(np.array([1.0]), 1e-3, DEFAULT_POLICY)
+        assert np.isnan(ll[0])
+        assert failed[1.0].endswith(f"not found in {MAX_NEWTON_STEPS} Newton steps")
+
+    @pytest.mark.parametrize("which", ["airfreight", "criterion_08"])
+    def test_exact_residuals_match_brentq(self, request, which):
+        if which == "airfreight":
+            ds = request.getfixturevalue("airfreight")
+        else:
+            ds = simulate(868, [0.6, 0.5, -0.3], 0.35, seed=2024)
+        fr = fit_com(ds)
+        r, notes = deviance_residuals(ds, fr, kind="exact")
+        assert notes == {}
+        assert np.allclose(r, _brentq_deviance_residuals(ds, fr), rtol=0, atol=1e-9)
+
+    def test_truncated_row_nan_with_note(self):
+        rng = np.random.default_rng(5)
+        x = rng.uniform(0, 1, 40)
+        y = rng.poisson(np.exp(1 + 0.5 * x))
+        y[5] = 300
+        ds = Dataset(y=y, X=np.column_stack([np.ones(40), x]), names=("intercept", "x"))
+        fr = fit_com(ds, fix_nu=1.0)
+        # 100 terms cover every fitted lambda, but not the saturated lambda = 300 of row 5
+        r, notes = deviance_residuals(ds, fr, kind="exact", policy=SeriesPolicy(max_terms=100))
+        assert list(notes) == [5]
+        assert notes[5].startswith("deviance unavailable: series not converged")
+        assert np.isnan(r[5])
+        assert np.all(np.isfinite(np.delete(r, 5)))
+        # the other rows are what the default policy gives
+        full, _ = deviance_residuals(ds, fr, kind="exact")
+        assert np.allclose(np.delete(r, 5), np.delete(full, 5), rtol=1e-10, atol=1e-12)
+
+
+class TestLeverageOne:
+    def test_residuals_raise_typed_error(self, airfreight):
+        # an indicator of data row 3 fits that row exactly: leverage 1
+        X = np.column_stack([airfreight.X, np.eye(airfreight.n_obs)[:, 2]])
+        ds = Dataset(y=airfreight.y, X=X, names=(*airfreight.names, "row3"))
+        fr = fit_com(ds)
+        assert hat_diagonal(ds, fr)[2] == pytest.approx(1.0)
+        for call in (pearson_residuals, deviance_residuals, diagnostics_report):
+            with pytest.raises(LeverageError, match="leverage 1 at data row 3:"):
+                call(ds, fr)

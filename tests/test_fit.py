@@ -169,6 +169,14 @@ class TestEvaluate:
             p = dist.ComParams(float(lam[i]), nu)
             assert ev.mean[i] == pytest.approx(dist.mean_exact(p), rel=1e-12)
             assert ev.var[i] == pytest.approx(dist.var_exact(p), rel=1e-9)
+            assert ev.log_z[i] == pytest.approx(dist.log_normalizer(p), rel=1e-12)
+
+    def test_loglik_is_sum_of_rows(self, airfreight):
+        beta, nu = np.array([2.3, 0.26]), 0.7
+        ev = evaluate(airfreight, beta, nu)
+        y = airfreight.y.astype(float)
+        rows = y * (airfreight.X @ beta) - nu * gammaln(y + 1.0) - ev.log_z
+        assert rows.sum() == pytest.approx(ev.loglik, rel=1e-13)
 
     def test_lambda_overflow_is_typed(self, airfreight):
         with pytest.raises(OverflowError):
