@@ -57,50 +57,90 @@ class BaselineFit:
         return np.sqrt(np.diag(self.cov))
 
 
-def _newton_glm(ds: Dataset, mean_fn, var_fn, loglik_fn, beta0=None,
-                max_iter=100, tol=1e-10):
-    """Canonical-link Newton iterations shared by Poisson and logistic."""
-    X = ds.X
-    y = ds.y.astype(float)
-    beta = np.zeros(ds.n_cols) if beta0 is None else beta0.copy()
+def solve_each(A: np.ndarray, b: np.ndarray):
+    """Solve A[k] x[k] = b[k] for a stack of systems.
+
+    Returns (x, singular): a singular system gets a NaN row in x and True
+    in singular, and leaves the others as they are.
+    """
+    try:
+        return np.linalg.solve(A, b[..., None])[..., 0], np.zeros(len(b), dtype=bool)
+    except np.linalg.LinAlgError:
+        x = np.full(b.shape, np.nan)
+        singular = np.ones(len(b), dtype=bool)
+        for k in range(len(b)):
+            try:
+                x[k] = np.linalg.solve(A[k], b[k])
+                singular[k] = False
+            except np.linalg.LinAlgError:
+                pass
+        return x, singular
+
+
+def _newton_glm(X: np.ndarray, Y: np.ndarray, mean_fn, var_fn, loglik_fn, beta0,
+                max_iter=100, rtol=1e-8):
+    """Canonical-link Newton iterations for responses Y (one per row) sharing X.
+
+    Shared by Poisson and logistic fits and by stacked warm starts.  The
+    products with X run one row at a time (a stack of matrix products,
+    never one across rows), so a row's result does not depend on the
+    other rows.  Each row steps from its row of beta0 until
+    a step moves no coefficient by more than rtol * max(1, max|beta|).
+    The rule is relative, so counts of any size converge; convergence is
+    quadratic, so beta after that step is exact to rounding; and a
+    separated logistic fit, whose coefficients run off at a steady pace,
+    never stops.  Returns (beta, H, loglik, failure), per row: the
+    estimate, X'WX and the loglik there, and None or the BaselineError
+    that stopped it.
+    """
+    beta = np.array(beta0, dtype=float)
+    failure = [None] * len(Y)
+    todo = np.arange(len(Y))
     for it in range(max_iter):
-        eta = X @ beta
+        eta = (beta[todo, None, :] @ X.T)[:, 0]
         mu = mean_fn(eta)
-        w = var_fn(mu)
-        g = X.T @ (y - mu)
-        H = X.T @ (X * w[:, None])
-        try:
-            step = np.linalg.solve(H, g)
-        except np.linalg.LinAlgError as exc:
-            raise BaselineError(f"singular Newton system at iteration {it}") from exc
-        beta = beta + step
-        if np.max(np.abs(g)) < tol and np.max(np.abs(step)) < 1e-8:
+        step, singular = solve_each((X.T * var_fn(mu)[:, None, :]) @ X,
+                                    ((Y[todo] - mu)[:, None, :] @ X)[:, 0])
+        for k in todo[singular]:
+            failure[k] = BaselineError(f"singular Newton system at iteration {it}")
+        beta[todo] += step
+        small = np.abs(step).max(axis=1) <= rtol * np.maximum(
+            1.0, np.abs(beta[todo]).max(axis=1))
+        todo = todo[~(small | singular)]
+        if not todo.size:
             break
     else:
-        raise NonConvergenceError("Newton iterations did not converge")
-    eta = X @ beta
+        for k in todo:
+            failure[k] = NonConvergenceError("Newton iterations did not converge")
+    eta = (beta[:, None, :] @ X.T)[:, 0]
     mu = mean_fn(eta)
-    H = X.T @ (X * var_fn(mu)[:, None])
-    cov = np.linalg.inv(H)
-    return beta, cov, loglik_fn(y, eta, mu), it + 1
+    H = (X.T * var_fn(mu)[:, None, :]) @ X
+    with np.errstate(invalid="ignore"):    # a row that ran off has a NaN loglik
+        return beta, H, loglik_fn(Y, eta, mu), failure
 
 
-def poisson_loglik(y: np.ndarray, eta: np.ndarray) -> float:
-    return float(np.sum(y * eta - np.exp(eta) - gammaln(y + 1.0)))
+def poisson_loglik(y: np.ndarray, eta: np.ndarray):
+    """Poisson loglik, summed over the last axis (one value per response row)."""
+    return np.sum(y * eta - np.exp(eta) - gammaln(y + 1.0), axis=-1)
+
+
+def poisson_newton(X: np.ndarray, Y: np.ndarray):
+    """Poisson GLM fits of responses Y (one per row) sharing X, as one
+    stacked Newton iteration: (beta, H, loglik, failure) per row, as in
+    _newton_glm, each started from the log of its mean count."""
+    beta0 = np.zeros((len(Y), X.shape[1]))
+    beta0[:, 0] = np.log(np.maximum(Y.mean(axis=1), 0.1))
+    return _newton_glm(X, Y, np.exp, lambda mu: mu,
+                       lambda y, eta, mu: poisson_loglik(y, eta), beta0)
 
 
 def fit_poisson(ds: Dataset) -> BaselineFit:
     """Poisson GLM with log link."""
-    beta0 = np.zeros(ds.n_cols)
-    beta0[0] = np.log(max(ds.y.mean(), 0.1))
-    beta, cov, ll, _ = _newton_glm(
-        ds,
-        mean_fn=np.exp,
-        var_fn=lambda mu: mu,
-        loglik_fn=lambda y, eta, mu: poisson_loglik(y, eta),
-        beta0=beta0,
-    )
-    return BaselineFit("poisson", beta, cov, ll, True, n_obs=ds.n_obs)
+    beta, H, ll, (failure,) = poisson_newton(ds.X, ds.y[None])
+    if failure is not None:
+        raise failure
+    return BaselineFit("poisson", beta[0], np.linalg.inv(H[0]), float(ll[0]), True,
+                       n_obs=ds.n_obs)
 
 
 def fit_logistic(ds: Dataset) -> BaselineFit:
@@ -110,22 +150,19 @@ def fit_logistic(ds: Dataset) -> BaselineFit:
         raise BaselineError("logistic regression requires a 0/1 response")
 
     def loglik_fn(y, eta, mu):
-        return float(np.sum(y * eta - np.logaddexp(0.0, eta)))
+        return np.sum(y * eta - np.logaddexp(0.0, eta), axis=-1)
 
-    try:
-        beta, cov, ll, _ = _newton_glm(
-            ds,
-            mean_fn=expit,
-            var_fn=lambda mu: mu * (1.0 - mu),
-            loglik_fn=loglik_fn,
-        )
-    except BaselineError as exc:
+    beta, H, ll, (failure,) = _newton_glm(ds.X, y[None], expit, lambda mu: mu * (1.0 - mu),
+                                          loglik_fn, np.zeros((1, ds.n_cols)))
+    if failure is not None:
         raise SeparationError(
             "logistic fit failed; data may be completely separated"
-        ) from exc
+        ) from failure
+    beta = beta[0]
     if np.max(np.abs(linear_predictor(ds, beta))) > 30:
         raise SeparationError("complete separation: fitted probabilities at 0/1")
-    return BaselineFit("logistic", beta, cov, ll, True, n_obs=ds.n_obs)
+    return BaselineFit("logistic", beta, np.linalg.inv(H[0]), float(ll[0]), True,
+                       n_obs=ds.n_obs)
 
 
 def negbin_loglik(y: np.ndarray, mu: np.ndarray, r: float) -> float:

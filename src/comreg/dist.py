@@ -60,47 +60,72 @@ class SeriesPolicy:
 
 
 DEFAULT_POLICY = SeriesPolicy()
+TERMS_STEP = 32    # granularity of the first support length tried
 
 
-def _series_mode(lam_max: float, nu: float) -> float:
-    # Terms peak where s^nu ~ lambda, i.e. near lambda^(1/nu); nu=0 terms
-    # are decreasing from s=0 (lambda < 1 enforced by ComParams).
-    if nu == 0:
-        return 0.0
-    return lam_max ** (1.0 / nu)
+def series_terms(lam_max, nu, policy: SeriesPolicy = DEFAULT_POLICY):
+    """First support length tried, per replicate, for its largest lambda and its nu.
+
+    Terms peak near the mode lambda^(1/nu) (at s = 0 when nu = 0, where
+    lambda < 1) and decay past it roughly on the scale of the series
+    standard deviation ~ sqrt(mean/nu); pad generously before checking.
+    The length is rounded up to a multiple of TERMS_STEP and depends on
+    the replicate alone, so stacked replicates of one length share a
+    table without widening each other's rows.  Returns (terms, mode),
+    elementwise; a mode that overflows is inf and its terms are max_terms.
+    """
+    nu = np.asarray(nu, dtype=float)
+    with np.errstate(over="ignore", divide="ignore"):
+        mode = lam_max ** (1.0 / nu)    # nu = 0: lambda < 1 and lambda^inf = 0
+    terms = mode + 15.0 * np.sqrt((mode + 1.0) / np.maximum(nu, 1e-2)) + 60.0
+    # fmin: a NaN lambda (rejected later) gets the cap, not an undefined int
+    terms = np.fmin(policy.max_terms, np.ceil(np.maximum(terms, 64.0) / TERMS_STEP) * TERMS_STEP)
+    return terms.astype(int), mode
 
 
-def log_term_table(lam, nu: float, policy: SeriesPolicy = DEFAULT_POLICY):
+def log_term_table(lam, nu, policy: SeriesPolicy = DEFAULT_POLICY):
     """Log series terms s*log(lam_i) - nu*log(s!) on a shared truncated support.
 
     Vectorized over an array of lambda values (shared nu), which is the
     shape the regression likelihood needs.  Returns (support, log_terms,
     log_z) where log_terms has one row per lambda and one column per
     support point, and log_z = log sum over columns (shifted by the row maximum).
+    Stacked replicates: with a B x n lam and nu of length B (one per
+    replicate, i.e. per row of lam), the rows run replicate by replicate
+    and nu*log(s!) is formed once per replicate, not once per row.
 
     The truncation rule: the last retained term must be past the mode,
     decreasing, below rel_tol of the accumulated sum, and the geometric
     tail bound implied by the last two terms must also be below rel_tol
     of the sum.  Otherwise the support is doubled, up to max_terms.
     """
-    lam = np.atleast_1d(np.asarray(lam, dtype=float))
-    if np.any(lam <= 0) or not np.all(np.isfinite(lam)):
+    nu = np.asarray(nu, dtype=float)
+    lam = np.asarray(lam, dtype=float).reshape(nu.size, -1)
+    if not ((lam > 0) & (lam < np.inf)).all():
         raise ValueError("all lambda values must be positive finite reals")
-    if nu == 0 and np.any(lam >= 1):
-        raise DivergentSeriesError("nu=0 requires lambda < 1 for every lambda")
+    nu = nu.reshape(-1, 1)
+    if (nu <= 0).any():
+        if (nu < 0).any():
+            raise ValueError("nu must be nonnegative")
+        if ((nu == 0) & (lam >= 1)).any():
+            raise DivergentSeriesError("nu=0 requires lambda < 1 for every lambda")
 
-    mode = _series_mode(float(lam.max()), nu)
-    # Past the mode the terms decay roughly on the scale of the series
-    # standard deviation ~ sqrt(mean/nu); pad generously before checking.
-    spread = np.sqrt((mode + 1.0) / max(nu, 1e-2))
-    n_terms = int(min(policy.max_terms, max(64.0, mode + 15.0 * spread + 60.0)))
+    terms, mode = series_terms(lam.max(axis=1, keepdims=True), nu, policy)
+    if not np.isfinite(mode).all():
+        raise OverflowError("series mode lambda^(1/nu) overflows")
+    n_terms = int(terms.max())
+    log_lam = np.log(lam)[:, :, None]
+    mode = np.repeat(mode.ravel(), lam.shape[1])
 
     log_rel = np.log(policy.rel_tol)
     while True:
         s = np.arange(n_terms + 1, dtype=float)
-        log_terms = s[None, :] * np.log(lam)[:, None] - nu * gammaln(s + 1.0)[None, :]
+        log_terms = log_lam * s
+        log_terms -= (nu * gammaln(s + 1.0))[:, None, :]
+        log_terms = log_terms.reshape(-1, len(s))
         top = log_terms.max(axis=1)
-        log_z = top + np.log(np.exp(log_terms - top[:, None]).sum(axis=1))
+        shifted = np.subtract(log_terms, top[:, None])
+        log_z = top + np.log(np.exp(shifted, out=shifted).sum(axis=1))
 
         last = log_terms[:, -1] - log_z
         prev = log_terms[:, -2] - log_z
@@ -120,9 +145,11 @@ def log_term_table(lam, nu: float, policy: SeriesPolicy = DEFAULT_POLICY):
         if done.all():
             return s, log_terms, log_z
         if n_terms >= policy.max_terms:
+            bad = int(np.flatnonzero(~done)[0]) // lam.shape[1]
             raise TruncationError(
                 f"series not converged after {n_terms} terms "
-                f"(lambda_max={lam.max():g}, nu={nu:g}, rel_tol={policy.rel_tol:g})"
+                f"(lambda_max={lam[bad].max():g}, nu={nu[bad, 0]:g}, "
+                f"rel_tol={policy.rel_tol:g})"
             )
         n_terms = min(2 * n_terms, policy.max_terms)
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from . import dist
+from . import baselines, dist
 from .data import Dataset, linear_predictor
 
 
@@ -44,6 +44,7 @@ class OptimSettings:
 
 DEFAULT_SETTINGS = OptimSettings()
 MAX_HALVINGS = 30    # step halvings per scoring iteration before the fit gives up
+CHUNK_CELLS = 1 << 16    # series-table cells (512 KB of float64) per stacked evaluation
 
 
 @dataclass
@@ -58,7 +59,8 @@ class FitResult:
     n_params: int
     converged: bool
     iterations: int
-    boundary: bool = False   # nu pinned at nu_floor/nu_ceiling; nu covariance unreliable
+    boundary: bool = False   # nu pinned at nu_floor/nu_ceiling, or a 0/1 response
+                             # (no finite nu-hat); nu covariance unreliable
 
     @property
     def scaled_beta(self) -> np.ndarray:
@@ -73,7 +75,11 @@ class FitResult:
 
 @dataclass(frozen=True)
 class Evaluation:
-    """Likelihood quantities at one (beta, nu), all from one series table."""
+    """Likelihood quantities at one (beta, nu), all from one series table.
+
+    A stacked evaluation holds the same fields with a leading replicate
+    axis (loglik has shape (B,), score (B, p+2), and so on).
+    """
 
     loglik: float
     score: np.ndarray    # gradient in (beta..., nu)
@@ -81,6 +87,56 @@ class Evaluation:
     mean: np.ndarray     # E Y_i
     var: np.ndarray      # var Y_i
     log_z: np.ndarray    # log Z(lambda_i, nu); row i's loglik is y_i eta_i - nu log y_i! - log_z_i
+
+
+def _evaluate_stack(X: np.ndarray, Y: np.ndarray, eta: np.ndarray, nu: np.ndarray,
+                    policy: dist.SeriesPolicy) -> Evaluation:
+    """Stacked evaluation: replicate b has response Y[b], linear predictor
+    eta[b] and dispersion nu[b], all on the design X, and the replicates
+    share one series table.  Raises OverflowError when some lambda =
+    exp(eta) is not a positive finite double, and the series errors of
+    dist.log_term_table, for the whole stack.
+    """
+    with np.errstate(over="ignore"):
+        lam = np.exp(eta)
+    if not np.all((lam > 0) & np.isfinite(lam)):
+        raise OverflowError("linear predictor out of range: lambda overflows or underflows")
+    s, log_terms, log_z = dist.log_term_table(lam, nu, policy)
+    pmf = np.exp(np.subtract(log_terms, log_z[:, None], out=log_terms), out=log_terms)
+    lf = gammaln(s + 1.0)
+    mean = np.einsum("ij,j->i", pmf, s)
+    e_lf = np.einsum("ij,j->i", pmf, lf)
+    # centred moments in two rows x S buffers (allocating more costs as
+    # much as the arithmetic): dev holds s - E Y, then log s! - E log Y!
+    dev = s - mean[:, None]
+    p_dev = pmf * dev
+    var = np.einsum("ij,ij->i", p_dev, dev)
+    np.subtract(lf, e_lf[:, None], out=dev)
+    cov_y_lf = np.einsum("ij,ij->i", p_dev, dev)
+    np.multiply(pmf, dev, out=p_dev)
+    var_lf = np.einsum("ij,ij->i", p_dev, dev)
+    mean, var, e_lf, cov_y_lf, var_lf, log_z = (
+        a.reshape(eta.shape) for a in (mean, var, e_lf, cov_y_lf, var_lf, log_z))
+
+    y = Y.astype(float)
+    lf_y = gammaln(y + 1.0)
+    p1 = X.shape[1]
+    info = np.empty((len(y), p1 + 1, p1 + 1))
+    info[:, :p1, :p1] = (X.T * var[:, None, :]) @ X
+    info[:, :p1, p1] = -(cov_y_lf[:, None, :] @ X)[:, 0]
+    info[:, p1, :p1] = info[:, :p1, p1]
+    info[:, p1, p1] = var_lf.sum(axis=1)
+    score = np.empty((len(y), p1 + 1))
+    score[:, :p1] = ((y - mean)[:, None, :] @ X)[:, 0]
+    score[:, p1] = (e_lf - lf_y).sum(axis=1)
+    return Evaluation(
+        loglik=np.einsum("ij,ij->i", y, eta) - nu * lf_y.sum(axis=1) - log_z.sum(axis=1),
+        score=score,
+        info=info,
+        mean=mean,
+        var=var,
+        log_z=log_z,
+    )
 
 
 def evaluate(
@@ -96,46 +152,15 @@ def evaluate(
     I_nn = sum var(log Y_i!).  Moments are centred before squaring, so a
     near-degenerate row gets a small positive variance, not a
     cancellation error.  Raises OverflowError when some lambda_i = exp(eta_i)
-    is not a positive finite double.
+    is not a positive finite double.  This is the one-replicate view of
+    the stacked evaluation that fit_replicates runs.
     """
     if nu < 0:
         raise ValueError(f"nu must be nonnegative, got {nu}")
     eta = linear_predictor(ds, beta)
-    with np.errstate(over="ignore"):
-        lam = np.exp(eta)
-    if not np.all((lam > 0) & np.isfinite(lam)):
-        raise OverflowError("linear predictor out of range: lambda overflows or underflows")
-    s, log_terms, log_z = dist.log_term_table(lam, nu, policy)
-    pmf = np.exp(log_terms - log_z[:, None])
-    lf = gammaln(s + 1.0)
-    mean = pmf @ s
-    e_lf = pmf @ lf
-    # centred moments in two n x S buffers (allocating more costs as much
-    # as the arithmetic): dev holds s - E Y, then log s! - E log Y!
-    dev = s - mean[:, None]
-    p_dev = pmf * dev
-    var = np.einsum("ij,ij->i", p_dev, dev)
-    np.subtract(lf, e_lf[:, None], out=dev)
-    cov_y_lf = np.einsum("ij,ij->i", p_dev, dev)
-    np.multiply(pmf, dev, out=p_dev)
-    var_lf = np.einsum("ij,ij->i", p_dev, dev)
-
-    y = ds.y.astype(float)
-    lf_y = gammaln(y + 1.0)
-    p1 = ds.n_cols
-    info = np.empty((p1 + 1, p1 + 1))
-    info[:p1, :p1] = ds.X.T @ (ds.X * var[:, None])
-    info[:p1, p1] = -ds.X.T @ cov_y_lf
-    info[p1, :p1] = info[:p1, p1]
-    info[p1, p1] = var_lf.sum()
-    return Evaluation(
-        loglik=float(y @ eta - nu * lf_y.sum() - log_z.sum()),
-        score=np.concatenate([ds.X.T @ (y - mean), [float((e_lf - lf_y).sum())]]),
-        info=info,
-        mean=mean,
-        var=var,
-        log_z=log_z,
-    )
+    ev = _evaluate_stack(ds.X, ds.y[None], eta[None], np.array([float(nu)]), policy)
+    return Evaluation(float(ev.loglik[0]), ev.score[0], ev.info[0], ev.mean[0],
+                      ev.var[0], ev.log_z[0])
 
 
 def loglik(
@@ -188,19 +213,164 @@ def _invert_information(info: np.ndarray) -> np.ndarray:
 
 def fit_poisson_start(ds: Dataset) -> np.ndarray:
     """Poisson GLM warm start (the nu=1 slice of the likelihood)."""
-    from .baselines import fit_poisson
-
-    return fit_poisson(ds).beta.copy()
+    return baselines.fit_poisson(ds).beta.copy()
 
 
-def _try_evaluate(ds, z, policy) -> Evaluation | None:
-    """evaluate at z = (beta, nu), or None where the likelihood is unusable."""
-    p1 = ds.n_cols
-    try:
-        ev = evaluate(ds, z[:p1], float(z[p1]), policy)
-    except (dist.DivergentSeriesError, dist.TruncationError, OverflowError):
-        return None
-    return ev if np.isfinite(ev.loglik) else None
+# Errors that make one replicate's likelihood unusable at a point.
+SERIES_ERRORS = (dist.DivergentSeriesError, dist.TruncationError, OverflowError)
+
+
+def _evaluate_each(X: np.ndarray, Y: np.ndarray, z: np.ndarray, policy: dist.SeriesPolicy):
+    """Loglik, score and information at z[b] = (beta..., nu) for each replicate b.
+
+    Replicates share a table only with replicates whose series starts at
+    the same support length (dist.series_terms), in chunks of at most
+    CHUNK_CELLS table cells (a replicate that needs more has a chunk to
+    itself): one that needs a wide support never widens the others' rows.
+    Every sum runs within one replicate (row-wise einsum, or a stack of
+    per-replicate matrix products; never one BLAS product across
+    replicates, whose rounding can depend on how many rows it gets), so
+    a replicate's numbers do not depend on which replicates share its
+    chunk unless the chunk's support has to be doubled.  A chunk that raises one of
+    SERIES_ERRORS is split in halves until the replicate that raises it
+    is alone.  Returns (loglik, score, info, errors): NaN for those
+    replicates, and per replicate None or the error it raised alone.
+    """
+    n_rep, n = Y.shape
+    p1 = X.shape[1]
+    eta = (z[:, None, :p1] @ X.T)[:, 0]
+    nu = z[:, p1]
+    loglik = np.full(n_rep, np.nan)
+    score = np.full((n_rep, p1 + 1), np.nan)
+    info = np.full((n_rep, p1 + 1, p1 + 1), np.nan)
+    errors = [None] * n_rep
+
+    chunks = [np.arange(n_rep)]
+    if n_rep > 1:
+        with np.errstate(over="ignore"):
+            terms = dist.series_terms(np.exp(eta.max(axis=1)), nu, policy)[0]
+        order = np.argsort(terms, kind="stable")
+        chunks, start = [], 0
+        while start < n_rep:
+            width = terms[order[start]]
+            stop = start + 1
+            while (stop < n_rep and terms[order[stop]] == width
+                   and (stop + 1 - start) * n * width <= CHUNK_CELLS):
+                stop += 1
+            chunks.append(order[start:stop])
+            start = stop
+    while chunks:
+        idx = chunks.pop()
+        try:
+            part = _evaluate_stack(X, Y[idx], eta[idx], nu[idx], policy)
+        except SERIES_ERRORS as exc:
+            if len(idx) == 1:
+                errors[idx[0]] = exc
+            else:
+                chunks += [idx[: len(idx) // 2], idx[len(idx) // 2:]]
+            continue
+        loglik[idx], score[idx], info[idx] = part.loglik, part.score, part.info
+    return loglik, score, info, errors
+
+
+def fit_replicates(
+    X: np.ndarray,
+    Y: np.ndarray,
+    beta0: np.ndarray,
+    settings: OptimSettings = DEFAULT_SETTINGS,
+    policy: dist.SeriesPolicy = dist.DEFAULT_POLICY,
+    nu0: float = 1.0,
+    fix_nu: float | None = None,
+) -> list:
+    """fit_com on every response Y[b] (one per row of Y) with the shared design X.
+
+    Each replicate starts from beta0[b] and runs fit_com's own scoring
+    loop, with its own step, step halving, nu clamp, stop rule, boundary
+    flag and covariance; only the evaluations are shared: each scoring
+    step, and each round of halving, evaluates the replicates still
+    trying as one stack (see _evaluate_each).  A replicate whose trial
+    point is unusable has that trial rejected, and no other.  Returns one
+    entry per replicate: its FitResult, or the error that ended it (one
+    of SERIES_ERRORS at the start, or SingularInformationError away from
+    a boundary).  X is not validated here: pass the design of a Dataset.
+    """
+    Y = np.asarray(Y)
+    n_rep, n = Y.shape
+    p1 = X.shape[1]
+    lo, hi = settings.nu_floor, settings.nu_ceiling
+    free_nu = fix_nu is None
+    z = np.empty((n_rep, p1 + 1))
+    z[:, :p1] = beta0
+    z[:, p1] = np.clip(nu0, lo, hi) if free_nu else fix_nu
+    loglik, score, info, errors = _evaluate_each(X, Y, z, policy)
+
+    converged = np.zeros(n_rep, dtype=bool)
+    iterations = np.zeros(n_rep, dtype=int)
+    todo = np.array([e is None for e in errors])
+    while todo.any():
+        idx = np.flatnonzero(todo)
+        g, system, nu = score[idx], info[idx], z[idx, p1]
+        # nu stays put under fix_nu, and at a bound whose gradient points
+        # outward: solve the beta block alone (pin nu's row and column)
+        pinned = ((nu <= lo) & (g[:, p1] < 0)) | ((nu >= hi) & (g[:, p1] > 0)) | (not free_nu)
+        rhs = g
+        if pinned.any():
+            system[pinned, p1, :] = 0.0
+            system[pinned, :, p1] = 0.0
+            system[pinned, p1, p1] = 1.0
+            rhs = g.copy()
+            rhs[pinned, p1] = 0.0
+        step, singular = baselines.solve_each(system, rhs)
+        done = np.einsum("ij,ij->i", g, step) <= settings.grad_tol * np.maximum(
+            1.0, np.abs(loglik[idx]))
+        converged[idx[done]] = True
+        stop = singular | done | (iterations[idx] == settings.max_iter)
+        todo[idx[stop]] = False
+        idx, step = idx[~stop], step[~stop]
+        for _ in range(MAX_HALVINGS):
+            if not idx.size:
+                break
+            trial = z[idx] + step
+            if free_nu:
+                trial[:, p1] = np.clip(trial[:, p1], lo, hi)
+            new_loglik, new_score, new_info, _ = _evaluate_each(X, Y[idx], trial, policy)
+            ok = np.isfinite(new_loglik) & (new_loglik >= loglik[idx])
+            acc = idx[ok]
+            z[acc] = trial[ok]
+            loglik[acc], score[acc], info[acc] = new_loglik[ok], new_score[ok], new_info[ok]
+            iterations[acc] += 1
+            idx, step = idx[~ok], step[~ok] / 2.0
+        todo[idx] = False      # halving ran out: stop, not converged
+
+    # a 0/1 response has no finite nu-hat: the loglik rises towards the
+    # Bernoulli limit as nu grows, so its nu-hat is wherever the stop fired
+    bernoulli = np.all(Y <= 1, axis=1)
+    out = []
+    for b in range(n_rep):
+        if errors[b] is not None:
+            out.append(errors[b])
+            continue
+        nu = float(z[b, p1])
+        boundary = free_nu and (bernoulli[b] or not (lo < nu < hi))
+        cov = np.full((p1 + 1, p1 + 1), np.nan)
+        try:
+            cov = _invert_information(info[b])
+        except SingularInformationError as exc:
+            if not boundary:
+                out.append(exc)
+                continue
+        out.append(FitResult(
+            beta=z[b, :p1].copy(),
+            nu=nu,
+            cov=cov,
+            loglik=float(loglik[b]),
+            n_obs=n,
+            n_params=p1 + 1,
+            converged=bool(converged[b]),
+            iterations=int(iterations[b]),
+            boundary=bool(boundary),
+        ))
+    return out
 
 
 def fit_com(
@@ -218,70 +388,21 @@ def fit_com(
     Hessian, so each scoring step I step = g is a Newton step.  The step
     is halved until the loglik does not fall.  nu is clamped to
     [nu_floor, nu_ceiling]; at a bound whose gradient points outward
-    only beta moves, and the result is flagged boundary.  fix_nu pins
-    the dispersion (e.g. fix_nu=1 gives the Poisson slice of the
-    likelihood surface) and solves the beta block only.  converged means
-    the Newton decrement g' I^-1 g fell to grad_tol * max(1, |loglik|)
-    within max_iter steps.
+    only beta moves, and the result is flagged boundary, as is a 0/1
+    response (the Bernoulli limit, where no finite nu maximizes the
+    loglik).  fix_nu pins the dispersion (e.g. fix_nu=1 gives the Poisson
+    slice of the likelihood surface) and solves the beta block only.
+    converged means the Newton decrement g' I^-1 g fell to
+    grad_tol * max(1, |loglik|) within max_iter steps.  This is
+    fit_replicates with one replicate.
     """
-    p1 = ds.n_cols
     if beta0 is None:
         beta0 = fit_poisson_start(ds)
-    if fix_nu is not None:
-        nu0 = fix_nu
-    lo, hi = settings.nu_floor, settings.nu_ceiling
-    z = np.concatenate([beta0, [nu0 if fix_nu is not None else np.clip(nu0, lo, hi)]])
-    ev = evaluate(ds, z[:p1], float(z[p1]), policy)
-
-    converged = False
-    iterations = 0
-    while True:
-        g = ev.score
-        pushed_out = (z[p1] <= lo and g[p1] < 0) or (z[p1] >= hi and g[p1] > 0)
-        free = np.ones(p1 + 1, dtype=bool)
-        free[p1] = fix_nu is None and not pushed_out
-        step = np.zeros(p1 + 1)
-        try:
-            step[free] = np.linalg.solve(ev.info[np.ix_(free, free)], g[free])
-        except np.linalg.LinAlgError:
-            break
-        if g @ step <= settings.grad_tol * max(1.0, abs(ev.loglik)):
-            converged = True
-            break
-        if iterations == settings.max_iter:
-            break
-        for _ in range(MAX_HALVINGS):
-            trial = z + step
-            if fix_nu is None:
-                trial[p1] = np.clip(trial[p1], lo, hi)
-            new = _try_evaluate(ds, trial, policy)
-            if new is not None and new.loglik >= ev.loglik:
-                break
-            step /= 2.0
-        else:
-            break
-        z, ev = trial, new
-        iterations += 1
-
-    boundary = fix_nu is None and not (lo < z[p1] < hi)
-    cov = np.full((p1 + 1, p1 + 1), np.nan)
-    try:
-        cov = _invert_information(ev.info)
-    except SingularInformationError:
-        if not boundary:
-            raise
-
-    return FitResult(
-        beta=z[:p1].copy(),
-        nu=float(z[p1]),
-        cov=cov,
-        loglik=ev.loglik,
-        n_obs=ds.n_obs,
-        n_params=p1 + 1,
-        converged=converged,
-        iterations=iterations,
-        boundary=boundary,
-    )
+    (result,) = fit_replicates(ds.X, ds.y[None], np.asarray(beta0, dtype=float)[None],
+                               settings, policy, nu0, fix_nu)
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 def fitted_values(

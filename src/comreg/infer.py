@@ -9,7 +9,7 @@ import numpy as np
 from scipy.special import chdtrc
 
 from . import dist, fit
-from .baselines import BaselineError, fit_poisson, poisson_loglik
+from .baselines import BaselineError, fit_poisson, poisson_newton
 from .data import DataError, Dataset, linear_predictor
 
 # Failures that drop one bootstrap replicate; any other exception is a
@@ -50,6 +50,22 @@ class BootstrapResult:
     failures: dict = field(default_factory=dict)   # cause -> count, summing to n_failed
 
 
+def _refit(ds: Dataset, y_star: np.ndarray, settings: fit.OptimSettings):
+    """fit_com on each replicate response y_star[b] with the design of ds.
+
+    The Poisson warm starts run as one stacked Newton iteration and the
+    COM-Poisson fits as one stacked scoring loop (fit.fit_replicates).
+    Returns per replicate its FitResult or the error that ended it, and
+    its Poisson loglik.
+    """
+    beta0, _, null_loglik, fits = poisson_newton(ds.X, y_star)
+    started = np.array([f is None for f in fits])
+    for b, f in zip(np.flatnonzero(started),
+                    fit.fit_replicates(ds.X, y_star[started], beta0[started], settings)):
+        fits[b] = f
+    return fits, null_loglik
+
+
 def dispersion_test(
     ds: Dataset,
     settings: fit.OptimSettings = fit.DEFAULT_SETTINGS,
@@ -77,16 +93,13 @@ def dispersion_test(
         if seed is None:
             raise ValueError("bootstrap calibration requires a seed")
         lam0 = np.exp(linear_predictor(ds, null.beta))
-        stats = np.empty(n_boot)
         children = np.random.SeedSequence(seed).spawn(n_boot)
-        for b in range(n_boot):
-            rng = np.random.default_rng(children[b])
-            y_star = rng.poisson(lam0)
-            ds_star = Dataset(y=y_star, X=ds.X, names=ds.names,
-                              response_name=ds.response_name)
-            null_b = fit_poisson(ds_star)
-            alt_b = fit.fit_com(ds_star, settings=settings, beta0=null_b.beta)
-            stats[b] = max(0.0, -2.0 * (null_b.loglik - alt_b.loglik))
+        y_star = np.stack([np.random.default_rng(c).poisson(lam0) for c in children])
+        fits, null_loglik = _refit(ds, y_star, settings)
+        for f in fits:
+            if isinstance(f, Exception):
+                raise f
+        stats = np.maximum(0.0, -2.0 * (null_loglik - [f.loglik for f in fits]))
         result.bootstrap_p_value = float(np.mean(stats >= stat))
     return result
 
@@ -102,7 +115,9 @@ def parametric_bootstrap(
     """Resample y* ~ COM-Poisson(lambda_hat_i, nu_hat), refit, collect (beta*, nu*).
 
     Each replicate draws from its own counter-indexed substream of the
-    master seed, so results do not depend on execution order.  Percentile
+    master seed, so results do not depend on execution order; the draws
+    share one pmf table, and the replicates are refitted together (one
+    stacked Poisson warm start, one stacked scoring loop).  Percentile
     intervals are computed over converged replicates only; a >20% failure
     rate marks the result unreliable.  failures counts the dropped
     replicates by cause: the exception class name, or "nonconverged".
@@ -115,24 +130,22 @@ def parametric_bootstrap(
         raise ValueError("parametric_bootstrap requires a converged fit")
 
     lam_hat = np.exp(linear_predictor(ds, fr.beta))
-    p2 = ds.n_cols + 1
-    rows = np.full((n_boot, p2), np.nan)
+    _, pmf = dist.pmf_table(lam_hat, fr.nu)
+    children = np.random.SeedSequence(seed).spawn(n_boot)
+    y_star = np.stack([dist.inverse_cdf(pmf, np.random.default_rng(c).uniform(size=ds.n_obs))
+                       for c in children])
+    fits, _ = _refit(ds, y_star, settings)
+    rows = np.full((n_boot, ds.n_cols + 1), np.nan)
     ok = np.zeros(n_boot, dtype=bool)
     failures: Counter = Counter()
-    children = np.random.SeedSequence(seed).spawn(n_boot)
-    for b in range(n_boot):
-        rng = np.random.default_rng(children[b])
-        y_star = dist.sample_many(lam_hat, fr.nu, rng)
-        try:
-            ds_star = Dataset(y=y_star, X=ds.X, names=ds.names,
-                              response_name=ds.response_name)
-            fr_star = fit.fit_com(ds_star, settings=settings)
-        except REPLICATE_ERRORS as exc:
-            failures[type(exc).__name__] += 1
-            continue
-        if fr_star.converged:
-            rows[b, :-1] = fr_star.beta
-            rows[b, -1] = fr_star.nu
+    for b, f in enumerate(fits):
+        if isinstance(f, REPLICATE_ERRORS):
+            failures[type(f).__name__] += 1
+        elif isinstance(f, Exception):
+            raise f
+        elif f.converged:
+            rows[b, :-1] = f.beta
+            rows[b, -1] = f.nu
             ok[b] = True
         else:
             failures["nonconverged"] += 1

@@ -99,6 +99,21 @@ class TestFit:
         assert "nu" in out
         assert "(" in out  # estimate (SE) cells
 
+    def test_binary_response_nu_at_boundary(self, capsys, tmp_path, schema):
+        # 0/1 counts: nu has no finite estimate (the Bernoulli limit)
+        rng = np.random.default_rng(1)
+        path = write_xy(tmp_path / "binary.csv", rng.uniform(0, 1, 30), rng.integers(0, 2, 30))
+        code, out = run_cli(capsys, "fit", "--data", path, "--response", "y",
+                            "--format", "json")
+        assert code == EXIT_OK
+        report = json.loads(out)
+        jsonschema.validate(report, schema)
+        assert report["nu"]["boundary"] and report["nu"]["se"] is None
+        code, out = run_cli(capsys, "fit", "--data", path, "--response", "y",
+                            "--format", "text")
+        assert code == EXIT_OK
+        assert "[boundary]" in out
+
     def test_rgpr_nonconvergence_exit_one(self, capsys, airfreight_path):
         code, out = run_cli(
             capsys, "fit", "--data", str(airfreight_path),

@@ -102,6 +102,42 @@ class TestLogNormalizer:
             )
 
 
+class TestStackedTable:
+    """log_term_table with one nu per replicate (one row of lam each)."""
+
+    LAM = np.array([[0.5, 2.0, 7.0], [1.5, 3.0, 4.0], [0.2, 9.0, 1.0]])
+    NU = np.array([0.6, 2.0, 5.0])
+
+    def test_rows_equal_separate_tables(self):
+        s, log_terms, log_z = dist.log_term_table(self.LAM, self.NU)
+        assert log_terms.shape == (9, len(s))
+        for b in range(3):
+            s_b, terms_b, z_b = dist.log_term_table(self.LAM[b], self.NU[b])
+            rows = slice(3 * b, 3 * b + 3)
+            # the same terms elementwise; only the support length may differ
+            assert np.array_equal(log_terms[rows, : len(s_b)], terms_b)
+            assert np.allclose(log_z[rows], z_b, rtol=1e-15, atol=0)
+
+    def test_start_length_per_replicate(self):
+        terms, mode = dist.series_terms(self.LAM.max(axis=1), self.NU)
+        assert np.all(terms % dist.TERMS_STEP == 0) and np.all(terms >= 64)
+        for b in range(3):
+            alone, _ = dist.series_terms(self.LAM[b].max(), self.NU[b])
+            assert terms[b] == alone
+        assert mode[0] == pytest.approx(7.0 ** (1 / 0.6))
+
+    def test_divergence_and_truncation_name_the_replicate(self):
+        with pytest.raises(DivergentSeriesError):
+            dist.log_term_table([[0.5, 0.9], [0.5, 1.5]], [0.0, 0.0])
+        dist.log_term_table([[0.5, 0.9], [0.5, 1.5]], [0.0, 1.0])    # lambda >= 1 only at nu = 1
+        with pytest.raises(TruncationError, match="nu=0.01"):
+            dist.log_term_table([[2.0], [0.999]], [1.0, 0.01], SeriesPolicy(max_terms=100))
+
+    def test_mode_overflow_is_typed(self):
+        with pytest.raises(OverflowError):
+            dist.log_term_table([[2.0], [50.0]], [1.0, 1e-3])
+
+
 class TestLogPmf:
     def test_poisson_at_zero(self):
         assert log_pmf(0, ComParams(1.0, 1.0)) == pytest.approx(-1.0, abs=1e-12)

@@ -3,7 +3,7 @@ import pytest
 from scipy.special import gammaln
 
 from comreg import dist, fit
-from comreg.baselines import fit_logistic, fit_poisson
+from comreg.baselines import fit_logistic, fit_poisson, poisson_newton
 from comreg.data import Dataset, simulate
 from comreg.fit import (
     FitError,
@@ -11,6 +11,7 @@ from comreg.fit import (
     evaluate,
     fisher_information,
     fit_com,
+    fit_replicates,
     fitted_values,
     loglik,
     score,
@@ -266,7 +267,7 @@ class TestFitCom:
                      names=("intercept", "x"))
         fr = fit_com(ds)
         logit = fit_logistic(ds)
-        assert fr.converged and not fr.boundary
+        assert fr.converged and fr.boundary    # Bernoulli limit: no finite nu-hat
         assert np.allclose(fr.beta, logit.beta, atol=1e-4)
         assert np.allclose(fr.se[:-1], logit.se, atol=1e-4)
 
@@ -286,6 +287,128 @@ class TestFitCom:
     def test_invert_information_refuses_negative_diagonal(self):
         with pytest.raises(fit.SingularInformationError, match="diagonal"):
             fit._invert_information(np.diag([1.0, -1.0]))
+
+
+def fitted_draws(ds, n_rep, seed):
+    """n_rep responses drawn from the COM-Poisson fit of ds, one per row."""
+    fr = fit_com(ds)
+    _, pmf = dist.pmf_table(np.exp(ds.X @ fr.beta), fr.nu)
+    return dist.inverse_cdf(pmf, np.random.default_rng(seed).uniform(size=(n_rep, ds.n_obs)))
+
+
+def fit_stack(X, Y, **kwargs):
+    beta0, _, _, failure = poisson_newton(X, Y)
+    assert failure == [None] * len(Y)
+    return fit_replicates(X, Y, beta0, **kwargs)
+
+
+def fit_each(X, names, Y, **kwargs):
+    """Reference: fit_com on each replicate's own Dataset, one at a time."""
+    out = []
+    for y in Y:
+        try:
+            out.append(fit_com(Dataset(y=y, X=X, names=names), **kwargs))
+        except (fit.FitError, dist.TruncationError) as exc:
+            out.append(exc)
+    return out
+
+
+def assert_same_fits(got, want, rel):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        if isinstance(w, Exception):
+            assert type(g) is type(w)
+            continue
+        assert (g.converged, g.boundary, g.iterations) == (w.converged, w.boundary, w.iterations)
+        assert np.allclose(g.beta, w.beta, rtol=rel, atol=0)
+        assert g.nu == pytest.approx(w.nu, rel=rel, abs=0)
+        assert g.loglik == pytest.approx(w.loglik, rel=rel, abs=0)
+
+
+class TestFitReplicates:
+    """fit_replicates: fit_com's scoring loop run on many responses at once."""
+
+    def test_airfreight_replicates_match_fit_com(self, airfreight):
+        Y = fitted_draws(airfreight, 60, seed=11)
+        got = fit_stack(airfreight.X, Y)
+        assert_same_fits(got, fit_each(airfreight.X, airfreight.names, Y), rel=1e-9)
+        assert all(g.converged for g in got)
+
+    def test_criterion_08_design_matches_fit_com(self):
+        ds = simulate(868, [0.6, 0.5, -0.3], 0.35, seed=2024)
+        Y = fitted_draws(ds, 3, seed=12)
+        assert_same_fits(fit_stack(ds.X, Y), fit_each(ds.X, ds.names, Y), rel=1e-9)
+
+    def test_truncation_and_max_iter_touch_no_other_replicate(self, airfreight):
+        # Under max_terms=100 the over-dispersed responses' trials at small
+        # nu truncate: the first still converges, the second runs out of
+        # step halvings; the third truncates at its starting point.  The
+        # airfreight draws never need 100 terms.
+        policy = dist.SeriesPolicy(max_terms=100)
+        hard = np.array([[8, 5, 16, 12, 27, 19, 20, 5, 7, 12],
+                         [7, 11, 14, 11, 4, 11, 6, 2, 30, 2],
+                         [150, 140, 160, 150, 170, 150, 140, 150, 160, 140]])
+        easy = fitted_draws(airfreight, 20, seed=13)
+        Y = np.concatenate([easy[:10], hard, easy[10:]])
+        got = fit_stack(airfreight.X, Y, policy=policy)
+        assert_same_fits(got, fit_each(airfreight.X, airfreight.names, Y, policy=policy),
+                         rel=1e-12)
+        first, second, third = got[10:13]
+        assert first.converged and not second.converged
+        assert isinstance(third, dist.TruncationError)
+        alone = fit_stack(airfreight.X, easy, policy=policy)
+        assert_same_fits(got[:10] + got[13:], alone, rel=1e-12)
+
+        # a max_iter that cuts off the slow replicates leaves the others'
+        # results as they are
+        short = fit_stack(airfreight.X, easy, settings=OptimSettings(max_iter=6))
+        assert 0 < sum(not f.converged for f in short) < len(easy)
+        for f, ref in zip(short, alone):
+            if f.converged:
+                assert_same_fits([f], [ref], rel=1e-12)
+            else:
+                assert f.iterations == 6 and ref.iterations > 6
+
+    @pytest.mark.parametrize("cells", [1, 2_000])
+    def test_chunking_does_not_change_results(self, airfreight, monkeypatch, cells):
+        Y = fitted_draws(airfreight, 80, seed=14)
+        whole = fit_stack(airfreight.X, Y)
+        monkeypatch.setattr(fit, "CHUNK_CELLS", cells)
+        assert_same_fits(fit_stack(airfreight.X, Y), whole, rel=1e-12)
+
+    def test_one_table_per_chunk(self, airfreight, monkeypatch):
+        # the scoring loop's evaluations share tables: a 50-replicate fit
+        # builds about as many as one fit does, not 50 times as many
+        calls = []
+        build = dist.log_term_table
+        monkeypatch.setattr(dist, "log_term_table",
+                            lambda *a, **k: calls.append(1) or build(*a, **k))
+        fit_stack(airfreight.X, fitted_draws(airfreight, 50, seed=15))
+        assert len(calls) < 50
+
+
+class TestBernoulliLimit:
+    @pytest.fixture(scope="class")
+    def binary(self):
+        rng = np.random.default_rng(1)
+        x = rng.uniform(0, 1, 30)
+        return Dataset(y=rng.integers(0, 2, 30), X=np.column_stack([np.ones(30), x]),
+                       names=("intercept", "x"))
+
+    def test_flagged_boundary(self, binary):
+        from comreg.infer import wald_z
+
+        fr = fit_com(binary)
+        assert fr.converged and fr.boundary
+        assert wald_z(fr, 1) == pytest.approx(fr.beta[1] / fr.se[1])
+        with pytest.raises(ValueError, match="boundary"):
+            wald_z(fr, 2)
+
+    def test_not_flagged_under_fixed_nu_or_with_a_count_above_one(self, binary):
+        assert not fit_com(binary, fix_nu=1.0).boundary
+        y = binary.y.copy()
+        y[0] = 2
+        assert not fit_com(Dataset(y=y, X=binary.X, names=binary.names)).boundary
 
 
 class TestFittedValues:

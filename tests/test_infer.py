@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.stats import chi2, kstest
 
-from comreg import fit
+from comreg import dist, fit
 from comreg.baselines import fit_poisson
 from comreg.data import Dataset, simulate
 from comreg.fit import OptimSettings, fit_com
@@ -55,6 +55,21 @@ class TestDispersionTest:
         assert res.bootstrap_p_value is not None
         assert 0.0 <= res.bootstrap_p_value <= 0.1
 
+    @pytest.mark.parametrize("seed", [5, 6])
+    def test_calibration_matches_per_replicate_reference(self, airfreight, seed):
+        # the loop the stacked engine replaced: a Poisson fit and a
+        # COM-Poisson fit of each simulated null response in turn
+        res = dispersion_test(airfreight, bootstrap_calibrate=True, n_boot=100, seed=seed)
+        lam0 = np.exp(airfreight.X @ fit_poisson(airfreight).beta)
+        stats = []
+        for child in np.random.SeedSequence(seed).spawn(100):
+            y = np.random.default_rng(child).poisson(lam0)
+            ds = Dataset(y=y, X=airfreight.X, names=airfreight.names)
+            null = fit_poisson(ds)
+            alt = fit_com(ds, beta0=null.beta)
+            stats.append(max(0.0, -2.0 * (null.loglik - alt.loglik)))
+        assert res.bootstrap_p_value == float(np.mean(np.array(stats) >= res.statistic))
+
     @pytest.mark.slow
     def test_null_distribution_ks(self):
         # C under simulated Poisson data vs chi^2_1, n=200
@@ -98,31 +113,46 @@ class TestParametricBootstrap:
         assert np.exp(hi) == pytest.approx(boot_small.intervals["nu"][1], rel=1e-10)
 
     def test_failures_tallied_by_cause(self, airfreight, airfreight_fit, monkeypatch):
-        fit_real = fit.fit_com
+        # The engine inverts each replicate's information once: every 7th
+        # inversion fails, and max_iter=7 cuts off the slower replicates.
+        invert_real = fit._invert_information
         calls = []
 
-        def flaky(ds, settings):
+        def flaky(info):
             calls.append(1)
             if len(calls) % 7 == 0:
                 raise fit.SingularInformationError("information matrix not invertible")
-            if len(calls) % 5 == 0:
-                return fit_real(ds, settings=OptimSettings(max_iter=1))
-            return fit_real(ds, settings=settings)
+            return invert_real(info)
 
-        monkeypatch.setattr(fit, "fit_com", flaky)
-        boot = parametric_bootstrap(airfreight, airfreight_fit, n_boot=100, seed=3)
+        monkeypatch.setattr(fit, "_invert_information", flaky)
+        boot = parametric_bootstrap(airfreight, airfreight_fit, n_boot=100, seed=3,
+                                    settings=OptimSettings(max_iter=7))
         assert boot.failures["SingularInformationError"] == 14
         assert boot.failures["nonconverged"] >= 17
         assert sum(boot.failures.values()) == boot.n_failed
         assert boot.n_failed + len(boot.replicates) == 100
 
     def test_untyped_failure_propagates(self, airfreight, airfreight_fit, monkeypatch):
-        def broken(ds, settings):
+        def broken(info):
             raise KeyError("defect")
 
-        monkeypatch.setattr(fit, "fit_com", broken)
+        monkeypatch.setattr(fit, "_invert_information", broken)
         with pytest.raises(KeyError):
             parametric_bootstrap(airfreight, airfreight_fit, n_boot=100, seed=3)
+
+    def test_matches_per_replicate_reference(self, airfreight, airfreight_fit, boot_small):
+        # the loop the stacked engine replaced: one substream, one draw and
+        # one fit_com per replicate
+        fr = airfreight_fit
+        lam = np.exp(airfreight.X @ fr.beta)
+        rows = []
+        for child in np.random.SeedSequence(99).spawn(120):
+            y = dist.sample_many(lam, fr.nu, np.random.default_rng(child))
+            ref = fit_com(Dataset(y=y, X=airfreight.X, names=airfreight.names))
+            assert ref.converged
+            rows.append([*ref.beta, ref.nu])
+        assert boot_small.n_failed == 0
+        assert np.allclose(boot_small.replicates, rows, rtol=1e-9, atol=0)
 
     def test_validation(self, airfreight, airfreight_fit):
         with pytest.raises(ValueError, match="n_boot"):
