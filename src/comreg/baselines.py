@@ -1,10 +1,13 @@
 """Comparison regressions and model-comparison statistics.
 
 Poisson and logistic GLMs are fit by Newton iterations on their
-canonical links; negative binomial by joint quasi-Newton over
-(beta, log r); restricted generalized Poisson (RGPR) by constrained
-quasi-Newton over (beta, alpha) subject to 1 + alpha*mu_i > 0 and
-1 + alpha*y_i > 0.
+canonical links.  Negative binomial over (beta, log r) and restricted
+generalized Poisson (RGPR) over (beta, alpha) share one damped Newton
+loop on their analytic score and observed information, whose inverse
+at the optimum is the covariance.  A boundary is read from the score:
+negative binomial is the Poisson limit when log r reaches
+log NEGBIN_BOUNDARY_R with a non-negative score in log r; RGPR fails
+when alpha runs into the feasibility bound 1 + alpha*y_max > 0.
 """
 
 from __future__ import annotations
@@ -12,12 +15,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import digamma, expit, gammaln
+from scipy.special import digamma, expit, gammaln, polygamma
 
 from .data import Dataset, linear_predictor
 
-NEGBIN_BOUNDARY_R = 1e6
-NEGBIN_LIMIT_R = 1e8
+NEGBIN_BOUNDARY_R = 1e6   # log r is capped here; a fit that reaches it is the Poisson limit
+NEGBIN_LIMIT_R = 1e8      # the r reported for that limit
+NEGBIN_R0 = 10.0          # start of the negative binomial fit
+NEWTON_MAX_ITER = 500     # iterations of the negative binomial and RGPR Newton loop
+NEWTON_RTOL = 1e-8        # relative step stop rule of _newton_glm and _newton
 
 
 class BaselineError(RuntimeError):
@@ -78,15 +84,15 @@ def solve_each(A: np.ndarray, b: np.ndarray):
 
 
 def _newton_glm(X: np.ndarray, Y: np.ndarray, mean_fn, var_fn, loglik_fn, beta0,
-                max_iter=100, rtol=1e-8):
+                max_iter=100):
     """Canonical-link Newton iterations for responses Y (one per row) sharing X.
 
     Shared by Poisson and logistic fits and by stacked warm starts.  The
     products with X run one row at a time (a stack of matrix products,
     never one across rows), so a row's result does not depend on the
-    other rows.  Each row steps from its row of beta0 until
-    a step moves no coefficient by more than rtol * max(1, max|beta|).
-    The rule is relative, so counts of any size converge; convergence is
+    other rows.  Each row steps from its row of beta0 until a step moves
+    no coefficient by more than NEWTON_RTOL * max(1, max|beta|).  The
+    rule is relative, so counts of any size converge; convergence is
     quadratic, so beta after that step is exact to rounding; and a
     separated logistic fit, whose coefficients run off at a steady pace,
     never stops.  Returns (beta, H, loglik, failure), per row: the
@@ -104,7 +110,7 @@ def _newton_glm(X: np.ndarray, Y: np.ndarray, mean_fn, var_fn, loglik_fn, beta0,
         for k in todo[singular]:
             failure[k] = BaselineError(f"singular Newton system at iteration {it}")
         beta[todo] += step
-        small = np.abs(step).max(axis=1) <= rtol * np.maximum(
+        small = np.abs(step).max(axis=1) <= NEWTON_RTOL * np.maximum(
             1.0, np.abs(beta[todo]).max(axis=1))
         todo = todo[~(small | singular)]
         if not todo.size:
@@ -165,6 +171,40 @@ def fit_logistic(ds: Dataset) -> BaselineFit:
                        n_obs=ds.n_obs)
 
 
+def _newton(model, z: np.ndarray, upper=np.inf):
+    """Maximize a loglik by damped Newton steps from z.
+
+    model(z) returns (loglik, score, information), the information being
+    minus the Hessian, or a loglik of -inf where z is infeasible.  Each
+    step solves |I| step = score, where |I| has the absolute values of
+    I's eigenvalues: the Newton step where I is positive definite, an
+    ascent direction where it is not.  z + step is capped at upper, and
+    the step is halved until the loglik does not fall; a trial that is
+    infeasible or not finite is rejected.  The loop stops when the step
+    would move no coordinate by more than NEWTON_RTOL * max(1, max|z|),
+    the relative rule of _newton_glm: a Newton step that small, or one
+    halved that small without raising the loglik, which near the
+    optimum is the loglik's rounding.  Returns (z, (loglik, score,
+    info) at z, stop): stop is "converged" or why the loop gave up.
+    """
+    at = model(z)
+    for _ in range(NEWTON_MAX_ITER):
+        w, V = np.linalg.eigh(at[2])
+        w = np.maximum(np.abs(w), 1e-12 * np.abs(w).max())    # no division by 0
+        step = np.minimum(z + V @ (V.T @ at[1] / w), upper) - z
+        tol = NEWTON_RTOL * max(1.0, np.abs(z).max())
+        while np.abs(step).max() > tol:
+            with np.errstate(all="ignore"):
+                trial = model(z + step)
+            if trial[0] >= at[0]:
+                break
+            step = step / 2.0
+        else:
+            return z, at, "converged"
+        z, at = z + step, trial
+    return z, at, f"no convergence in {NEWTON_MAX_ITER} iterations"
+
+
 def negbin_loglik(y: np.ndarray, mu: np.ndarray, r: float) -> float:
     return float(
         np.sum(
@@ -175,78 +215,55 @@ def negbin_loglik(y: np.ndarray, mu: np.ndarray, r: float) -> float:
     )
 
 
-def fit_negbin(ds: Dataset, r0: float = 10.0) -> BaselineFit:
+def _negbin_derivatives(X: np.ndarray, y: np.ndarray, z: np.ndarray):
+    """NB loglik, score and observed information at z = (beta..., log r)."""
+    p1 = X.shape[1]
+    r = float(np.exp(z[p1]))
+    mu = np.exp(X @ z[:p1])
+    ll = negbin_loglik(y, mu, r)
+    if not np.isfinite(ll):
+        return -np.inf, None, None
+    rm = r + mu
+    s_r = digamma(r + y) - digamma(r) + np.log(r) - np.log(rm) + 1.0 - (r + y) / rm
+    ds_r = polygamma(1, r + y) - polygamma(1, r) + 1.0 / r - 1.0 / rm - (mu - y) / rm**2
+    info = np.empty((p1 + 1, p1 + 1))
+    info[:p1, :p1] = (X.T * (r * mu * (r + y) / rm**2)) @ X
+    info[:p1, p1] = info[p1, :p1] = X.T @ (r * mu * (mu - y) / rm**2)
+    info[p1, p1] = -np.sum(r * s_r + r * r * ds_r)
+    return ll, np.append(X.T @ (r * (y - mu) / rm), r * s_r.sum()), info
+
+
+def fit_negbin(ds: Dataset) -> BaselineFit:
     """Negative binomial (gamma-Poisson mixture) MLE over (beta, log r).
 
-    As r -> infinity the model collapses onto Poisson; on equi- or
-    under-dispersed data the optimizer drifts to that boundary, which is
-    detected and reported as a boundary-flagged Poisson-equivalent fit.
+    Newton from the Poisson fit and r = NEGBIN_R0.  As r -> infinity the
+    model collapses onto Poisson: on equi- or under-dispersed data the
+    score in log r stays non-negative up to r = NEGBIN_BOUNDARY_R, and
+    the fit is reported as a boundary-flagged Poisson-equivalent fit.
     """
     pois = fit_poisson(ds)
     p1 = ds.n_cols
     y = ds.y.astype(float)
+    upper = np.full(p1 + 1, np.inf)
+    upper[p1] = np.log(NEGBIN_BOUNDARY_R)
+    z, (ll, g, info), stop = _newton(lambda z: _negbin_derivatives(ds.X, y, z),
+                                     np.append(pois.beta, np.log(NEGBIN_R0)), upper)
 
-    def neg(z):
-        beta, r = z[:p1], float(np.exp(z[p1]))
-        mu = np.exp(ds.X @ beta)
-        ll = negbin_loglik(y, mu, r)
-        if not np.isfinite(ll):
-            return np.inf, np.zeros_like(z)
-        g_beta = ds.X.T @ (r * (y - mu) / (r + mu))
-        g_r = np.sum(
-            digamma(r + y) - digamma(r) + np.log(r) - np.log(r + mu)
-            + 1.0 - (r + y) / (r + mu)
-        )
-        return -ll, -np.concatenate([g_beta, [g_r * r]])
-
-    import scipy.optimize   # deferred: only the BFGS baselines need it
-
-    z0 = np.concatenate([pois.beta, [np.log(r0)]])
-    res = scipy.optimize.minimize(
-        neg, z0, jac=True, method="BFGS", options={"gtol": 1e-8, "maxiter": 500}
-    )
-    r_hat = float(np.exp(res.x[p1]))
-
-    if r_hat > NEGBIN_BOUNDARY_R:
+    if z[p1] >= upper[p1] and g[p1] >= 0:
         # Poisson limit: report the Poisson solution, flagged.
-        mu = np.exp(ds.X @ pois.beta)
         cov = np.full((p1 + 1, p1 + 1), np.nan)
         cov[:p1, :p1] = pois.cov
-        return BaselineFit(
-            "negbin",
-            pois.beta.copy(),
-            cov,
-            negbin_loglik(y, mu, NEGBIN_LIMIT_R),
-            converged=True,
-            extra=NEGBIN_LIMIT_R,
-            boundary=True,
-            n_obs=ds.n_obs,
-        )
-
-    grad_norm = float(np.max(np.abs(res.jac)))
-    # absolute gtol is unreachable when the loglik is thousands in
-    # magnitude; accept a gradient small relative to that scale
-    if not (res.success or grad_norm < 1e-6 * max(1.0, abs(res.fun))):
-        raise NonConvergenceError(
-            f"negative binomial fit did not converge (|grad|={grad_norm:.3g})"
-        )
-    beta_hat = res.x[:p1]
-    hess = _numerical_hessian(lambda z: -neg(z)[0], res.x)
-    cov_z = np.linalg.inv(-hess)
-    # delta method log r -> r
+        return BaselineFit("negbin", pois.beta.copy(), cov,
+                           negbin_loglik(y, np.exp(ds.X @ pois.beta), NEGBIN_LIMIT_R), True,
+                           extra=NEGBIN_LIMIT_R, boundary=True, n_obs=ds.n_obs)
+    if stop != "converged":
+        raise NonConvergenceError(f"negative binomial fit did not converge ({stop})")
+    r_hat = float(np.exp(z[p1]))
     J = np.eye(p1 + 1)
-    J[p1, p1] = r_hat
-    cov = J @ cov_z @ J.T
-    return BaselineFit(
-        "negbin",
-        beta_hat,
-        cov,
-        -float(res.fun),
-        converged=True,
-        extra=r_hat,
-        extra_se=float(np.sqrt(cov[p1, p1])),
-        n_obs=ds.n_obs,
-    )
+    J[p1, p1] = r_hat      # delta method log r -> r
+    cov = J @ np.linalg.inv(info) @ J.T
+    return BaselineFit("negbin", z[:p1], cov, ll, True, extra=r_hat,
+                       extra_se=float(np.sqrt(cov[p1, p1])), n_obs=ds.n_obs)
 
 
 def rgpr_loglik(y: np.ndarray, mu: np.ndarray, alpha: float) -> float:
@@ -254,21 +271,40 @@ def rgpr_loglik(y: np.ndarray, mu: np.ndarray, alpha: float) -> float:
 
     Only defined where 1 + alpha*mu_i > 0 and 1 + alpha*y_i > 0; -inf is
     returned outside so ascent steps into infeasible territory are
-    rejected by the line search.
+    rejected by the step halving.
     """
     if np.any(1.0 + alpha * mu <= 1e-12) or np.any(1.0 + alpha * y <= 1e-12):
         return -np.inf
-    return float(
-        np.sum(
-            y * (np.log(mu) - np.log1p(alpha * mu))
-            + (y - 1.0) * np.log1p(alpha * y)
-            - gammaln(y + 1.0)
-            - mu * (1.0 + alpha * y) / (1.0 + alpha * mu)
-        )
-    )
+    return float(np.sum(_rgpr_logpmf(y, mu, alpha)))
 
 
-def _rgpr_mass_deficiency(mu: np.ndarray, alpha: float, tol: float = 1e-3):
+def _rgpr_logpmf(y, mu, alpha: float):
+    """Elementwise RGPR log pmf, where 1 + alpha*mu > 0 and 1 + alpha*y > 0."""
+    return (y * (np.log(mu) - np.log1p(alpha * mu)) + (y - 1.0) * np.log1p(alpha * y)
+            - gammaln(y + 1.0) - mu * (1.0 + alpha * y) / (1.0 + alpha * mu))
+
+
+def _rgpr_derivatives(X: np.ndarray, y: np.ndarray, z: np.ndarray):
+    """RGPR loglik, score and observed information at z = (beta..., alpha)."""
+    p1 = X.shape[1]
+    alpha = float(z[p1])
+    mu = np.exp(X @ z[:p1])
+    ll = rgpr_loglik(y, mu, alpha)
+    if not np.isfinite(ll):
+        return -np.inf, None, None
+    one_am = 1.0 + alpha * mu
+    one_ay = 1.0 + alpha * y
+    c = mu * (y - mu) / one_am**3
+    g_alpha = np.sum(-y * mu / one_am + y * (y - 1.0) / one_ay - mu * (y - mu) / one_am**2)
+    info = np.empty((p1 + 1, p1 + 1))
+    info[:p1, :p1] = (X.T * (mu / one_am**2 + 2.0 * alpha * c)) @ X
+    info[:p1, p1] = info[p1, :p1] = X.T @ (2.0 * c)
+    info[p1, p1] = np.sum(y * y * (y - 1.0) / one_ay**2 - y * mu**2 / one_am**2 - 2.0 * mu * c)
+    # d loglik / d eta_i = (y_i - mu_i) / (1 + alpha mu_i)^2
+    return ll, np.append(X.T @ ((y - mu) / one_am**2), g_alpha), info
+
+
+def _rgpr_mass_deficiency(mu: np.ndarray, alpha: float):
     """Max |1 - total pmf mass| over observations.
 
     For alpha < 0 the support is truncated at y < -1/alpha and the pmf
@@ -280,50 +316,25 @@ def _rgpr_mass_deficiency(mu: np.ndarray, alpha: float, tol: float = 1e-3):
         ys = np.arange(0.0, 10 * m + 200.0)
         if alpha < 0:
             ys = ys[1.0 + alpha * ys > 1e-12]
-        lp = (
-            ys * (np.log(m) - np.log1p(alpha * m))
-            + (ys - 1.0) * np.log1p(alpha * ys)
-            - gammaln(ys + 1.0)
-            - m * (1.0 + alpha * ys) / (1.0 + alpha * m)
-        )
-        worst = max(worst, abs(1.0 - float(np.exp(lp).sum())))
+        worst = max(worst, abs(1.0 - float(np.exp(_rgpr_logpmf(ys, m, alpha)).sum())))
     return worst
 
 
-def fit_rgpr(ds: Dataset, max_iter: int = 500) -> BaselineFit:
+def fit_rgpr(ds: Dataset) -> BaselineFit:
     """Restricted generalized Poisson MLE over (beta, alpha).
 
-    Raises NonConvergenceError when the likelihood runs into the
-    feasibility boundary 1 + alpha*y_max = 0 (where it is unbounded and
-    the truncated pmf no longer sums to one) or the optimizer fails.
+    Newton from the Poisson fit and alpha = 0.  Raises
+    NonConvergenceError when the likelihood runs into the feasibility
+    boundary 1 + alpha*y_max = 0 (where it is unbounded and the
+    truncated pmf no longer sums to one) or the Newton loop fails.
     """
     pois = fit_poisson(ds)
     p1 = ds.n_cols
     y = ds.y.astype(float)
     y_max = float(y.max())
-
-    def neg(z):
-        beta, alpha = z[:p1], float(z[p1])
-        mu = np.exp(ds.X @ beta)
-        ll = rgpr_loglik(y, mu, alpha)
-        if not np.isfinite(ll):
-            return np.inf, np.zeros_like(z)
-        one_am = 1.0 + alpha * mu
-        one_ay = 1.0 + alpha * y
-        dl_dmu = y / mu - y * alpha / one_am - one_ay / one_am**2
-        g_beta = ds.X.T @ (dl_dmu * mu)
-        g_alpha = np.sum(
-            -y * mu / one_am + y * (y - 1.0) / one_ay - mu * (y - mu) / one_am**2
-        )
-        return -ll, -np.concatenate([g_beta, [g_alpha]])
-
-    import scipy.optimize
-
-    z0 = np.concatenate([pois.beta, [0.0]])
-    res = scipy.optimize.minimize(
-        neg, z0, jac=True, method="BFGS", options={"gtol": 1e-8, "maxiter": max_iter}
-    )
-    beta_hat, alpha_hat = res.x[:p1], float(res.x[p1])
+    z, (ll, _, info), stop = _newton(lambda z: _rgpr_derivatives(ds.X, y, z),
+                                     np.append(pois.beta, 0.0))
+    beta_hat, alpha_hat = z[:p1], float(z[p1])
     mu_hat = np.exp(ds.X @ beta_hat)
 
     diagnostics = {
@@ -331,7 +342,7 @@ def fit_rgpr(ds: Dataset, max_iter: int = 500) -> BaselineFit:
         "alpha_feasibility_bound": -1.0 / y_max,
         "min_1_plus_alpha_y": float(1.0 + alpha_hat * y_max),
         "min_1_plus_alpha_mu": float(np.min(1.0 + alpha_hat * mu_hat)),
-        "optimizer_message": str(res.message),
+        "optimizer_message": stop,
     }
     if alpha_hat < 0:
         # Near the boundary -1/y_max the likelihood is unbounded and the
@@ -344,45 +355,14 @@ def fit_rgpr(ds: Dataset, max_iter: int = 500) -> BaselineFit:
                 "boundary 1 + alpha*y > 0 (under-dispersed data)",
                 diagnostics,
             )
-    grad_norm = float(np.max(np.abs(res.jac)))
-    if not (res.success or grad_norm < 1e-6 * max(1.0, abs(res.fun))):
-        raise NonConvergenceError(
-            f"RGPR optimizer did not converge (|grad|={grad_norm:.3g})", diagnostics
-        )
-
-    hess = _numerical_hessian(lambda z: -neg(z)[0], res.x)
+    if stop != "converged":
+        raise NonConvergenceError(f"RGPR fit did not converge ({stop})", diagnostics)
     try:
-        cov = np.linalg.inv(-hess)
+        cov = np.linalg.inv(info)
     except np.linalg.LinAlgError as exc:
         raise NonConvergenceError("RGPR observed information singular", diagnostics) from exc
-    return BaselineFit(
-        "rgpr",
-        beta_hat,
-        cov,
-        -float(res.fun),
-        converged=True,
-        extra=alpha_hat,
-        extra_se=float(np.sqrt(cov[p1, p1])),
-        n_obs=ds.n_obs,
-    )
-
-
-def _numerical_hessian(f, x, h: float = 1e-5) -> np.ndarray:
-    """Central-difference Hessian of a scalar function."""
-    n = len(x)
-    H = np.empty((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            ei = np.zeros(n)
-            ej = np.zeros(n)
-            ei[i] = h
-            ej[j] = h
-            fpp = f(x + ei + ej)
-            fpm = f(x + ei - ej)
-            fmp = f(x - ei + ej)
-            fmm = f(x - ei - ej)
-            H[i, j] = H[j, i] = (fpp - fpm - fmp + fmm) / (4 * h * h)
-    return H
+    return BaselineFit("rgpr", beta_hat, cov, ll, True, extra=alpha_hat,
+                       extra_se=float(np.sqrt(cov[p1, p1])), n_obs=ds.n_obs)
 
 
 @dataclass

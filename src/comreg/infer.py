@@ -119,8 +119,9 @@ def parametric_bootstrap(
     share one pmf table, and the replicates are refitted together (one
     stacked Poisson warm start, one stacked scoring loop).  Percentile
     intervals are computed over converged replicates only; a >20% failure
-    rate marks the result unreliable.  failures counts the dropped
-    replicates by cause: the exception class name, or "nonconverged".
+    rate marks the result unreliable, and fit.FitError is raised when
+    every replicate fails.  failures counts the dropped replicates by
+    cause: the exception class name, or "nonconverged".
     """
     if n_boot < 100:
         raise ValueError(f"n_boot must be >= 100, got {n_boot}")
@@ -151,6 +152,8 @@ def parametric_bootstrap(
             failures["nonconverged"] += 1
 
     n_failed = int(n_boot - ok.sum())
+    if n_failed == n_boot:
+        raise fit.FitError(f"every bootstrap replicate failed: {dict(sorted(failures.items()))}")
     good = rows[ok]
     lo = 100.0 * (1.0 - ci_level) / 2.0
     hi = 100.0 - lo

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
+from comreg import baselines
 from comreg.baselines import (
     BaselineError,
     NonConvergenceError,
@@ -176,6 +177,83 @@ class TestRgpr:
         bf = fit_rgpr(ds)
         assert bf.extra > 0
         assert bf.extra / bf.extra_se > 2
+
+
+def central_differences(loglik, z, h=2e-4):
+    """Score and information of loglik at z by central differences, with
+    one Richardson extrapolation (error O(h^4))."""
+    def at(h):
+        e = h * np.eye(len(z))
+        score = np.array([(loglik(z + d) - loglik(z - d)) / (2 * h) for d in e])
+        info = np.array([[-(loglik(z + a + b) - loglik(z + a - b) - loglik(z - a + b)
+                            + loglik(z - a - b)) / (4 * h * h) for b in e] for a in e])
+        return score, info
+
+    (s1, i1), (s2, i2) = at(h), at(h / 2)
+    return (4 * s2 - s1) / 3, (4 * i2 - i1) / 3
+
+
+class TestNewtonDerivatives:
+    """The analytic score and information of the NB and RGPR Newton fits."""
+
+    @pytest.fixture(params=["airfreight", "gamma_poisson"])
+    def ds(self, request, airfreight):
+        if request.param == "airfreight":
+            return airfreight
+        return gamma_poisson_dataset(300, [1.0, 0.5], r=4.0, seed=3)
+
+    def check(self, derivatives, loglik, ds, z):
+        y = ds.y.astype(float)
+        ll, score, info = derivatives(ds.X, y, z)
+        num_score, num_info = central_differences(lambda z: loglik(y, z), z)
+        assert ll == loglik(y, z)
+        # the differences carry about eps * |loglik| / h^2 of rounding
+        assert np.allclose(score, num_score, rtol=1e-5, atol=1e-5 * np.abs(score).max())
+        assert np.allclose(info, num_info, rtol=1e-5, atol=1e-5 * np.abs(info).max())
+
+    @pytest.mark.parametrize("log_r", [-1.0, 1.5, 4.0])
+    def test_negbin(self, ds, log_r):
+        beta = fit_poisson(ds).beta + 0.05
+        self.check(baselines._negbin_derivatives,
+                   lambda y, z: negbin_loglik(y, np.exp(ds.X @ z[:-1]), np.exp(z[-1])),
+                   ds, np.append(beta, log_r))
+
+    @pytest.mark.parametrize("alpha", [-0.02, 0.0, 0.3])
+    def test_rgpr(self, ds, alpha):
+        beta = fit_poisson(ds).beta - 0.05
+        self.check(baselines._rgpr_derivatives,
+                   lambda y, z: rgpr_loglik(y, np.exp(ds.X @ z[:-1]), z[-1]),
+                   ds, np.append(beta, alpha))
+
+
+class TestNewtonLoop:
+    def test_never_accepts_a_lower_loglik(self):
+        # a model whose "score" points downhill: every trial lowers the
+        # loglik, so none may be accepted, however far the step is halved
+        z0 = np.array([1.0, -2.0])
+
+        def downhill_score(z):
+            return -0.5 * z @ z, z, np.eye(2)
+
+        z, (ll, _, _), _ = baselines._newton(downhill_score, z0)
+        assert np.array_equal(z, z0) and ll == -2.5
+
+    @pytest.mark.parametrize("derivatives", ["_negbin_derivatives", "_rgpr_derivatives"])
+    def test_loglik_rises_monotonically(self, airfreight, derivatives):
+        # airfreight takes both fits to a boundary, through infeasible or
+        # overshooting trials: it ends at the highest loglik it evaluated
+        y = airfreight.y.astype(float)
+        seen = []
+
+        def model(z):
+            out = getattr(baselines, derivatives)(airfreight.X, y, z)
+            seen.append(out[0])
+            return out
+
+        upper = np.array([np.inf, np.inf, np.log(baselines.NEGBIN_BOUNDARY_R)])
+        z0 = np.append(fit_poisson(airfreight).beta, 0.0)
+        _, (ll, _, _), _ = baselines._newton(model, z0, upper)
+        assert len(seen) > 10 and ll == max(seen)
 
 
 class TestCompareModels:

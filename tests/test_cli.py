@@ -1,3 +1,4 @@
+import functools
 import json
 import os
 import subprocess
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 import comreg
-from comreg import fit
+from comreg import fit, infer
 from comreg.cli import EXIT_IO, EXIT_OK, EXIT_STAT, main
 from comreg.data import Dataset, write_csv
 
@@ -180,6 +181,16 @@ class TestBootstrap:
         jsonschema.validate(report, schema)
         assert sum(report["failures"].values()) == report["n_failed"]
 
+    def test_every_replicate_failed_exit_one(self, capsys, airfreight_path, monkeypatch):
+        # no replicate converges in 5 steps
+        monkeypatch.setattr(infer, "parametric_bootstrap", functools.partial(
+            infer.parametric_bootstrap, settings=fit.OptimSettings(max_iter=5)))
+        code, out = run_cli(capsys, "bootstrap", "--data", str(airfreight_path),
+                            "--response", "broken", "--n-boot", "100", "--seed", "3",
+                            "--format", "json")
+        assert code == EXIT_STAT
+        assert "every bootstrap replicate failed" in json.loads(out)["errors"][0]["message"]
+
 
 class TestDiagnose:
     def test_flags_observation_seven(self, capsys, airfreight_path):
@@ -315,13 +326,29 @@ class TestSimulate:
         assert code == EXIT_STAT
 
 
-def test_import_defers_scipy_stats_and_optimize():
-    # a fresh interpreter: neither module is loaded until a subcommand needs it
+def run_fresh(code):
+    """stdout of code run in a fresh interpreter that imports this comreg."""
     src = str(Path(comreg.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    code = ("import sys, comreg.cli; "
-            "print([m for m in ('scipy.stats', 'scipy.optimize') if m in sys.modules])")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, check=True)
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout
+
+
+def test_import_defers_scipy_stats_and_optimize():
+    # a fresh interpreter: neither module is loaded until a subcommand needs it
+    code = ("import sys, comreg.cli; "
+            "print([m for m in ('scipy.stats', 'scipy.optimize') if m in sys.modules])")
+    assert run_fresh(code).strip() == "[]"
+
+
+def test_compare_never_imports_scipy_optimize(airfreight_path, tmp_path):
+    # every model of the default compare list fits without scipy.optimize
+    argv = ["compare", "--data", str(airfreight_path), "--response", "broken",
+            "--output", str(tmp_path / "compare.json")]
+    code = (f"import sys, comreg.cli; code = comreg.cli.main({argv!r}); "
+            "print(code, 'scipy.optimize' in sys.modules)")
+    assert run_fresh(code).strip() == "0 False"
+    sources = Path(comreg.__file__).parent.rglob("*.py")
+    assert not [p.name for p in sources if "scipy.optimize" in p.read_text()]

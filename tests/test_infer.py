@@ -132,6 +132,13 @@ class TestParametricBootstrap:
         assert sum(boot.failures.values()) == boot.n_failed
         assert boot.n_failed + len(boot.replicates) == 100
 
+    def test_every_replicate_failed_is_a_fit_error(self, airfreight, airfreight_fit):
+        # no replicate converges in 5 steps
+        with pytest.raises(fit.FitError, match="every bootstrap replicate failed") as err:
+            parametric_bootstrap(airfreight, airfreight_fit, n_boot=100, seed=3,
+                                 settings=OptimSettings(max_iter=5))
+        assert "'nonconverged': 100" in str(err.value)
+
     def test_untyped_failure_propagates(self, airfreight, airfreight_fit, monkeypatch):
         def broken(info):
             raise KeyError("defect")
