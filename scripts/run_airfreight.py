@@ -79,7 +79,7 @@ def main():
     for row in comp.rows:
         print(f"{row.model:<14} {row.loglik:9.3f} {row.aicc:8.2f} {row.mse:6.2f}")
 
-    lrt = dispersion_test(ds)
+    lrt = dispersion_test(ds, fr=com)
     print(f"\ndispersion test: C = {lrt.statistic:.3f}, p = {lrt.p_value:.4g}")
 
     boot = parametric_bootstrap(ds, com, n_boot=args.n_boot, seed=args.seed)

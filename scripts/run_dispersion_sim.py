@@ -33,7 +33,7 @@ def main():
     t0 = time.perf_counter()
     ds = simulate(args.n, beta, args.nu, args.seed)
     fr = fit_com(ds)
-    res = dispersion_test(ds)
+    res = dispersion_test(ds, fr=fr)
     elapsed = time.perf_counter() - t0
     print(f"  nu-hat = {fr.nu:.4f} (SE {fr.se[-1]:.4f}), "
           f"beta-hat = {np.array2string(fr.beta, precision=3)}")

@@ -113,18 +113,16 @@ def _saturated(y: np.ndarray, nu: float, policy: dist.SeriesPolicy):
     while todo.size and steps < MAX_NEWTON_STEPS:
         yt, lam = targets[todo], np.exp(t[todo])
         try:
-            s, log_terms, log_z = dist.log_term_table(lam, nu, policy)
+            tab = dist.log_term_table(lam, nu, policy)
         except dist.TruncationError as exc:
             # a table truncates where its largest lambda does on its own
             failed[float(yt[lam.argmax()])] = str(exc)
             todo = np.delete(todo, lam.argmax())
             continue
         steps += 1
-        pmf = np.exp(log_terms - log_z[:, None])
-        mean = pmf @ s
-        var = np.einsum("ij,ij->i", pmf, (s - mean[:, None]) ** 2)
+        mean, _, var, _, _ = tab.moments()
         solved = np.abs(yt - mean) <= 1e-12 * yt
-        ll[todo[solved]] = (yt * t[todo] - nu * gammaln(yt + 1.0) - log_z)[solved]
+        ll[todo[solved]] = (yt * t[todo] - nu * gammaln(yt + 1.0) - tab.log_z)[solved]
         with np.errstate(divide="ignore"):
             step = np.clip((yt - mean) / var, -nu, nu)
         t[todo[~solved]] += step[~solved]
@@ -143,9 +141,9 @@ def _approx_unit_deviance(y: np.ndarray, mu: np.ndarray, nu: float,
     ok = (mu + a > 0) & ((y + a > 0) | patched)
     full = ok & ~patched
     # one table for the fitted means and one for the distinct y; 1 stands in elsewhere
-    log_z_mu = dist.log_term_table(np.where(ok, mu + a, 1.0) ** nu, nu, policy)[2]
+    log_z_mu = dist.log_term_table(np.where(ok, mu + a, 1.0) ** nu, nu, policy).log_z
     ys, inv = np.unique(np.where(full, y + a, 1.0), return_inverse=True)
-    log_z_y = np.where(full, dist.log_term_table(ys ** nu, nu, policy)[2][inv], 0.0)
+    log_z_y = np.where(full, dist.log_term_table(ys ** nu, nu, policy).log_z[inv], 0.0)
     ratio = np.where(full, (y + a) / np.where(ok, mu + a, 1.0), 1.0)
     d = 2.0 * (y * nu * np.log(ratio) + log_z_mu - log_z_y)
     return np.where(ok, np.maximum(0.0, d), np.nan)

@@ -5,9 +5,10 @@ normalizer Z(lambda, nu) = sum_s lambda^s / (s!)^nu.  Special cases:
 Poisson (nu=1), geometric (nu=0, lambda<1), Bernoulli limit (nu -> inf
 with success probability lambda/(1+lambda)).
 
-All series arithmetic is done in the log domain; the infinite sum is
-truncated adaptively (terms rise to a mode near lambda^(1/nu) and then
-fall faster than geometrically).
+The one series kernel, log_term_table, truncates the infinite sum
+adaptively (terms rise to a mode near lambda^(1/nu) and then fall faster
+than geometrically), exponentiates each term once and gives log Z and the
+raw moments of (Y, log Y!); pmf, moments and likelihood are views of it.
 """
 
 from __future__ import annotations
@@ -61,6 +62,7 @@ class SeriesPolicy:
 
 DEFAULT_POLICY = SeriesPolicy()
 TERMS_STEP = 32    # granularity of the first support length tried
+EXP_BLOCK = 32     # table columns exponentiated per step, so the block stays in cache
 
 
 def series_terms(lam_max, nu, policy: SeriesPolicy = DEFAULT_POLICY):
@@ -83,16 +85,37 @@ def series_terms(lam_max, nu, policy: SeriesPolicy = DEFAULT_POLICY):
     return terms.astype(int), mode
 
 
-def log_term_table(lam, nu, policy: SeriesPolicy = DEFAULT_POLICY):
-    """Log series terms s*log(lam_i) - nu*log(s!) on a shared truncated support.
+@dataclass(frozen=True)
+class SeriesTable:
+    """log_terms holds s*log(lam_i) - nu*log(s!) on the support s, one row
+    per lambda; log_z is each row's log Z, and raw its moments about zero
+    E[Y], E[log Y!], E[Y^2], E[Y log Y!], E[(log Y!)^2].  Unpacks as
+    (s, log_terms, log_z)."""
 
-    Vectorized over an array of lambda values (shared nu), which is the
-    shape the regression likelihood needs.  Returns (support, log_terms,
-    log_z) where log_terms has one row per lambda and one column per
-    support point, and log_z = log sum over columns (shifted by the row maximum).
-    Stacked replicates: with a B x n lam and nu of length B (one per
-    replicate, i.e. per row of lam), the rows run replicate by replicate
-    and nu*log(s!) is formed once per replicate, not once per row.
+    s: np.ndarray
+    log_terms: np.ndarray
+    log_z: np.ndarray
+    raw: np.ndarray
+
+    def __iter__(self):
+        return iter((self.s, self.log_terms, self.log_z))
+
+    def moments(self):
+        """Per row: E Y, E log Y!, var Y, cov(Y, log Y!), var(log Y!)."""
+        m, m_lf, m2, m_ylf, m2_lf = self.raw.T
+        return m, m_lf, m2 - m * m, m_ylf - m * m_lf, m2_lf - m_lf * m_lf
+
+
+def log_term_table(lam, nu, policy: SeriesPolicy = DEFAULT_POLICY) -> SeriesTable:
+    """The series kernel: log terms, log Z and raw moments for an array of lambdas.
+
+    With a B x n lam and nu of length B (one per replicate, i.e. per row
+    of lam), the rows run replicate by replicate and nu*log(s!) is formed
+    once per replicate.  Each cell is exponentiated once, shifted by its
+    row maximum, a column block at a time; the sums of t_s times 1, s,
+    log s!, s^2, s log s! and (log s!)^2 come from a stack of per-replicate
+    matrix products, never one product across replicates, whose rounding
+    can depend on how many rows it gets.
 
     The truncation rule: the last retained term must be past the mode,
     decreasing, below rel_tol of the accumulated sum, and the geometric
@@ -104,11 +127,10 @@ def log_term_table(lam, nu, policy: SeriesPolicy = DEFAULT_POLICY):
     if not ((lam > 0) & (lam < np.inf)).all():
         raise ValueError("all lambda values must be positive finite reals")
     nu = nu.reshape(-1, 1)
-    if (nu <= 0).any():
-        if (nu < 0).any():
-            raise ValueError("nu must be nonnegative")
-        if ((nu == 0) & (lam >= 1)).any():
-            raise DivergentSeriesError("nu=0 requires lambda < 1 for every lambda")
+    if (nu < 0).any():
+        raise ValueError("nu must be nonnegative")
+    if ((nu == 0) & (lam >= 1)).any():
+        raise DivergentSeriesError("nu=0 requires lambda < 1 for every lambda")
 
     terms, mode = series_terms(lam.max(axis=1, keepdims=True), nu, policy)
     if not np.isfinite(mode).all():
@@ -120,30 +142,28 @@ def log_term_table(lam, nu, policy: SeriesPolicy = DEFAULT_POLICY):
     log_rel = np.log(policy.rel_tol)
     while True:
         s = np.arange(n_terms + 1, dtype=float)
+        lf = gammaln(s + 1.0)
         log_terms = log_lam * s
-        log_terms -= (nu * gammaln(s + 1.0))[:, None, :]
-        log_terms = log_terms.reshape(-1, len(s))
-        top = log_terms.max(axis=1)
-        shifted = np.subtract(log_terms, top[:, None])
-        log_z = top + np.log(np.exp(shifted, out=shifted).sum(axis=1))
+        log_terms -= (nu * lf)[:, None, :]
+        top = log_terms.max(axis=2, keepdims=True)
+        basis = np.stack([np.ones_like(s), s, lf, s * s, s * lf, lf * lf], axis=1)
+        sums, block = np.zeros(lam.shape + (6,)), np.empty(lam.size * EXP_BLOCK)
+        for a in range(0, len(s), EXP_BLOCK):
+            # contiguous, or matmul would copy the last, narrower block
+            t = block[: lam.size * min(EXP_BLOCK, len(s) - a)].reshape(lam.shape + (-1,))
+            np.subtract(log_terms[:, :, a:a + EXP_BLOCK], top, out=t)
+            sums += np.matmul(np.exp(t, out=t), basis[a:a + EXP_BLOCK])
+        log_terms, sums = log_terms.reshape(-1, len(s)), sums.reshape(-1, 6)
+        log_z = top.ravel() + np.log(sums[:, 0])
 
-        last = log_terms[:, -1] - log_z
-        prev = log_terms[:, -2] - log_z
-        decreasing = last < prev
-        small = last < log_rel
-        # Geometric tail bound: sum_{k>=1} t_S r^k = t_S r/(1-r) with
-        # r = t_S / t_{S-1}.
-        with np.errstate(over="ignore"):
-            ratio = np.exp(np.minimum(last - prev, 0.0))
-        tail_ok = np.zeros_like(ratio, dtype=bool)
-        safe = ratio < 1.0
+        last, prev = log_terms[:, -1] - log_z, log_terms[:, -2] - log_z
+        # geometric tail bound: sum_{k>=1} t_S r^k = t_S r/(1-r), r = t_S/t_{S-1}
+        step = np.minimum(last - prev, 0.0)
         with np.errstate(divide="ignore"):
-            tail_ok[safe] = (
-                last[safe] + np.log(ratio[safe]) - np.log1p(-ratio[safe]) < log_rel
-            )
-        done = decreasing & small & tail_ok & (s[-1] > mode)
+            tail = last + step - np.log1p(-np.exp(step))
+        done = (step < 0) & (last < log_rel) & (tail < log_rel) & (s[-1] > mode)
         if done.all():
-            return s, log_terms, log_z
+            return SeriesTable(s, log_terms, log_z, sums[:, 1:] / sums[:, :1])
         if n_terms >= policy.max_terms:
             bad = int(np.flatnonzero(~done)[0]) // lam.shape[1]
             raise TruncationError(
@@ -157,7 +177,7 @@ def log_term_table(lam, nu, policy: SeriesPolicy = DEFAULT_POLICY):
 def pmf_table(lam, nu: float, policy: SeriesPolicy = DEFAULT_POLICY):
     """Support points and normalized pmf rows for an array of lambdas."""
     s, log_terms, log_z = log_term_table(lam, nu, policy)
-    return s, np.exp(log_terms - log_z[:, None])
+    return s, np.exp(np.subtract(log_terms, log_z[:, None], out=log_terms), out=log_terms)
 
 
 def log_normalizer(p: ComParams, policy: SeriesPolicy = DEFAULT_POLICY) -> float:
@@ -166,16 +186,13 @@ def log_normalizer(p: ComParams, policy: SeriesPolicy = DEFAULT_POLICY) -> float
         return float(-np.log1p(-p.lam))
     if p.nu == 1:
         return p.lam
-    _, _, log_z = log_term_table(p.lam, p.nu, policy)
-    return float(log_z[0])
+    return float(log_term_table(p.lam, p.nu, policy).log_z[0])
 
 
 def log_pmf(y: int, p: ComParams, policy: SeriesPolicy = DEFAULT_POLICY) -> float:
     if y < 0 or y != int(y):
         raise ValueError(f"y must be a nonnegative integer, got {y}")
-    return float(
-        y * np.log(p.lam) - p.nu * gammaln(y + 1.0) - log_normalizer(p, policy)
-    )
+    return float(y * np.log(p.lam) - p.nu * gammaln(y + 1.0) - log_normalizer(p, policy))
 
 
 def consecutive_ratio(y: int, p: ComParams) -> float:
@@ -199,14 +216,11 @@ def expect_fn(
 
 
 def mean_exact(p: ComParams, policy: SeriesPolicy = DEFAULT_POLICY) -> float:
-    s, pmf = pmf_table(p.lam, p.nu, policy)
-    return float(pmf[0] @ s)
+    return float(log_term_table(p.lam, p.nu, policy).moments()[0][0])
 
 
 def var_exact(p: ComParams, policy: SeriesPolicy = DEFAULT_POLICY) -> float:
-    s, pmf = pmf_table(p.lam, p.nu, policy)
-    m = pmf[0] @ s
-    return float(pmf[0] @ s**2 - m**2)
+    return float(log_term_table(p.lam, p.nu, policy).moments()[2][0])
 
 
 def mean_approx(p: ComParams) -> float:

@@ -4,9 +4,10 @@ The model: Y_i ~ COM-Poisson(lambda_i, nu) with log lambda_i = x_i' beta
 and a shared dispersion nu.  Estimation maximizes the log-likelihood
 over (beta, nu) by Fisher scoring from the Poisson fit.  The score
 and the expected (Fisher) information are covariances of the sufficient
-statistics (Y, log Y!), so one series table per (beta, nu) gives the
-loglik, both of them and the per-row moments; the standard errors come
-from the information at the optimum.
+statistics (Y, log Y!), so the six sums of one series table per
+(beta, nu) (dist.log_term_table) give the loglik, both of them and the
+per-row moments; the standard errors come from the information at the
+optimum.
 """
 
 from __future__ import annotations
@@ -101,22 +102,9 @@ def _evaluate_stack(X: np.ndarray, Y: np.ndarray, eta: np.ndarray, nu: np.ndarra
         lam = np.exp(eta)
     if not np.all((lam > 0) & np.isfinite(lam)):
         raise OverflowError("linear predictor out of range: lambda overflows or underflows")
-    s, log_terms, log_z = dist.log_term_table(lam, nu, policy)
-    pmf = np.exp(np.subtract(log_terms, log_z[:, None], out=log_terms), out=log_terms)
-    lf = gammaln(s + 1.0)
-    mean = np.einsum("ij,j->i", pmf, s)
-    e_lf = np.einsum("ij,j->i", pmf, lf)
-    # centred moments in two rows x S buffers (allocating more costs as
-    # much as the arithmetic): dev holds s - E Y, then log s! - E log Y!
-    dev = s - mean[:, None]
-    p_dev = pmf * dev
-    var = np.einsum("ij,ij->i", p_dev, dev)
-    np.subtract(lf, e_lf[:, None], out=dev)
-    cov_y_lf = np.einsum("ij,ij->i", p_dev, dev)
-    np.multiply(pmf, dev, out=p_dev)
-    var_lf = np.einsum("ij,ij->i", p_dev, dev)
-    mean, var, e_lf, cov_y_lf, var_lf, log_z = (
-        a.reshape(eta.shape) for a in (mean, var, e_lf, cov_y_lf, var_lf, log_z))
+    tab = dist.log_term_table(lam, nu, policy)
+    mean, e_lf, var, cov_y_lf, var_lf, log_z = (
+        a.reshape(eta.shape) for a in (*tab.moments(), tab.log_z))
 
     y = Y.astype(float)
     lf_y = gammaln(y + 1.0)
@@ -129,14 +117,8 @@ def _evaluate_stack(X: np.ndarray, Y: np.ndarray, eta: np.ndarray, nu: np.ndarra
     score = np.empty((len(y), p1 + 1))
     score[:, :p1] = ((y - mean)[:, None, :] @ X)[:, 0]
     score[:, p1] = (e_lf - lf_y).sum(axis=1)
-    return Evaluation(
-        loglik=np.einsum("ij,ij->i", y, eta) - nu * lf_y.sum(axis=1) - log_z.sum(axis=1),
-        score=score,
-        info=info,
-        mean=mean,
-        var=var,
-        log_z=log_z,
-    )
+    loglik = np.einsum("ij,ij->i", y, eta) - nu * lf_y.sum(axis=1) - log_z.sum(axis=1)
+    return Evaluation(loglik, score, info, mean, var, log_z)
 
 
 def evaluate(
@@ -149,11 +131,13 @@ def evaluate(
 
     The score is (X'(y - E Y), sum(E log Y! - log y!)); the information
     has blocks I_bb = X' diag(var Y_i) X, I_bn = -X' cov(Y_i, log Y_i!),
-    I_nn = sum var(log Y_i!).  Moments are centred before squaring, so a
-    near-degenerate row gets a small positive variance, not a
-    cancellation error.  Raises OverflowError when some lambda_i = exp(eta_i)
-    is not a positive finite double.  This is the one-replicate view of
-    the stacked evaluation that fit_replicates runs.
+    I_nn = sum var(log Y_i!).  The moments come from raw sums about zero
+    (var Y = E Y^2 - (E Y)^2), which costs a row about log10(nu E Y_i)
+    digits: they stay within 1e-9 relative for means up to 9000 and nu up
+    to 41, but a row whose mass sits almost wholly on one count can lose
+    its variance to cancellation.  Raises OverflowError when some
+    lambda_i = exp(eta_i) is not a positive finite double.  This is the
+    one-replicate view of the stacked evaluation that fit_replicates runs.
     """
     if nu < 0:
         raise ValueError(f"nu must be nonnegative, got {nu}")

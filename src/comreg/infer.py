@@ -72,14 +72,17 @@ def dispersion_test(
     bootstrap_calibrate: bool = False,
     n_boot: int = 500,
     seed: int | None = None,
+    fr: fit.FitResult | None = None,
 ) -> DispersionTest:
     """C = -2 [logL(beta0, nu=1) - logL(beta, nu)], chi^2_1 under the null.
 
     bootstrap_calibrate simulates C under the fitted Poisson null and
     reports the empirical tail fraction as well (small-sample guidance).
+    fr, the caller's fit_com(ds), is the alternative instead of a refit;
+    settings still drive the calibration refits.
     """
     null = fit_poisson(ds)
-    alt = fit.fit_com(ds, settings=settings, beta0=null.beta)
+    alt = fr if fr is not None else fit.fit_com(ds, settings=settings, beta0=null.beta)
     stat = max(0.0, -2.0 * (null.loglik - alt.loglik))
     result = DispersionTest(
         statistic=stat,

@@ -174,7 +174,7 @@ def test_criterion_08_overdispersed_scale(capsys):
     t0 = time.perf_counter()
     ds = simulate(868, [0.6, 0.5, -0.3], 0.35, seed=2024)
     fr = fit_com(ds)
-    res = dispersion_test(ds)
+    res = dispersion_test(ds, fr=fr)
     elapsed = time.perf_counter() - t0
     checks = [
         ("fit converged", fr.converged),

@@ -138,6 +138,48 @@ class TestStackedTable:
             dist.log_term_table([[2.0], [50.0]], [1.0, 1e-3])
 
 
+def centred_reference(lam, nu, n_terms):
+    """Per lambda: E Y, var Y, cov(Y, log Y!) and var(log Y!), summed in
+    long double over s < n_terms, with moments centred before squaring."""
+    s = np.arange(n_terms, dtype=np.longdouble)
+    lf = np.concatenate([[0.0], np.cumsum(np.log(s[1:]))]).astype(np.longdouble)
+    log_t = np.log(np.asarray(lam, dtype=np.longdouble))[:, None] * s - np.longdouble(nu) * lf
+    p = np.exp(log_t - log_t.max(axis=1, keepdims=True))
+    p /= p.sum(axis=1, keepdims=True)
+    ds = s - (p * s).sum(axis=1, keepdims=True)
+    dlf = lf - (p * lf).sum(axis=1, keepdims=True)
+    return ((p * s).sum(axis=1), (p * ds * ds).sum(axis=1), (p * ds * dlf).sum(axis=1),
+            (p * dlf * dlf).sum(axis=1))
+
+
+class TestKernelAccuracy:
+    """Raw moments from the kernel against a centred long-double reference
+    on a wider support, to 1e-9 relative per row."""
+
+    WIDE = SeriesPolicy(max_terms=40_000)    # a mean of 9000 at nu = 0.2 needs ~12 000 terms
+
+    def assert_rows_accurate(self, lam, nu):
+        tab = dist.log_term_table(lam, nu, self.WIDE)
+        mean, _, var, cov_lf, var_lf = tab.moments()
+        ref = centred_reference(lam, nu, 2 * len(tab.s) + 64)
+        for got, want in zip((mean, var, cov_lf, var_lf), ref):
+            want = want.astype(float)
+            assert np.all(np.abs(got - want) <= 1e-9 * np.abs(want)), (got, want)
+
+    @pytest.mark.parametrize("nu", [0.2, 0.5, 1.0, 3.0, 10.0, 30.0, 41.0])
+    def test_rows_with_means_from_0_01_to_9000(self, nu):
+        mu = np.geomspace(0.01, 9000.0, 12)
+        # lambda whose mean is near mu: the inverse of the approximation
+        # mean ~ lambda^(1/nu) - (nu-1)/(2 nu) where it exceeds 1, else mu
+        shifted = mu + (nu - 1.0) / (2.0 * nu)
+        lam = np.where(shifted > 1.0, np.maximum(shifted, 1.0) ** nu, mu)
+        self.assert_rows_accurate(lam, nu)
+
+    @pytest.mark.parametrize("nu", [0.3, 1.0, 3.0, 10.0])
+    def test_one_replicate_with_modes_from_0_05_to_3000(self, nu):
+        self.assert_rows_accurate(np.geomspace(0.05, 3000.0, 12) ** nu, nu)
+
+
 class TestLogPmf:
     def test_poisson_at_zero(self):
         assert log_pmf(0, ComParams(1.0, 1.0)) == pytest.approx(-1.0, abs=1e-12)

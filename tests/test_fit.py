@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.special import gammaln
@@ -182,6 +184,19 @@ class TestEvaluate:
     def test_lambda_overflow_is_typed(self, airfreight):
         with pytest.raises(OverflowError):
             evaluate(airfreight, np.array([800.0, 0.0]), 2.0)
+
+    def test_peak_memory_is_one_table(self):
+        # one series table and no n x S temporaries, at criterion 08's optimum
+        ds = simulate(868, [0.6, 0.5, -0.3], 0.35, seed=2024)
+        fr = fit_com(ds)
+        s, _, _ = dist.log_term_table(np.exp(ds.X @ fr.beta), fr.nu)
+        tracemalloc.start()
+        try:
+            evaluate(ds, fr.beta, fr.nu)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * ds.n_obs * len(s) * 8
 
 
 class TestFitCom:

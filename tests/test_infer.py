@@ -44,6 +44,14 @@ class TestDispersionTest:
         res = dispersion_test(ds)
         assert res.p_value < 0.01
 
+    @pytest.mark.parametrize("data", ["airfreight", "criterion 08"])
+    def test_caller_fit_gives_the_same_test(self, airfreight, monkeypatch, data):
+        ds = airfreight if data == "airfreight" else simulate(868, [0.6, 0.5, -0.3], 0.35, seed=2024)
+        fr = fit_com(ds)
+        refitted = dispersion_test(ds)
+        monkeypatch.setattr(fit, "fit_replicates", lambda *a, **k: pytest.fail("refitted"))
+        assert dispersion_test(ds, fr=fr) == refitted
+
     def test_bootstrap_calibration_requires_seed(self, airfreight):
         with pytest.raises(ValueError, match="seed"):
             dispersion_test(airfreight, bootstrap_calibrate=True)
