@@ -1,13 +1,15 @@
-"""Comparison regressions and model-comparison statistics.
+"""Comparison regressions, model-comparison statistics and the one Newton loop.
 
-Poisson and logistic GLMs are fit by Newton iterations on their
-canonical links.  Negative binomial over (beta, log r) and restricted
-generalized Poisson (RGPR) over (beta, alpha) share one damped Newton
-loop on their analytic score and observed information, whose inverse
-at the optimum is the covariance.  A boundary is read from the score:
-negative binomial is the Poisson limit when log r reaches
-log NEGBIN_BOUNDARY_R with a non-negative score in log r; RGPR fails
-when alpha runs into the feasibility bound 1 + alpha*y_max > 0.
+newton maximizes a stack of logliks by damped Newton steps, and every
+fit in the package is a model of it: COM-Poisson (comreg.fit) on its
+expected information, the Poisson and logistic GLMs on their canonical
+links, and negative binomial over (beta, log r) and restricted
+generalized Poisson (RGPR) over (beta, alpha) on their analytic score
+and observed information, whose inverse at the optimum is the
+covariance.  A boundary is read from the score: negative binomial is
+the Poisson limit when log r reaches log NEGBIN_BOUNDARY_R with a
+non-negative score in log r; RGPR fails when alpha runs into the
+feasibility bound 1 + alpha*y_max > 0.
 """
 
 from __future__ import annotations
@@ -22,8 +24,10 @@ from .data import Dataset, linear_predictor
 NEGBIN_BOUNDARY_R = 1e6   # log r is capped here; a fit that reaches it is the Poisson limit
 NEGBIN_LIMIT_R = 1e8      # the r reported for that limit
 NEGBIN_R0 = 10.0          # start of the negative binomial fit
-NEWTON_MAX_ITER = 500     # iterations of the negative binomial and RGPR Newton loop
-NEWTON_RTOL = 1e-8        # relative step stop rule of _newton_glm and _newton
+NEWTON_MAX_ITER = 500     # newton steps per baseline fit
+NEWTON_DECREMENT = 1e-12  # newton stops when g' step <= this * max(1, |loglik|)
+NEWTON_RTOL = 1e-8        # or when a step moves no coordinate by more than this * max(1, max|z|)
+RUNOFF_ETA = 30.0         # a GLM fit with some |x'beta| beyond this has no finite estimate
 
 
 class BaselineError(RuntimeError):
@@ -63,81 +67,142 @@ class BaselineFit:
         return np.sqrt(np.diag(self.cov))
 
 
-def solve_each(A: np.ndarray, b: np.ndarray):
-    """Solve A[k] x[k] = b[k] for a stack of systems.
+def newton(model, z, at, lower, upper, max_iter):
+    """Maximize the loglik of every replicate in a stack by damped Newton steps.
 
-    Returns (x, singular): a singular system gets a NaN row in x and True
-    in singular, and leaves the others as they are.
+    model(rows, z) returns, for the replicates rows at the points z (one
+    row each), their loglik (m,), score (m, k) and information (m, k, k),
+    the information being minus the Hessian or its expectation; a loglik
+    that is not finite marks the point unusable.  Row b of z is replicate
+    b's start and at is model's output there; a replicate whose start is
+    unusable does not move.  Each step solves I step = g, or |I| step = g
+    (|I| has the absolute values of I's eigenvalues) where the Newton
+    step is not an ascent direction.  A coordinate at lower or upper
+    whose score points outward is held (lower = upper fixes it).  The
+    step is halved, each trial clipped to [lower, upper], until the
+    loglik does not fall.  A replicate converges when its Newton
+    decrement g' step is at most NEWTON_DECREMENT * max(1, |loglik|),
+    or when the step it takes, or would take after halving, moves no
+    coordinate by more than NEWTON_RTOL * max(1, max|z|): both rules are
+    relative, so counts of any size converge, and the decrement also
+    stops a likelihood that flattens out without an optimum.  It stops
+    unconverged after max_iter steps, when its information is unusable,
+    or when every trial of a step is unusable.  Returns (z, (loglik,
+    score, info) at z, iterations, stop): stop[b] is "converged" or why
+    replicate b stopped.
     """
-    try:
-        return np.linalg.solve(A, b[..., None])[..., 0], np.zeros(len(b), dtype=bool)
-    except np.linalg.LinAlgError:
-        x = np.full(b.shape, np.nan)
-        singular = np.ones(len(b), dtype=bool)
-        for k in range(len(b)):
+    z = np.array(z, dtype=float)
+    loglik, score, info = (np.array(a, dtype=float) for a in at)
+    bounded = np.isfinite(lower).any() or np.isfinite(upper).any()
+    iterations = np.zeros(len(z), dtype=int)
+    stop = np.full(len(z), "unusable start point", dtype=object)
+    parts = []
+
+    def accept(rows, trial, at, small):
+        z[rows] = trial
+        loglik[rows], score[rows], info[rows] = at
+        iterations[rows] += 1
+        if small.any():     # a step that small: converged
+            stop[rows[small]] = "converged"
+            rows = rows[~small]
+        parts.append(rows)
+
+    todo = np.flatnonzero(np.isfinite(loglik))
+    with np.errstate(all="ignore"):    # unusable points are rejected, not reported
+        while todo.size:
+            g, system, zi, base = score[todo], info[todo], z[todo], loglik[todo]
+            if bounded:
+                held = ((zi <= lower) & (g <= 0.0)) | ((zi >= upper) & (g >= 0.0))
+                if held.any():
+                    g[held] = 0.0
+                    system[held[:, :, None] | held[:, None, :]] = 0.0
+                    rows, cols = np.nonzero(held)
+                    system[rows, cols, cols] = 1.0
             try:
-                x[k] = np.linalg.solve(A[k], b[k])
-                singular[k] = False
+                step = np.linalg.solve(system, g[..., None])[..., 0]
             except np.linalg.LinAlgError:
-                pass
-        return x, singular
+                step = np.full_like(g, np.nan)
+            decrement = np.einsum("ij,ij->i", g, step)
+            if not (decrement > 0.0).all():
+                uphill = ~(decrement > 0.0)
+                w, V = np.linalg.eigh(system[uphill])
+                w = np.maximum(np.abs(w), 1e-12 * np.abs(w).max(axis=1, keepdims=True))
+                step[uphill] = (V @ ((g[uphill, None, :] @ V)[:, 0] / w)[..., None])[..., 0]
+                decrement[uphill] = np.einsum("ij,ij->i", g[uphill], step[uphill])
+            limit = NEWTON_DECREMENT * np.maximum(1.0, np.abs(base))
+            go = (decrement > limit) & (decrement < np.inf) & (iterations[todo] < max_iter)
+            if not go.all():
+                d, done = decrement[~go], todo[~go]
+                stop[done] = np.where(d <= limit[~go], "converged", np.where(
+                    d < np.inf, f"no convergence in {max_iter} iterations",
+                    "information not usable"))
+                todo, step, zi, base = todo[go], step[go], zi[go], base[go]
+
+            idx, usable, halved = todo, np.zeros(len(todo), dtype=bool), False
+            tol = NEWTON_RTOL * np.maximum(1.0, np.abs(zi).max(axis=1))
+            while idx.size:
+                trial = zi + step
+                if bounded:
+                    trial = np.clip(trial, lower, upper)
+                small = np.abs(trial - zi).max(axis=1) <= tol
+                if halved and small.any():
+                    # halved that far without a usable rise: the loglik's rounding
+                    stop[idx[small]] = np.where(usable[small], "converged",
+                                                "no usable trial point")
+                    keep = ~small
+                    idx, zi, base, step, tol, usable, trial, small = (
+                        a[keep] for a in (idx, zi, base, step, tol, usable, trial, small))
+                    if not idx.size:
+                        break
+                new = model(idx, trial)
+                ok = new[0] >= base
+                if ok.all():
+                    accept(idx, trial, new, small)
+                    break
+                accept(idx[ok], trial[ok], (a[ok] for a in new), small[ok])
+                keep = ~ok
+                usable = usable[keep] | np.isfinite(new[0][keep])
+                idx, zi, base, step, tol = (
+                    idx[keep], zi[keep], base[keep], step[keep] / 2.0, tol[keep])
+                halved = True
+            todo, parts = (np.concatenate(parts) if parts else todo[:0]), []
+    return z, (loglik, score, info), iterations, stop.astype(str).tolist()
 
 
-def _newton_glm(X: np.ndarray, Y: np.ndarray, mean_fn, var_fn, loglik_fn, beta0,
-                max_iter=100):
-    """Canonical-link Newton iterations for responses Y (one per row) sharing X.
-
-    Shared by Poisson and logistic fits and by stacked warm starts.  The
+def _fit_glm(X: np.ndarray, Y: np.ndarray, beta0, mean_fn, var_fn, cumulant_fn, log_c):
+    """Canonical-link GLM fits of responses Y (one per row) sharing X, by
+    newton from beta0: row b's loglik is sum(y eta - cumulant_fn(eta, mu))
+    + log_c[b], with mu = mean_fn(eta) and var Y = var_fn(mu).  The
     products with X run one row at a time (a stack of matrix products,
-    never one across rows), so a row's result does not depend on the
-    other rows.  Each row steps from its row of beta0 until a step moves
-    no coefficient by more than NEWTON_RTOL * max(1, max|beta|).  The
-    rule is relative, so counts of any size converge; convergence is
-    quadratic, so beta after that step is exact to rounding; and a
-    separated logistic fit, whose coefficients run off at a steady pace,
-    never stops.  Returns (beta, H, loglik, failure), per row: the
-    estimate, X'WX and the loglik there, and None or the BaselineError
-    that stopped it.
+    never one across rows), so a row's fit does not depend on the others.
+    Returns (beta, H, loglik, failure) per row: H is X'WX, and failure
+    None or the NonConvergenceError that ended it (a fit with some |eta|
+    beyond RUNOFF_ETA ran off towards an estimate at infinity).
     """
-    beta = np.array(beta0, dtype=float)
-    failure = [None] * len(Y)
-    todo = np.arange(len(Y))
-    for it in range(max_iter):
-        eta = (beta[todo, None, :] @ X.T)[:, 0]
+    def model(rows, z):
+        eta = (z[:, None, :] @ X.T)[:, 0]
         mu = mean_fn(eta)
-        step, singular = solve_each((X.T * var_fn(mu)[:, None, :]) @ X,
-                                    ((Y[todo] - mu)[:, None, :] @ X)[:, 0])
-        for k in todo[singular]:
-            failure[k] = BaselineError(f"singular Newton system at iteration {it}")
-        beta[todo] += step
-        small = np.abs(step).max(axis=1) <= NEWTON_RTOL * np.maximum(
-            1.0, np.abs(beta[todo]).max(axis=1))
-        todo = todo[~(small | singular)]
-        if not todo.size:
-            break
-    else:
-        for k in todo:
-            failure[k] = NonConvergenceError("Newton iterations did not converge")
-    eta = (beta[:, None, :] @ X.T)[:, 0]
-    mu = mean_fn(eta)
-    H = (X.T * var_fn(mu)[:, None, :]) @ X
-    with np.errstate(invalid="ignore"):    # a row that ran off has a NaN loglik
-        return beta, H, loglik_fn(Y, eta, mu), failure
+        y = Y[rows]
+        return (np.sum(y * eta - cumulant_fn(eta, mu), axis=-1) + log_c[rows],
+                ((y - mu)[:, None, :] @ X)[:, 0], (X.T * var_fn(mu)[:, None, :]) @ X)
 
-
-def poisson_loglik(y: np.ndarray, eta: np.ndarray):
-    """Poisson loglik, summed over the last axis (one value per response row)."""
-    return np.sum(y * eta - np.exp(eta) - gammaln(y + 1.0), axis=-1)
+    beta, (loglik, _, H), _, stop = newton(model, beta0, model(np.arange(len(Y)), beta0),
+                                           -np.inf, np.inf, NEWTON_MAX_ITER)
+    runoff = np.abs(beta @ X.T).max(axis=1) > RUNOFF_ETA
+    reasons = np.where(runoff, f"ran off: some |eta| > {RUNOFF_ETA:g}", stop)
+    failure = [None if r == "converged" else NonConvergenceError(
+        f"Newton iterations did not converge ({r})") for r in reasons]
+    return beta, H, loglik, failure
 
 
 def poisson_newton(X: np.ndarray, Y: np.ndarray):
     """Poisson GLM fits of responses Y (one per row) sharing X, as one
-    stacked Newton iteration: (beta, H, loglik, failure) per row, as in
-    _newton_glm, each started from the log of its mean count."""
+    stacked Newton loop: (beta, H, loglik, failure) per row, as in
+    _fit_glm, each started from the log of its mean count."""
     beta0 = np.zeros((len(Y), X.shape[1]))
     beta0[:, 0] = np.log(np.maximum(Y.mean(axis=1), 0.1))
-    return _newton_glm(X, Y, np.exp, lambda mu: mu,
-                       lambda y, eta, mu: poisson_loglik(y, eta), beta0)
+    return _fit_glm(X, Y, beta0, np.exp, lambda mu: mu, lambda eta, mu: mu,
+                    -gammaln(Y + 1.0).sum(axis=1))
 
 
 def fit_poisson(ds: Dataset) -> BaselineFit:
@@ -154,55 +219,26 @@ def fit_logistic(ds: Dataset) -> BaselineFit:
     y = ds.y
     if not np.all((y == 0) | (y == 1)):
         raise BaselineError("logistic regression requires a 0/1 response")
-
-    def loglik_fn(y, eta, mu):
-        return np.sum(y * eta - np.logaddexp(0.0, eta), axis=-1)
-
-    beta, H, ll, (failure,) = _newton_glm(ds.X, y[None], expit, lambda mu: mu * (1.0 - mu),
-                                          loglik_fn, np.zeros((1, ds.n_cols)))
+    beta, H, ll, (failure,) = _fit_glm(ds.X, y[None], np.zeros((1, ds.n_cols)), expit,
+                                       lambda mu: mu * (1.0 - mu),
+                                       lambda eta, mu: np.logaddexp(0.0, eta), np.zeros(1))
     if failure is not None:
         raise SeparationError(
-            "logistic fit failed; data may be completely separated"
+            "complete separation: fitted probabilities at 0/1"
         ) from failure
-    beta = beta[0]
-    if np.max(np.abs(linear_predictor(ds, beta))) > 30:
-        raise SeparationError("complete separation: fitted probabilities at 0/1")
-    return BaselineFit("logistic", beta, np.linalg.inv(H[0]), float(ll[0]), True,
+    return BaselineFit("logistic", beta[0], np.linalg.inv(H[0]), float(ll[0]), True,
                        n_obs=ds.n_obs)
 
 
-def _newton(model, z: np.ndarray, upper=np.inf):
-    """Maximize a loglik by damped Newton steps from z.
+def _one_response(derivatives, X: np.ndarray, y: np.ndarray, z0: np.ndarray, lower, upper):
+    """newton on one response whose derivatives(X, y, z) give its loglik,
+    score and information at z: (z, (loglik, score, info), stop) at the end."""
+    def model(rows, z):
+        return tuple(np.asarray(a)[None] for a in derivatives(X, y, z[0]))
 
-    model(z) returns (loglik, score, information), the information being
-    minus the Hessian, or a loglik of -inf where z is infeasible.  Each
-    step solves |I| step = score, where |I| has the absolute values of
-    I's eigenvalues: the Newton step where I is positive definite, an
-    ascent direction where it is not.  z + step is capped at upper, and
-    the step is halved until the loglik does not fall; a trial that is
-    infeasible or not finite is rejected.  The loop stops when the step
-    would move no coordinate by more than NEWTON_RTOL * max(1, max|z|),
-    the relative rule of _newton_glm: a Newton step that small, or one
-    halved that small without raising the loglik, which near the
-    optimum is the loglik's rounding.  Returns (z, (loglik, score,
-    info) at z, stop): stop is "converged" or why the loop gave up.
-    """
-    at = model(z)
-    for _ in range(NEWTON_MAX_ITER):
-        w, V = np.linalg.eigh(at[2])
-        w = np.maximum(np.abs(w), 1e-12 * np.abs(w).max())    # no division by 0
-        step = np.minimum(z + V @ (V.T @ at[1] / w), upper) - z
-        tol = NEWTON_RTOL * max(1.0, np.abs(z).max())
-        while np.abs(step).max() > tol:
-            with np.errstate(all="ignore"):
-                trial = model(z + step)
-            if trial[0] >= at[0]:
-                break
-            step = step / 2.0
-        else:
-            return z, at, "converged"
-        z, at = z + step, trial
-    return z, at, f"no convergence in {NEWTON_MAX_ITER} iterations"
+    (z,), ((ll,), (g,), (info,)), _, (stop,) = newton(
+        model, z0[None], model(None, z0[None]), lower, upper, NEWTON_MAX_ITER)
+    return z, (float(ll), g, info), stop
 
 
 def negbin_loglik(y: np.ndarray, mu: np.ndarray, r: float) -> float:
@@ -222,7 +258,7 @@ def _negbin_derivatives(X: np.ndarray, y: np.ndarray, z: np.ndarray):
     mu = np.exp(X @ z[:p1])
     ll = negbin_loglik(y, mu, r)
     if not np.isfinite(ll):
-        return -np.inf, None, None
+        return -np.inf, np.full(p1 + 1, np.nan), np.full((p1 + 1, p1 + 1), np.nan)
     rm = r + mu
     s_r = digamma(r + y) - digamma(r) + np.log(r) - np.log(rm) + 1.0 - (r + y) / rm
     ds_r = polygamma(1, r + y) - polygamma(1, r) + 1.0 / r - 1.0 / rm - (mu - y) / rm**2
@@ -244,18 +280,18 @@ def fit_negbin(ds: Dataset) -> BaselineFit:
     pois = fit_poisson(ds)
     p1 = ds.n_cols
     y = ds.y.astype(float)
-    upper = np.full(p1 + 1, np.inf)
-    upper[p1] = np.log(NEGBIN_BOUNDARY_R)
-    z, (ll, g, info), stop = _newton(lambda z: _negbin_derivatives(ds.X, y, z),
-                                     np.append(pois.beta, np.log(NEGBIN_R0)), upper)
+    upper = np.append(np.full(p1, np.inf), np.log(NEGBIN_BOUNDARY_R))
+    z, (ll, g, info), stop = _one_response(_negbin_derivatives, ds.X, y,
+                                           np.append(pois.beta, np.log(NEGBIN_R0)),
+                                           -np.inf, upper)
 
     if z[p1] >= upper[p1] and g[p1] >= 0:
         # Poisson limit: report the Poisson solution, flagged.
         cov = np.full((p1 + 1, p1 + 1), np.nan)
         cov[:p1, :p1] = pois.cov
-        return BaselineFit("negbin", pois.beta.copy(), cov,
-                           negbin_loglik(y, np.exp(ds.X @ pois.beta), NEGBIN_LIMIT_R), True,
-                           extra=NEGBIN_LIMIT_R, boundary=True, n_obs=ds.n_obs)
+        mu = np.exp(linear_predictor(ds, pois.beta))
+        return BaselineFit("negbin", pois.beta.copy(), cov, negbin_loglik(y, mu, NEGBIN_LIMIT_R),
+                           True, extra=NEGBIN_LIMIT_R, boundary=True, n_obs=ds.n_obs)
     if stop != "converged":
         raise NonConvergenceError(f"negative binomial fit did not converge ({stop})")
     r_hat = float(np.exp(z[p1]))
@@ -291,7 +327,7 @@ def _rgpr_derivatives(X: np.ndarray, y: np.ndarray, z: np.ndarray):
     mu = np.exp(X @ z[:p1])
     ll = rgpr_loglik(y, mu, alpha)
     if not np.isfinite(ll):
-        return -np.inf, None, None
+        return -np.inf, np.full(p1 + 1, np.nan), np.full((p1 + 1, p1 + 1), np.nan)
     one_am = 1.0 + alpha * mu
     one_ay = 1.0 + alpha * y
     c = mu * (y - mu) / one_am**3
@@ -332,10 +368,10 @@ def fit_rgpr(ds: Dataset) -> BaselineFit:
     p1 = ds.n_cols
     y = ds.y.astype(float)
     y_max = float(y.max())
-    z, (ll, _, info), stop = _newton(lambda z: _rgpr_derivatives(ds.X, y, z),
-                                     np.append(pois.beta, 0.0))
+    z, (ll, _, info), stop = _one_response(_rgpr_derivatives, ds.X, y,
+                                           np.append(pois.beta, 0.0), -np.inf, np.inf)
     beta_hat, alpha_hat = z[:p1], float(z[p1])
-    mu_hat = np.exp(ds.X @ beta_hat)
+    mu_hat = np.exp(linear_predictor(ds, beta_hat))
 
     diagnostics = {
         "alpha": alpha_hat,

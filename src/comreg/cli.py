@@ -161,7 +161,7 @@ def _coef_text(report: dict) -> str:
             se = "-" if blk.get("se") is None else f"{blk['se']:.4f}"
             flag = "  [boundary]" if blk.get("boundary") else ""
             lines.append(f"  {key:<12} {blk['estimate']:10.4f} ({se}){flag}")
-    lines.append(f"  loglik {report['loglik']:.4f}  AICc {report['aicc']}")
+    lines.append(f"  loglik {report['loglik']:.4f}  AICc {float(report['aicc']):.4f}")
     return "\n".join(lines)
 
 

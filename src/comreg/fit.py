@@ -2,12 +2,13 @@
 
 The model: Y_i ~ COM-Poisson(lambda_i, nu) with log lambda_i = x_i' beta
 and a shared dispersion nu.  Estimation maximizes the log-likelihood
-over (beta, nu) by Fisher scoring from the Poisson fit.  The score
-and the expected (Fisher) information are covariances of the sufficient
-statistics (Y, log Y!), so the six sums of one series table per
-(beta, nu) (dist.log_term_table) give the loglik, both of them and the
-per-row moments; the standard errors come from the information at the
-optimum.
+over (beta, nu) by Fisher scoring from the Poisson fit: the model
+handed to baselines.newton, the loop behind every fit in the package.
+The score and the expected (Fisher) information are covariances of the
+sufficient statistics (Y, log Y!), so the six sums of one series table
+per (beta, nu) (dist.log_term_table) give the loglik, both of them and
+the per-row moments; the standard errors come from the information at
+the optimum.
 """
 
 from __future__ import annotations
@@ -31,20 +32,16 @@ class SingularInformationError(FitError):
 
 @dataclass(frozen=True)
 class OptimSettings:
-    grad_tol: float = 1e-12  # Newton-decrement stop rule, relative to max(1, |loglik|)
     max_iter: int = 500
     nu_floor: float = 1e-6
     nu_ceiling: float = 1e3
 
     def __post_init__(self):
-        if not (0 < self.grad_tol < 1):
-            raise ValueError("grad_tol must lie in (0, 1)")
         if not (self.nu_floor < 1 < self.nu_ceiling):
             raise ValueError("need nu_floor < 1 < nu_ceiling")
 
 
 DEFAULT_SETTINGS = OptimSettings()
-MAX_HALVINGS = 30    # step halvings per scoring iteration before the fit gives up
 CHUNK_CELLS = 1 << 16    # series-table cells (512 KB of float64) per stacked evaluation
 
 
@@ -60,8 +57,8 @@ class FitResult:
     n_params: int
     converged: bool
     iterations: int
-    boundary: bool = False   # nu pinned at nu_floor/nu_ceiling, or a 0/1 response
-                             # (no finite nu-hat); nu covariance unreliable
+    boundary: bool = False   # nu pinned at nu_floor/nu_ceiling, or a 0/1 or constant
+                             # response (no finite nu-hat); nu covariance unreliable
 
     @property
     def scaled_beta(self) -> np.ndarray:
@@ -263,14 +260,13 @@ def fit_replicates(
     beta0: np.ndarray,
     settings: OptimSettings = DEFAULT_SETTINGS,
     policy: dist.SeriesPolicy = dist.DEFAULT_POLICY,
-    nu0: float = 1.0,
     fix_nu: float | None = None,
 ) -> list:
     """fit_com on every response Y[b] (one per row of Y) with the shared design X.
 
-    Each replicate starts from beta0[b] and runs fit_com's own scoring
-    loop, with its own step, step halving, nu clamp, stop rule, boundary
-    flag and covariance; only the evaluations are shared: each scoring
+    Each replicate starts from (beta0[b], nu = 1) and has its own step,
+    step halving, nu clamp, stop rule, boundary flag and covariance in
+    one baselines.newton loop; only the evaluations are shared: each
     step, and each round of halving, evaluates the replicates still
     trying as one stack (see _evaluate_each).  A replicate whose trial
     point is unusable has that trial rejected, and no other.  Returns one
@@ -281,61 +277,26 @@ def fit_replicates(
     Y = np.asarray(Y)
     n_rep, n = Y.shape
     p1 = X.shape[1]
-    lo, hi = settings.nu_floor, settings.nu_ceiling
     free_nu = fix_nu is None
-    z = np.empty((n_rep, p1 + 1))
-    z[:, :p1] = beta0
-    z[:, p1] = np.clip(nu0, lo, hi) if free_nu else fix_nu
-    loglik, score, info, errors = _evaluate_each(X, Y, z, policy)
+    lo, hi = (settings.nu_floor, settings.nu_ceiling) if free_nu else (fix_nu, fix_nu)
+    lower, upper = np.append(np.full(p1, -np.inf), lo), np.append(np.full(p1, np.inf), hi)
+    z = np.column_stack([beta0, np.full(n_rep, 1.0 if free_nu else fix_nu)])
+    *at, errors = _evaluate_each(X, Y, z, policy)
+    z, (loglik, _, info), iterations, stop = baselines.newton(
+        lambda rows, z: _evaluate_each(X, Y[rows], z, policy)[:3],
+        z, at, lower, upper, settings.max_iter)
 
-    converged = np.zeros(n_rep, dtype=bool)
-    iterations = np.zeros(n_rep, dtype=int)
-    todo = np.array([e is None for e in errors])
-    while todo.any():
-        idx = np.flatnonzero(todo)
-        g, system, nu = score[idx], info[idx], z[idx, p1]
-        # nu stays put under fix_nu, and at a bound whose gradient points
-        # outward: solve the beta block alone (pin nu's row and column)
-        pinned = ((nu <= lo) & (g[:, p1] < 0)) | ((nu >= hi) & (g[:, p1] > 0)) | (not free_nu)
-        rhs = g
-        if pinned.any():
-            system[pinned, p1, :] = 0.0
-            system[pinned, :, p1] = 0.0
-            system[pinned, p1, p1] = 1.0
-            rhs = g.copy()
-            rhs[pinned, p1] = 0.0
-        step, singular = baselines.solve_each(system, rhs)
-        done = np.einsum("ij,ij->i", g, step) <= settings.grad_tol * np.maximum(
-            1.0, np.abs(loglik[idx]))
-        converged[idx[done]] = True
-        stop = singular | done | (iterations[idx] == settings.max_iter)
-        todo[idx[stop]] = False
-        idx, step = idx[~stop], step[~stop]
-        for _ in range(MAX_HALVINGS):
-            if not idx.size:
-                break
-            trial = z[idx] + step
-            if free_nu:
-                trial[:, p1] = np.clip(trial[:, p1], lo, hi)
-            new_loglik, new_score, new_info, _ = _evaluate_each(X, Y[idx], trial, policy)
-            ok = np.isfinite(new_loglik) & (new_loglik >= loglik[idx])
-            acc = idx[ok]
-            z[acc] = trial[ok]
-            loglik[acc], score[acc], info[acc] = new_loglik[ok], new_score[ok], new_info[ok]
-            iterations[acc] += 1
-            idx, step = idx[~ok], step[~ok] / 2.0
-        todo[idx] = False      # halving ran out: stop, not converged
-
-    # a 0/1 response has no finite nu-hat: the loglik rises towards the
-    # Bernoulli limit as nu grows, so its nu-hat is wherever the stop fired
-    bernoulli = np.all(Y <= 1, axis=1)
+    # a 0/1 or constant response has no finite nu-hat: the loglik rises
+    # towards the Bernoulli limit or a point mass as nu grows, so its
+    # nu-hat is wherever the stop fired
+    unidentified = np.all(Y <= 1, axis=1) | np.all(Y == Y[:, :1], axis=1)
     out = []
     for b in range(n_rep):
         if errors[b] is not None:
             out.append(errors[b])
             continue
         nu = float(z[b, p1])
-        boundary = free_nu and (bernoulli[b] or not (lo < nu < hi))
+        boundary = free_nu and (unidentified[b] or not (lo < nu < hi))
         cov = np.full((p1 + 1, p1 + 1), np.nan)
         try:
             cov = _invert_information(info[b])
@@ -350,7 +311,7 @@ def fit_replicates(
             loglik=float(loglik[b]),
             n_obs=n,
             n_params=p1 + 1,
-            converged=bool(converged[b]),
+            converged=stop[b] == "converged",
             iterations=int(iterations[b]),
             boundary=bool(boundary),
         ))
@@ -362,7 +323,6 @@ def fit_com(
     settings: OptimSettings = DEFAULT_SETTINGS,
     policy: dist.SeriesPolicy = dist.DEFAULT_POLICY,
     beta0: np.ndarray | None = None,
-    nu0: float = 1.0,
     fix_nu: float | None = None,
 ) -> FitResult:
     """Maximize the COM-Poisson log-likelihood over (beta, nu) by Fisher scoring.
@@ -370,20 +330,20 @@ def fit_com(
     In (beta, nu) the model is a canonical exponential family: the
     loglik is concave and the expected information is its negative
     Hessian, so each scoring step I step = g is a Newton step.  The step
-    is halved until the loglik does not fall.  nu is clamped to
-    [nu_floor, nu_ceiling]; at a bound whose gradient points outward
-    only beta moves, and the result is flagged boundary, as is a 0/1
-    response (the Bernoulli limit, where no finite nu maximizes the
-    loglik).  fix_nu pins the dispersion (e.g. fix_nu=1 gives the Poisson
-    slice of the likelihood surface) and solves the beta block only.
-    converged means the Newton decrement g' I^-1 g fell to
-    grad_tol * max(1, |loglik|) within max_iter steps.  This is
-    fit_replicates with one replicate.
+    is halved until the loglik does not fall.  nu starts at 1 and is
+    clamped to [nu_floor, nu_ceiling]; at a bound whose gradient points
+    outward only beta moves, and the result is flagged boundary, as is a
+    0/1 response (the Bernoulli limit, where no finite nu maximizes the
+    loglik) or a constant one (a point mass).  fix_nu pins the
+    dispersion (e.g. fix_nu=1 gives the Poisson slice of the likelihood
+    surface) and solves the beta block only.  converged means one of
+    baselines.newton's relative stop rules fired within max_iter steps.
+    This is fit_replicates with one replicate.
     """
     if beta0 is None:
         beta0 = fit_poisson_start(ds)
     (result,) = fit_replicates(ds.X, ds.y[None], np.asarray(beta0, dtype=float)[None],
-                               settings, policy, nu0, fix_nu)
+                               settings, policy, fix_nu)
     if isinstance(result, Exception):
         raise result
     return result

@@ -53,8 +53,8 @@ class BootstrapResult:
 def _refit(ds: Dataset, y_star: np.ndarray, settings: fit.OptimSettings):
     """fit_com on each replicate response y_star[b] with the design of ds.
 
-    The Poisson warm starts run as one stacked Newton iteration and the
-    COM-Poisson fits as one stacked scoring loop (fit.fit_replicates).
+    The Poisson warm starts and the COM-Poisson fits (fit.fit_replicates)
+    each run as one stacked Newton loop (baselines.newton).
     Returns per replicate its FitResult or the error that ended it, and
     its Poisson loglik.
     """
@@ -120,7 +120,7 @@ def parametric_bootstrap(
     Each replicate draws from its own counter-indexed substream of the
     master seed, so results do not depend on execution order; the draws
     share one pmf table, and the replicates are refitted together (one
-    stacked Poisson warm start, one stacked scoring loop).  Percentile
+    stacked Poisson warm start, one stacked COM-Poisson fit).  Percentile
     intervals are computed over converged replicates only; a >20% failure
     rate marks the result unreliable, and fit.FitError is raised when
     every replicate fails.  failures counts the dropped replicates by

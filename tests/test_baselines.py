@@ -18,7 +18,7 @@ from comreg.baselines import (
     rgpr_loglik,
 )
 from comreg.data import Dataset, simulate
-from comreg.fit import fit_com, fitted_values
+from comreg.fit import fit_com, fit_replicates, fitted_values
 
 
 def gamma_poisson_dataset(n, beta, r, seed):
@@ -226,16 +226,22 @@ class TestNewtonDerivatives:
                    ds, np.append(beta, alpha))
 
 
+def one_response(derivatives, X, y):
+    """newton's model of one response from derivatives(X, y, z)."""
+    return lambda rows, z: tuple(np.asarray(a)[None] for a in derivatives(X, y, z[0]))
+
+
 class TestNewtonLoop:
     def test_never_accepts_a_lower_loglik(self):
         # a model whose "score" points downhill: every trial lowers the
         # loglik, so none may be accepted, however far the step is halved
         z0 = np.array([1.0, -2.0])
 
-        def downhill_score(z):
-            return -0.5 * z @ z, z, np.eye(2)
+        def downhill_score(rows, z):
+            return -0.5 * np.einsum("ij,ij->i", z, z), z, np.tile(np.eye(2), (len(z), 1, 1))
 
-        z, (ll, _, _), _ = baselines._newton(downhill_score, z0)
+        (z,), ((ll,), _, _), _, _ = baselines.newton(
+            downhill_score, z0[None], downhill_score(None, z0[None]), -np.inf, np.inf, 500)
         assert np.array_equal(z, z0) and ll == -2.5
 
     @pytest.mark.parametrize("derivatives", ["_negbin_derivatives", "_rgpr_derivatives"])
@@ -244,16 +250,34 @@ class TestNewtonLoop:
         # overshooting trials: it ends at the highest loglik it evaluated
         y = airfreight.y.astype(float)
         seen = []
+        evaluate = one_response(getattr(baselines, derivatives), airfreight.X, y)
 
-        def model(z):
-            out = getattr(baselines, derivatives)(airfreight.X, y, z)
-            seen.append(out[0])
+        def model(rows, z):
+            out = evaluate(rows, z)
+            seen.append(out[0][0])
             return out
 
         upper = np.array([np.inf, np.inf, np.log(baselines.NEGBIN_BOUNDARY_R)])
-        z0 = np.append(fit_poisson(airfreight).beta, 0.0)
-        _, (ll, _, _), _ = baselines._newton(model, z0, upper)
+        z0 = np.append(fit_poisson(airfreight).beta, 0.0)[None]
+        _, ((ll,), _, _), _, _ = baselines.newton(model, z0, model(None, z0), -np.inf, upper, 500)
         assert len(seen) > 10 and ll == max(seen)
+
+    def test_every_fitter_runs_through_it(self, airfreight, monkeypatch):
+        calls = []
+        loop = baselines.newton
+        monkeypatch.setattr(baselines, "newton", lambda *a: calls.append(1) or loop(*a))
+        binary = Dataset(y=airfreight.y % 2, X=airfreight.X, names=airfreight.names)
+        fits = [lambda: fit_com(airfreight),
+                lambda: fit_replicates(airfreight.X, airfreight.y[None],
+                                       fit_poisson(airfreight).beta[None]),
+                lambda: fit_poisson(airfreight),
+                lambda: fit_logistic(binary),
+                lambda: fit_negbin(airfreight),
+                lambda: fit_rgpr(gamma_poisson_dataset(300, [1.0, 0.5], r=4.0, seed=3))]
+        for run in fits:
+            before = len(calls)
+            run()
+            assert len(calls) > before
 
 
 class TestCompareModels:

@@ -99,6 +99,7 @@ class TestFit:
         assert "model: com-poisson" in out
         assert "nu" in out
         assert "(" in out  # estimate (SE) cells
+        assert "  loglik -18.6449  AICc 47.2898\n" in out
 
     def test_binary_response_nu_at_boundary(self, capsys, tmp_path, schema):
         # 0/1 counts: nu has no finite estimate (the Bernoulli limit)
