@@ -27,7 +27,8 @@ NEGBIN_R0 = 10.0          # start of the negative binomial fit
 NEWTON_MAX_ITER = 500     # newton steps per baseline fit
 NEWTON_DECREMENT = 1e-12  # newton stops when g' step <= this * max(1, |loglik|)
 NEWTON_RTOL = 1e-8        # or when a step moves no coordinate by more than this * max(1, max|z|)
-RUNOFF_ETA = 30.0         # a GLM fit with some |x'beta| beyond this has no finite estimate
+RUNOFF_STEP = 0.5         # a GLM fit whose Newton step at the end moves some x'beta this far
+RUNOFF = "ran off towards an estimate at infinity"
 
 
 class BaselineError(RuntimeError):
@@ -80,16 +81,20 @@ def newton(model, z, at, lower, upper, max_iter):
     step is not an ascent direction.  A coordinate at lower or upper
     whose score points outward is held (lower = upper fixes it).  The
     step is halved, each trial clipped to [lower, upper], until the
-    loglik does not fall.  A replicate converges when its Newton
-    decrement g' step is at most NEWTON_DECREMENT * max(1, |loglik|),
-    or when the step it takes, or would take after halving, moves no
-    coordinate by more than NEWTON_RTOL * max(1, max|z|): both rules are
-    relative, so counts of any size converge, and the decrement also
-    stops a likelihood that flattens out without an optimum.  It stops
-    unconverged after max_iter steps, when its information is unusable,
-    or when every trial of a step is unusable.  Returns (z, (loglik,
-    score, info) at z, iterations, stop): stop[b] is "converged" or why
-    replicate b stopped.
+    loglik does not fall.  A replicate converges when the step it takes,
+    or would take after halving, moves no coordinate by more than
+    NEWTON_RTOL * max(1, max|z|), or when its Newton decrement g' step is
+    at most NEWTON_DECREMENT * max(1, |loglik|); a pending step larger
+    than that tolerance is then still taken where the loglik does not
+    fall (a last step, not counted in iterations): a converged replicate
+    ends within the tolerance of where its Newton step points, unless
+    the loglik's rounding rejects that last step.  Both
+    rules are relative, so counts of any size converge, and the
+    decrement also stops a likelihood that flattens out without an
+    optimum.  It stops unconverged after max_iter steps, when its
+    information is unusable, or when every trial of a step is unusable.
+    Returns (z, (loglik, score, info) at z, iterations, stop): stop[b]
+    is "converged" or why replicate b stopped.
     """
     z = np.array(z, dtype=float)
     loglik, score, info = (np.array(a, dtype=float) for a in at)
@@ -98,18 +103,22 @@ def newton(model, z, at, lower, upper, max_iter):
     stop = np.full(len(z), "unusable start point", dtype=object)
     parts = []
 
-    def accept(rows, trial, at, small):
+    def accept(rows, trial, at, small, last):
         z[rows] = trial
         loglik[rows], score[rows], info[rows] = at
-        iterations[rows] += 1
-        if small.any():     # a step that small: converged
-            stop[rows[small]] = "converged"
-            rows = rows[~small]
+        done = small | last
+        if done.any():      # a step that small, or the last one: converged
+            stop[rows[done]] = "converged"
+            iterations[rows[small]] += 1
+            rows = rows[~done]
         parts.append(rows)
 
     todo = np.flatnonzero(np.isfinite(loglik))
     with np.errstate(all="ignore"):    # unusable points are rejected, not reported
-        while todo.size:
+        for n_pass in range(max_iter + 1):
+            if not todo.size:
+                break
+            iterations[todo] = n_pass    # one step per pass for each replicate going on
             g, system, zi, base = score[todo], info[todo], z[todo], loglik[todo]
             if bounded:
                 held = ((zi <= lower) & (g <= 0.0)) | ((zi >= upper) & (g >= 0.0))
@@ -122,21 +131,22 @@ def newton(model, z, at, lower, upper, max_iter):
                 step = np.linalg.solve(system, g[..., None])[..., 0]
             except np.linalg.LinAlgError:
                 step = np.full_like(g, np.nan)
-            decrement = np.einsum("ij,ij->i", g, step)
+            decrement = (g * step).sum(axis=1)
             if not (decrement > 0.0).all():
                 uphill = ~(decrement > 0.0)
                 w, V = np.linalg.eigh(system[uphill])
                 w = np.maximum(np.abs(w), 1e-12 * np.abs(w).max(axis=1, keepdims=True))
                 step[uphill] = (V @ ((g[uphill, None, :] @ V)[:, 0] / w)[..., None])[..., 0]
-                decrement[uphill] = np.einsum("ij,ij->i", g[uphill], step[uphill])
-            limit = NEWTON_DECREMENT * np.maximum(1.0, np.abs(base))
-            go = (decrement > limit) & (decrement < np.inf) & (iterations[todo] < max_iter)
+                decrement[uphill] = (g[uphill] * step[uphill]).sum(axis=1)
+            # a replicate whose decrement fired stops converged, after its
+            # pending step unless that is within tol
+            last = decrement <= NEWTON_DECREMENT * np.maximum(1.0, np.abs(base))
+            go = last | (decrement < np.inf) if n_pass < max_iter else last
             if not go.all():
-                d, done = decrement[~go], todo[~go]
-                stop[done] = np.where(d <= limit[~go], "converged", np.where(
-                    d < np.inf, f"no convergence in {max_iter} iterations",
-                    "information not usable"))
-                todo, step, zi, base = todo[go], step[go], zi[go], base[go]
+                stop[todo[~go]] = np.where(decrement[~go] < np.inf,
+                                           f"no convergence in {max_iter} iterations",
+                                           "information not usable")
+                todo, step, zi, base, last = todo[go], step[go], zi[go], base[go], last[go]
 
             idx, usable, halved = todo, np.zeros(len(todo), dtype=bool), False
             tol = NEWTON_RTOL * np.maximum(1.0, np.abs(zi).max(axis=1))
@@ -145,25 +155,28 @@ def newton(model, z, at, lower, upper, max_iter):
                 if bounded:
                     trial = np.clip(trial, lower, upper)
                 small = np.abs(trial - zi).max(axis=1) <= tol
-                if halved and small.any():
-                    # halved that far without a usable rise: the loglik's rounding
-                    stop[idx[small]] = np.where(usable[small], "converged",
-                                                "no usable trial point")
-                    keep = ~small
-                    idx, zi, base, step, tol, usable, trial, small = (
-                        a[keep] for a in (idx, zi, base, step, tol, usable, trial, small))
+                end = small if halved else small & last
+                if end.any():
+                    # halved that far without a usable rise (the loglik's
+                    # rounding), or converged without taking so small a step
+                    stop[idx[end]] = np.where((usable | last)[end], "converged",
+                                              "no usable trial point")
+                    keep = ~end
+                    idx, zi, base, step, tol, usable, trial, small, last = (
+                        a[keep] for a in (idx, zi, base, step, tol, usable, trial, small, last))
                     if not idx.size:
                         break
                 new = model(idx, trial)
                 ok = new[0] >= base
                 if ok.all():
-                    accept(idx, trial, new, small)
+                    accept(idx, trial, new, small, last)
                     break
-                accept(idx[ok], trial[ok], (a[ok] for a in new), small[ok])
-                keep = ~ok
+                accept(idx[ok], trial[ok], (a[ok] for a in new), small[ok], last[ok])
+                stop[idx[last & ~ok]] = "converged"
+                keep = ~(ok | last)
                 usable = usable[keep] | np.isfinite(new[0][keep])
-                idx, zi, base, step, tol = (
-                    idx[keep], zi[keep], base[keep], step[keep] / 2.0, tol[keep])
+                idx, zi, base, step, tol, last = (
+                    idx[keep], zi[keep], base[keep], step[keep] / 2.0, tol[keep], last[keep])
                 halved = True
             todo, parts = (np.concatenate(parts) if parts else todo[:0]), []
     return z, (loglik, score, info), iterations, stop.astype(str).tolist()
@@ -176,8 +189,12 @@ def _fit_glm(X: np.ndarray, Y: np.ndarray, beta0, mean_fn, var_fn, cumulant_fn, 
     products with X run one row at a time (a stack of matrix products,
     never one across rows), so a row's fit does not depend on the others.
     Returns (beta, H, loglik, failure) per row: H is X'WX, and failure
-    None or the NonConvergenceError that ended it (a fit with some |eta|
-    beyond RUNOFF_ETA ran off towards an estimate at infinity).
+    None or the NonConvergenceError that ended it, its diagnostics
+    {"stop": why}.  A fit with no finite estimate stops where its
+    decrement fires while its Newton step still moves the eta of the
+    rows it runs off on by about one (a group of m all-zero counts
+    contributes m e^eta to the decrement), so a converged fit whose next
+    step still moves some eta by more than RUNOFF_STEP ran off.
     """
     def model(rows, z):
         eta = (z[:, None, :] @ X.T)[:, 0]
@@ -186,12 +203,17 @@ def _fit_glm(X: np.ndarray, Y: np.ndarray, beta0, mean_fn, var_fn, cumulant_fn, 
         return (np.sum(y * eta - cumulant_fn(eta, mu), axis=-1) + log_c[rows],
                 ((y - mu)[:, None, :] @ X)[:, 0], (X.T * var_fn(mu)[:, None, :]) @ X)
 
-    beta, (loglik, _, H), _, stop = newton(model, beta0, model(np.arange(len(Y)), beta0),
+    beta, (loglik, g, H), _, stop = newton(model, beta0, model(np.arange(len(Y)), beta0),
                                            -np.inf, np.inf, NEWTON_MAX_ITER)
-    runoff = np.abs(beta @ X.T).max(axis=1) > RUNOFF_ETA
-    reasons = np.where(runoff, f"ran off: some |eta| > {RUNOFF_ETA:g}", stop)
+    reasons = np.array(stop, dtype=object)
+    done = np.flatnonzero(reasons == "converged")
+    try:
+        step = np.linalg.solve(H[done], g[done, :, None])[..., 0]
+    except np.linalg.LinAlgError:   # weights underflowed: only a fit that ran off gets there
+        step = np.full((len(done), X.shape[1]), np.inf)
+    reasons[done[np.abs(step @ X.T).max(axis=1) > RUNOFF_STEP]] = RUNOFF
     failure = [None if r == "converged" else NonConvergenceError(
-        f"Newton iterations did not converge ({r})") for r in reasons]
+        f"Newton iterations did not converge ({r})", {"stop": r}) for r in reasons]
     return beta, H, loglik, failure
 
 
@@ -223,9 +245,9 @@ def fit_logistic(ds: Dataset) -> BaselineFit:
                                        lambda mu: mu * (1.0 - mu),
                                        lambda eta, mu: np.logaddexp(0.0, eta), np.zeros(1))
     if failure is not None:
-        raise SeparationError(
-            "complete separation: fitted probabilities at 0/1"
-        ) from failure
+        stop = failure.diagnostics["stop"]
+        raise SeparationError("complete separation: fitted probabilities at 0/1" if stop == RUNOFF
+                              else f"logistic fit failed ({stop})") from failure
     return BaselineFit("logistic", beta[0], np.linalg.inv(H[0]), float(ll[0]), True,
                        n_obs=ds.n_obs)
 
@@ -233,12 +255,15 @@ def fit_logistic(ds: Dataset) -> BaselineFit:
 def _one_response(derivatives, X: np.ndarray, y: np.ndarray, z0: np.ndarray, lower, upper):
     """newton on one response whose derivatives(X, y, z) give its loglik,
     score and information at z: (z, (loglik, score, info), stop) at the end."""
-    def model(rows, z):
-        return tuple(np.asarray(a)[None] for a in derivatives(X, y, z[0]))
-
+    model = _one_response_model(derivatives, X, y)
     (z,), ((ll,), (g,), (info,)), _, (stop,) = newton(
         model, z0[None], model(None, z0[None]), lower, upper, NEWTON_MAX_ITER)
     return z, (float(ll), g, info), stop
+
+
+def _one_response_model(derivatives, X: np.ndarray, y: np.ndarray):
+    """newton's model of one response from derivatives(X, y, z)."""
+    return lambda rows, z: tuple(np.asarray(a)[None] for a in derivatives(X, y, z[0]))
 
 
 def negbin_loglik(y: np.ndarray, mu: np.ndarray, r: float) -> float:

@@ -77,6 +77,22 @@ class TestNewtonStopRule:
             assert np.all(np.abs(ds.X.T @ (ds.y - mu)) <= 1e-9 * ds.y.sum())
             assert np.allclose(bf.beta, [np.log(mean) - 0.15, 0.3], atol=0.05)
 
+    def test_estimates_are_within_the_step_tolerance(self):
+        # the decrement can fire while the pending Newton step is still
+        # 1e-5 of the estimate: newton takes that last step
+        for seed in range(30):
+            rng = np.random.default_rng(seed)
+            n = [30, 200, 1000][seed % 3]
+            X = np.column_stack([np.ones(n), rng.uniform(-1, 1, n), rng.uniform(-1, 1, n)])
+            counts = rng.poisson(np.exp(X @ [np.log([1.0, 100.0, 8000.0][seed % 3]), 0.3, -0.2]))
+            binary = (rng.uniform(size=n) < expit(X @ [0.2, 1.5, -0.6])).astype(int)
+            for fit, y, mean in ((fit_poisson, counts, np.exp), (fit_logistic, binary, expit)):
+                bf = fit(Dataset(y=y, X=X, names=("intercept", "x1", "x2")))
+                mu = mean(X @ bf.beta)
+                step = bf.cov @ (X.T @ (y - mu))
+                tol = baselines.NEWTON_RTOL * max(1.0, np.abs(bf.beta).max())
+                assert np.abs(step).max() <= tol
+
     def test_airfreight_unchanged(self, airfreight):
         # values of the absolute rule, which stopped at the same optimum
         bf = fit_poisson(airfreight)
@@ -101,6 +117,21 @@ class TestNewtonStopRule:
             assert failure[b] is None
             bf = fit_poisson(ds)
             assert np.array_equal(beta[b], bf.beta) and loglik[b] == bf.loglik
+
+    def test_all_zero_response_runs_off(self):
+        # few rows and a small loglik: the decrement fires at beta0 ~ -29,
+        # where the next Newton step still moves eta by one
+        ds = Dataset(y=np.zeros(5, dtype=int), X=np.ones((5, 1)), names=("intercept",))
+        with pytest.raises(NonConvergenceError, match="ran off"):
+            fit_poisson(ds)
+
+    def test_all_zero_level_of_a_dummy_runs_off(self):
+        rng = np.random.default_rng(1)
+        dummy = (np.arange(30) < 3).astype(float)
+        X = np.column_stack([np.ones(30), dummy, rng.uniform(-1, 1, 30)])
+        y = np.where(dummy == 1, 0, rng.poisson(4.0, 30))
+        with pytest.raises(NonConvergenceError, match="ran off"):
+            fit_poisson(Dataset(y=y, X=X, names=("intercept", "d", "x")))
 
 
 class TestNegbin:
@@ -149,6 +180,23 @@ class TestLogistic:
         X = np.column_stack([np.ones(8), np.arange(8.0)])
         ds = Dataset(y=y, X=X, names=("intercept", "x"))
         with pytest.raises(SeparationError):
+            fit_logistic(ds)
+
+    def test_all_zero_level_of_a_dummy_is_separation(self):
+        # quasi-complete separation: the other rows keep |eta| small
+        rng = np.random.default_rng(1)
+        dummy = (np.arange(30) < 3).astype(float)
+        X = np.column_stack([np.ones(30), dummy, rng.uniform(-1, 1, 30)])
+        y = np.where(dummy == 1, 0, rng.integers(0, 2, 30))
+        with pytest.raises(SeparationError, match="fitted probabilities at 0/1"):
+            fit_logistic(Dataset(y=y, X=X, names=("intercept", "d", "x")))
+
+    def test_other_failures_say_why_the_loop_stopped(self, monkeypatch):
+        rng = np.random.default_rng(2)
+        X = np.column_stack([np.ones(40), rng.uniform(-1, 1, 40)])
+        ds = Dataset(y=rng.integers(0, 2, 40), X=X, names=("intercept", "x"))
+        monkeypatch.setattr(baselines, "NEWTON_MAX_ITER", 1)
+        with pytest.raises(SeparationError, match=r"failed \(no convergence in 1 iterations\)"):
             fit_logistic(ds)
 
     def test_rejects_non_binary(self, airfreight):
@@ -226,11 +274,6 @@ class TestNewtonDerivatives:
                    ds, np.append(beta, alpha))
 
 
-def one_response(derivatives, X, y):
-    """newton's model of one response from derivatives(X, y, z)."""
-    return lambda rows, z: tuple(np.asarray(a)[None] for a in derivatives(X, y, z[0]))
-
-
 class TestNewtonLoop:
     def test_never_accepts_a_lower_loglik(self):
         # a model whose "score" points downhill: every trial lowers the
@@ -250,7 +293,7 @@ class TestNewtonLoop:
         # overshooting trials: it ends at the highest loglik it evaluated
         y = airfreight.y.astype(float)
         seen = []
-        evaluate = one_response(getattr(baselines, derivatives), airfreight.X, y)
+        evaluate = baselines._one_response_model(getattr(baselines, derivatives), airfreight.X, y)
 
         def model(rows, z):
             out = evaluate(rows, z)
