@@ -78,23 +78,20 @@ def newton(model, z, at, lower, upper, max_iter):
     b's start and at is model's output there; a replicate whose start is
     unusable does not move.  Each step solves I step = g, or |I| step = g
     (|I| has the absolute values of I's eigenvalues) where the Newton
-    step is not an ascent direction.  A coordinate at lower or upper
-    whose score points outward is held (lower = upper fixes it).  The
-    step is halved, each trial clipped to [lower, upper], until the
-    loglik does not fall.  A replicate converges when the step it takes,
-    or would take after halving, moves no coordinate by more than
-    NEWTON_RTOL * max(1, max|z|), or when its Newton decrement g' step is
-    at most NEWTON_DECREMENT * max(1, |loglik|); a pending step larger
-    than that tolerance is then still taken where the loglik does not
-    fall (a last step, not counted in iterations): a converged replicate
-    ends within the tolerance of where its Newton step points, unless
-    the loglik's rounding rejects that last step.  Both
-    rules are relative, so counts of any size converge, and the
-    decrement also stops a likelihood that flattens out without an
-    optimum.  It stops unconverged after max_iter steps, when its
-    information is unusable, or when every trial of a step is unusable.
-    Returns (z, (loglik, score, info) at z, iterations, stop): stop[b]
-    is "converged" or why replicate b stopped.
+    step is not an ascent direction, holds a coordinate at lower or upper
+    whose score points outward (lower = upper fixes it), and is halved,
+    each trial clipped to [lower, upper], until the loglik does not fall.
+    A replicate converges when a step, full or halved, moves no
+    coordinate by more than NEWTON_RTOL * max(1, max|z|), or when its
+    Newton decrement g' step is at most NEWTON_DECREMENT * max(1,
+    |loglik|), which also stops a loglik that flattens out without an
+    optimum; a pending step beyond that tolerance is then still taken
+    where the loglik does not fall (not counted in iterations).  Both
+    rules are relative, so counts of any size converge.  It stops
+    unconverged after max_iter steps, when its information is unusable,
+    or when every trial of a step is unusable.  Returns (z, (loglik,
+    score, info) at z, iterations, stop): stop[b] is "converged" or why
+    replicate b stopped.
     """
     z = np.array(z, dtype=float)
     loglik, score, info = (np.array(a, dtype=float) for a in at)
@@ -106,19 +103,16 @@ def newton(model, z, at, lower, upper, max_iter):
     def accept(rows, trial, at, small, last):
         z[rows] = trial
         loglik[rows], score[rows], info[rows] = at
+        iterations[rows] += ~last
         done = small | last
         if done.any():      # a step that small, or the last one: converged
             stop[rows[done]] = "converged"
-            iterations[rows[small]] += 1
             rows = rows[~done]
         parts.append(rows)
 
     todo = np.flatnonzero(np.isfinite(loglik))
     with np.errstate(all="ignore"):    # unusable points are rejected, not reported
-        for n_pass in range(max_iter + 1):
-            if not todo.size:
-                break
-            iterations[todo] = n_pass    # one step per pass for each replicate going on
+        while todo.size:
             g, system, zi, base = score[todo], info[todo], z[todo], loglik[todo]
             if bounded:
                 held = ((zi <= lower) & (g <= 0.0)) | ((zi >= upper) & (g >= 0.0))
@@ -138,10 +132,9 @@ def newton(model, z, at, lower, upper, max_iter):
                 w = np.maximum(np.abs(w), 1e-12 * np.abs(w).max(axis=1, keepdims=True))
                 step[uphill] = (V @ ((g[uphill, None, :] @ V)[:, 0] / w)[..., None])[..., 0]
                 decrement[uphill] = (g[uphill] * step[uphill]).sum(axis=1)
-            # a replicate whose decrement fired stops converged, after its
-            # pending step unless that is within tol
+            # a replicate whose decrement fired stops after its pending step
             last = decrement <= NEWTON_DECREMENT * np.maximum(1.0, np.abs(base))
-            go = last | (decrement < np.inf) if n_pass < max_iter else last
+            go = last | ((decrement < np.inf) & (iterations[todo] < max_iter))
             if not go.all():
                 stop[todo[~go]] = np.where(decrement[~go] < np.inf,
                                            f"no convergence in {max_iter} iterations",
@@ -157,8 +150,7 @@ def newton(model, z, at, lower, upper, max_iter):
                 small = np.abs(trial - zi).max(axis=1) <= tol
                 end = small if halved else small & last
                 if end.any():
-                    # halved that far without a usable rise (the loglik's
-                    # rounding), or converged without taking so small a step
+                    # halved that far without a rise (rounding), or a last step that small
                     stop[idx[end]] = np.where((usable | last)[end], "converged",
                                               "no usable trial point")
                     keep = ~end
@@ -189,12 +181,11 @@ def _fit_glm(X: np.ndarray, Y: np.ndarray, beta0, mean_fn, var_fn, cumulant_fn, 
     products with X run one row at a time (a stack of matrix products,
     never one across rows), so a row's fit does not depend on the others.
     Returns (beta, H, loglik, failure) per row: H is X'WX, and failure
-    None or the NonConvergenceError that ended it, its diagnostics
-    {"stop": why}.  A fit with no finite estimate stops where its
-    decrement fires while its Newton step still moves the eta of the
-    rows it runs off on by about one (a group of m all-zero counts
-    contributes m e^eta to the decrement), so a converged fit whose next
-    step still moves some eta by more than RUNOFF_STEP ran off.
+    None or the NonConvergenceError, diagnostics {"stop": why}, that
+    ended it.  A fit with no finite estimate stops by its decrement (m
+    e^eta for m all-zero counts) while its Newton step still moves some
+    eta by about one: a converged fit whose next step moves some eta by
+    more than RUNOFF_STEP ran off.
     """
     def model(rows, z):
         eta = (z[:, None, :] @ X.T)[:, 0]
@@ -255,25 +246,17 @@ def fit_logistic(ds: Dataset) -> BaselineFit:
 def _one_response(derivatives, X: np.ndarray, y: np.ndarray, z0: np.ndarray, lower, upper):
     """newton on one response whose derivatives(X, y, z) give its loglik,
     score and information at z: (z, (loglik, score, info), stop) at the end."""
-    model = _one_response_model(derivatives, X, y)
+    def model(rows, z):
+        return tuple(np.asarray(a)[None] for a in derivatives(X, y, z[0]))
+
     (z,), ((ll,), (g,), (info,)), _, (stop,) = newton(
         model, z0[None], model(None, z0[None]), lower, upper, NEWTON_MAX_ITER)
     return z, (float(ll), g, info), stop
 
 
-def _one_response_model(derivatives, X: np.ndarray, y: np.ndarray):
-    """newton's model of one response from derivatives(X, y, z)."""
-    return lambda rows, z: tuple(np.asarray(a)[None] for a in derivatives(X, y, z[0]))
-
-
 def negbin_loglik(y: np.ndarray, mu: np.ndarray, r: float) -> float:
-    return float(
-        np.sum(
-            gammaln(r + y) - gammaln(r) - gammaln(y + 1.0)
-            + r * (np.log(r) - np.log(r + mu))
-            + y * (np.log(mu) - np.log(r + mu))
-        )
-    )
+    return float(np.sum(gammaln(r + y) - gammaln(r) - gammaln(y + 1.0)
+                        + r * (np.log(r) - np.log(r + mu)) + y * (np.log(mu) - np.log(r + mu))))
 
 
 def _negbin_derivatives(X: np.ndarray, y: np.ndarray, z: np.ndarray):
@@ -412,10 +395,8 @@ def fit_rgpr(ds: Dataset) -> BaselineFit:
         diagnostics["pmf_mass_deficiency"] = deficiency
         if 1.0 + alpha_hat * y_max < 0.05 or deficiency > 1e-3:
             raise NonConvergenceError(
-                "RGPR did not converge: alpha driven to the feasibility "
-                "boundary 1 + alpha*y > 0 (under-dispersed data)",
-                diagnostics,
-            )
+                "RGPR did not converge: alpha driven to the feasibility boundary "
+                "1 + alpha*y > 0 (under-dispersed data)", diagnostics)
     if stop != "converged":
         raise NonConvergenceError(f"RGPR fit did not converge ({stop})", diagnostics)
     try:
@@ -475,10 +456,6 @@ def compare_models(ds: Dataset, fits: dict, fitted: dict) -> ModelComparison:
         yhat = fitted.get(name)
         mse = None if yhat is None else float(np.mean((y - np.asarray(yhat)) ** 2))
         note = "AICc infinite: n = k+1" if np.isinf(aicc) else None
-        comp.rows.append(
-            ComparisonRow(
-                model=name, status="ok", loglik=f.loglik, k=k,
-                aic=aic, aicc=aicc, mse=mse, note=note,
-            )
-        )
+        comp.rows.append(ComparisonRow(model=name, status="ok", loglik=f.loglik, k=k,
+                                       aic=aic, aicc=aicc, mse=mse, note=note))
     return comp

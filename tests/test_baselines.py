@@ -293,16 +293,16 @@ class TestNewtonLoop:
         # overshooting trials: it ends at the highest loglik it evaluated
         y = airfreight.y.astype(float)
         seen = []
-        evaluate = baselines._one_response_model(getattr(baselines, derivatives), airfreight.X, y)
+        evaluate = getattr(baselines, derivatives)
 
-        def model(rows, z):
-            out = evaluate(rows, z)
-            seen.append(out[0][0])
+        def recording(X, y, z):
+            out = evaluate(X, y, z)
+            seen.append(out[0])
             return out
 
         upper = np.array([np.inf, np.inf, np.log(baselines.NEGBIN_BOUNDARY_R)])
-        z0 = np.append(fit_poisson(airfreight).beta, 0.0)[None]
-        _, ((ll,), _, _), _, _ = baselines.newton(model, z0, model(None, z0), -np.inf, upper, 500)
+        z0 = np.append(fit_poisson(airfreight).beta, 0.0)
+        _, (ll, _, _), _ = baselines._one_response(recording, airfreight.X, y, z0, -np.inf, upper)
         assert len(seen) > 10 and ll == max(seen)
 
     def test_every_fitter_runs_through_it(self, airfreight, monkeypatch):
