@@ -28,7 +28,6 @@ NEWTON_MAX_ITER = 500     # newton steps per baseline fit
 NEWTON_DECREMENT = 1e-12  # newton stops when g' step <= this * max(1, |loglik|)
 NEWTON_RTOL = 1e-8        # or when a step moves no coordinate by more than this * max(1, max|z|)
 RUNOFF_STEP = 0.5         # a GLM fit whose Newton step at the end moves some x'beta this far
-RUNOFF = "ran off towards an estimate at infinity"
 
 
 class BaselineError(RuntimeError):
@@ -181,11 +180,11 @@ def _fit_glm(X: np.ndarray, Y: np.ndarray, beta0, mean_fn, var_fn, cumulant_fn, 
     products with X run one row at a time (a stack of matrix products,
     never one across rows), so a row's fit does not depend on the others.
     Returns (beta, H, loglik, failure) per row: H is X'WX, and failure
-    None or the NonConvergenceError, diagnostics {"stop": why}, that
-    ended it.  A fit with no finite estimate stops by its decrement (m
-    e^eta for m all-zero counts) while its Newton step still moves some
-    eta by about one: a converged fit whose next step moves some eta by
-    more than RUNOFF_STEP ran off.
+    None or the NonConvergenceError that ended it.  A fit with no finite
+    estimate stops by its decrement (m e^eta for m all-zero counts)
+    while its Newton step still moves some eta by about one, so a
+    converged fit whose next step moves some eta by more than
+    RUNOFF_STEP ran off.
     """
     def model(rows, z):
         eta = (z[:, None, :] @ X.T)[:, 0]
@@ -202,9 +201,10 @@ def _fit_glm(X: np.ndarray, Y: np.ndarray, beta0, mean_fn, var_fn, cumulant_fn, 
         step = np.linalg.solve(H[done], g[done, :, None])[..., 0]
     except np.linalg.LinAlgError:   # weights underflowed: only a fit that ran off gets there
         step = np.full((len(done), X.shape[1]), np.inf)
-    reasons[done[np.abs(step @ X.T).max(axis=1) > RUNOFF_STEP]] = RUNOFF
+    reasons[done[np.abs(step @ X.T).max(axis=1) > RUNOFF_STEP]] = (
+        "ran off towards an estimate at infinity")
     failure = [None if r == "converged" else NonConvergenceError(
-        f"Newton iterations did not converge ({r})", {"stop": r}) for r in reasons]
+        f"Newton iterations did not converge ({r})") for r in reasons]
     return beta, H, loglik, failure
 
 
@@ -236,9 +236,7 @@ def fit_logistic(ds: Dataset) -> BaselineFit:
                                        lambda mu: mu * (1.0 - mu),
                                        lambda eta, mu: np.logaddexp(0.0, eta), np.zeros(1))
     if failure is not None:
-        stop = failure.diagnostics["stop"]
-        raise SeparationError("complete separation: fitted probabilities at 0/1" if stop == RUNOFF
-                              else f"logistic fit failed ({stop})") from failure
+        raise SeparationError(f"logistic fit failed: {failure}") from failure
     return BaselineFit("logistic", beta[0], np.linalg.inv(H[0]), float(ll[0]), True,
                        n_obs=ds.n_obs)
 
@@ -255,8 +253,13 @@ def _one_response(derivatives, X: np.ndarray, y: np.ndarray, z0: np.ndarray, low
 
 
 def negbin_loglik(y: np.ndarray, mu: np.ndarray, r: float) -> float:
-    return float(np.sum(gammaln(r + y) - gammaln(r) - gammaln(y + 1.0)
-                        + r * (np.log(r) - np.log(r + mu)) + y * (np.log(mu) - np.log(r + mu))))
+    return float(
+        np.sum(
+            gammaln(r + y) - gammaln(r) - gammaln(y + 1.0)
+            + r * (np.log(r) - np.log(r + mu))
+            + y * (np.log(mu) - np.log(r + mu))
+        )
+    )
 
 
 def _negbin_derivatives(X: np.ndarray, y: np.ndarray, z: np.ndarray):
@@ -395,8 +398,10 @@ def fit_rgpr(ds: Dataset) -> BaselineFit:
         diagnostics["pmf_mass_deficiency"] = deficiency
         if 1.0 + alpha_hat * y_max < 0.05 or deficiency > 1e-3:
             raise NonConvergenceError(
-                "RGPR did not converge: alpha driven to the feasibility boundary "
-                "1 + alpha*y > 0 (under-dispersed data)", diagnostics)
+                "RGPR did not converge: alpha driven to the feasibility "
+                "boundary 1 + alpha*y > 0 (under-dispersed data)",
+                diagnostics,
+            )
     if stop != "converged":
         raise NonConvergenceError(f"RGPR fit did not converge ({stop})", diagnostics)
     try:
@@ -456,6 +461,10 @@ def compare_models(ds: Dataset, fits: dict, fitted: dict) -> ModelComparison:
         yhat = fitted.get(name)
         mse = None if yhat is None else float(np.mean((y - np.asarray(yhat)) ** 2))
         note = "AICc infinite: n = k+1" if np.isinf(aicc) else None
-        comp.rows.append(ComparisonRow(model=name, status="ok", loglik=f.loglik, k=k,
-                                       aic=aic, aicc=aicc, mse=mse, note=note))
+        comp.rows.append(
+            ComparisonRow(
+                model=name, status="ok", loglik=f.loglik, k=k,
+                aic=aic, aicc=aicc, mse=mse, note=note,
+            )
+        )
     return comp

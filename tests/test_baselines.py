@@ -188,7 +188,7 @@ class TestLogistic:
         dummy = (np.arange(30) < 3).astype(float)
         X = np.column_stack([np.ones(30), dummy, rng.uniform(-1, 1, 30)])
         y = np.where(dummy == 1, 0, rng.integers(0, 2, 30))
-        with pytest.raises(SeparationError, match="fitted probabilities at 0/1"):
+        with pytest.raises(SeparationError, match="ran off"):
             fit_logistic(Dataset(y=y, X=X, names=("intercept", "d", "x")))
 
     def test_other_failures_say_why_the_loop_stopped(self, monkeypatch):
@@ -196,7 +196,7 @@ class TestLogistic:
         X = np.column_stack([np.ones(40), rng.uniform(-1, 1, 40)])
         ds = Dataset(y=rng.integers(0, 2, 40), X=X, names=("intercept", "x"))
         monkeypatch.setattr(baselines, "NEWTON_MAX_ITER", 1)
-        with pytest.raises(SeparationError, match=r"failed \(no convergence in 1 iterations\)"):
+        with pytest.raises(SeparationError, match=r"\(no convergence in 1 iterations\)"):
             fit_logistic(ds)
 
     def test_rejects_non_binary(self, airfreight):
