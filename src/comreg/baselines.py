@@ -180,11 +180,7 @@ def _fit_glm(X: np.ndarray, Y: np.ndarray, beta0, mean_fn, var_fn, cumulant_fn, 
     products with X run one row at a time (a stack of matrix products,
     never one across rows), so a row's fit does not depend on the others.
     Returns (beta, H, loglik, failure) per row: H is X'WX, and failure
-    None or the NonConvergenceError that ended it.  A fit with no finite
-    estimate stops by its decrement (m e^eta for m all-zero counts)
-    while its Newton step still moves some eta by about one, so a
-    converged fit whose next step moves some eta by more than
-    RUNOFF_STEP ran off.
+    None or the NonConvergenceError that ended it (see ran_off).
     """
     def model(rows, z):
         eta = (z[:, None, :] @ X.T)[:, 0]
@@ -195,6 +191,14 @@ def _fit_glm(X: np.ndarray, Y: np.ndarray, beta0, mean_fn, var_fn, cumulant_fn, 
 
     beta, (loglik, g, H), _, stop = newton(model, beta0, model(np.arange(len(Y)), beta0),
                                            -np.inf, np.inf, NEWTON_MAX_ITER)
+    failure = [None if r == "converged" else NonConvergenceError(
+        f"Newton iterations did not converge ({r})") for r in ran_off(X, stop, H, g)]
+    return beta, H, loglik, failure
+
+
+def ran_off(X: np.ndarray, stop, H: np.ndarray, g: np.ndarray):
+    """stop, with a converged fit marked as run off (no finite estimate) where its
+    next Newton step in beta (H step = g) moves some x'beta by more than RUNOFF_STEP."""
     reasons = np.array(stop, dtype=object)
     done = np.flatnonzero(reasons == "converged")
     try:
@@ -203,9 +207,7 @@ def _fit_glm(X: np.ndarray, Y: np.ndarray, beta0, mean_fn, var_fn, cumulant_fn, 
         step = np.full((len(done), X.shape[1]), np.inf)
     reasons[done[np.abs(step @ X.T).max(axis=1) > RUNOFF_STEP]] = (
         "ran off towards an estimate at infinity")
-    failure = [None if r == "converged" else NonConvergenceError(
-        f"Newton iterations did not converge ({r})") for r in reasons]
-    return beta, H, loglik, failure
+    return reasons
 
 
 def poisson_newton(X: np.ndarray, Y: np.ndarray):

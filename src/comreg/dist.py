@@ -5,19 +5,20 @@ normalizer Z(lambda, nu) = sum_s lambda^s / (s!)^nu.  Special cases:
 Poisson (nu=1), geometric (nu=0, lambda<1), Bernoulli limit (nu -> inf
 with success probability lambda/(1+lambda)).
 
-The one series kernel, log_term_table, truncates the infinite sum
-adaptively (terms rise to a mode near lambda^(1/nu) and then fall faster
-than geometrically), exponentiates each term once and gives log Z and the
-raw moments of (Y, log Y!); pmf, moments and likelihood are views of it.
+The one series kernel, log_term_table, sums the terms until the largest
+lambda's fall 2^-64 below their peak at floor(lambda^(1/nu)), forming each
+term once in a cache-sized block, and gives log Z and the raw moments of
+(Y, log Y!); pmf, moments and likelihood are views of it.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import digamma, gammaln
 
 
 class DivergentSeriesError(ValueError):
@@ -62,40 +63,49 @@ class SeriesPolicy:
 
 DEFAULT_POLICY = SeriesPolicy()
 TERMS_STEP = 32    # granularity of the first support length tried
-EXP_BLOCK = 32     # table columns exponentiated per step, so the block stays in cache
+EXP_BLOCK = 32     # table columns formed and exponentiated per step, so the block stays in cache
+CUT = 64.0 * np.log(2.0)    # a term 2^-64 below the largest cannot change a double sum
 
 
 def series_terms(lam_max, nu, policy: SeriesPolicy = DEFAULT_POLICY):
     """First support length tried, per replicate, for its largest lambda and its nu.
 
-    Terms peak near the mode lambda^(1/nu) (at s = 0 when nu = 0, where
-    lambda < 1) and decay past it roughly on the scale of the series
-    standard deviation ~ sqrt(mean/nu); pad generously before checking.
-    The length is rounded up to a multiple of TERMS_STEP and depends on
-    the replicate alone, so stacked replicates of one length share a
-    table without widening each other's rows.  Returns (terms, mode),
-    elementwise; a mode that overflows is inf and its terms are max_terms.
+    The log terms s*log(lambda) - nu*log(s!) are concave in s and peak at
+    floor(lambda^(1/nu)) (0 when nu = 0, where lambda < 1), so Newton steps
+    from a quadratic estimate right of the peak land on or past the s where
+    they fall CUT below it.  That s, rounded up to a multiple of TERMS_STEP
+    (at least 64), is per replicate, so replicates of one length share a
+    table without widening each other's rows.  Returns (terms, lambda^(1/nu)).
     """
     nu = np.asarray(nu, dtype=float)
-    with np.errstate(over="ignore", divide="ignore"):
+    with np.errstate(all="ignore"):
         mode = lam_max ** (1.0 / nu)    # nu = 0: lambda < 1 and lambda^inf = 0
-    terms = mode + 15.0 * np.sqrt((mode + 1.0) / np.maximum(nu, 1e-2)) + 60.0
+        log_lam, top = np.log(lam_max), np.floor(mode) + 1.0
+        level = top * log_lam - nu * gammaln(top) - CUT    # Newton on u = s + 1 to this level
+        u = np.fmin(top + 1.0 + np.sqrt(2.0 * CUT * top / nu), policy.max_terms)
+        for _ in range(2):
+            u -= (u * log_lam - nu * gammaln(u) - level) / (log_lam - nu * digamma(u))
     # fmin: a NaN lambda (rejected later) gets the cap, not an undefined int
-    terms = np.fmin(policy.max_terms, np.ceil(np.maximum(terms, 64.0) / TERMS_STEP) * TERMS_STEP)
+    terms = np.fmin(policy.max_terms, np.ceil(np.maximum(u - 1.0, 64.0) / TERMS_STEP) * TERMS_STEP)
     return terms.astype(int), mode
 
 
 @dataclass(frozen=True)
 class SeriesTable:
-    """log_terms holds s*log(lam_i) - nu*log(s!) on the support s, one row
-    per lambda; log_z is each row's log Z, and raw its moments about zero
-    E[Y], E[log Y!], E[Y^2], E[Y log Y!], E[(log Y!)^2].  Unpacks as
-    (s, log_terms, log_z)."""
+    """log_z is each row's log Z on the support s (one row per lambda), raw its
+    moments E[Y], E[log Y!], E[Y^2], E[Y log Y!], E[(log Y!)^2]; log_terms,
+    s*log(lam_i) - nu*log(s!), is built when read.  Unpacks as (s, log_terms, log_z)."""
 
     s: np.ndarray
-    log_terms: np.ndarray
     log_z: np.ndarray
     raw: np.ndarray
+    log_lam: np.ndarray    # B x n x 1
+    nu_lf: np.ndarray      # B x len(s): nu * log(s!) per replicate
+
+    @property
+    def log_terms(self) -> np.ndarray:
+        t = self.log_lam * self.s
+        return np.subtract(t, self.nu_lf[:, None, :], out=t).reshape(-1, len(self.s))
 
     def __iter__(self):
         return iter((self.s, self.log_terms, self.log_z))
@@ -106,21 +116,29 @@ class SeriesTable:
         return m, m_lf, m2 - m * m, m_ylf - m * m_lf, m2_lf - m_lf * m_lf
 
 
+@functools.lru_cache(maxsize=8)
+def _support(n_terms: int):
+    """The support 0..n_terms and its log(s!) (read-only), and the six sum weights."""
+    s = np.arange(n_terms + 1, dtype=float)
+    lf = gammaln(s + 1.0)
+    s.flags.writeable = lf.flags.writeable = False
+    return s, lf, np.stack([np.ones_like(s), s, lf, s * s, s * lf, lf * lf], axis=1)
+
+
 def log_term_table(lam, nu, policy: SeriesPolicy = DEFAULT_POLICY) -> SeriesTable:
-    """The series kernel: log terms, log Z and raw moments for an array of lambdas.
+    """The series kernel: log Z and raw moments for an array of lambdas.
 
     With a B x n lam and nu of length B (one per replicate, i.e. per row
     of lam), the rows run replicate by replicate and nu*log(s!) is formed
-    once per replicate.  Each cell is exponentiated once, shifted by its
-    row maximum, a column block at a time; the sums of t_s times 1, s,
-    log s!, s^2, s log s! and (log s!)^2 come from a stack of per-replicate
-    matrix products, never one product across replicates, whose rounding
-    can depend on how many rows it gets.
-
-    The truncation rule: the last retained term must be past the mode,
-    decreasing, below rel_tol of the accumulated sum, and the geometric
-    tail bound implied by the last two terms must also be below rel_tol
-    of the sum.  Otherwise the support is doubled, up to max_terms.
+    once per replicate.  Each EXP_BLOCK-column block of log terms is formed
+    in one buffer, shifted by each row's term at its mode (the row maximum)
+    and exponentiated; the sums of t_s times 1, s, log s!, s^2, s log s! and
+    (log s!)^2 come from a stack of per-replicate matrix products, never one
+    across replicates, whose rounding can depend on how many rows it gets.
+    The support starts at series_terms' length; the truncation rule guards
+    it: the last term must be past the mode, decreasing, below rel_tol of
+    the sum, and so must the geometric tail bound implied by the last two
+    terms.  Otherwise the support is doubled, up to max_terms.
     """
     nu = np.asarray(nu, dtype=float)
     lam = np.asarray(lam, dtype=float).reshape(nu.size, -1)
@@ -135,43 +153,39 @@ def log_term_table(lam, nu, policy: SeriesPolicy = DEFAULT_POLICY) -> SeriesTabl
     terms, mode = series_terms(lam.max(axis=1, keepdims=True), nu, policy)
     if not np.isfinite(mode).all():
         raise OverflowError("series mode lambda^(1/nu) overflows")
-    n_terms = int(terms.max())
-    log_lam = np.log(lam)[:, :, None]
-    mode = np.repeat(mode.ravel(), lam.shape[1])
-
-    log_rel = np.log(policy.rel_tol)
-    while True:
-        s = np.arange(n_terms + 1, dtype=float)
-        lf = gammaln(s + 1.0)
-        log_terms = log_lam * s
-        log_terms -= (nu * lf)[:, None, :]
-        top = log_terms.max(axis=2, keepdims=True)
-        basis = np.stack([np.ones_like(s), s, lf, s * s, s * lf, lf * lf], axis=1)
-        sums, block = np.zeros(lam.shape + (6,)), np.empty(lam.size * EXP_BLOCK)
-        for a in range(0, len(s), EXP_BLOCK):
-            # contiguous, or matmul would copy the last, narrower block
-            t = block[: lam.size * min(EXP_BLOCK, len(s) - a)].reshape(lam.shape + (-1,))
-            np.subtract(log_terms[:, :, a:a + EXP_BLOCK], top, out=t)
-            sums += np.matmul(np.exp(t, out=t), basis[a:a + EXP_BLOCK])
-        log_terms, sums = log_terms.reshape(-1, len(s)), sums.reshape(-1, 6)
-        log_z = top.ravel() + np.log(sums[:, 0])
-
-        last, prev = log_terms[:, -1] - log_z, log_terms[:, -2] - log_z
-        # geometric tail bound: sum_{k>=1} t_S r^k = t_S r/(1-r), r = t_S/t_{S-1}
-        step = np.minimum(last - prev, 0.0)
-        with np.errstate(divide="ignore"):
+    n_terms, (n_rep, n) = int(terms.max()), lam.shape
+    log_lam, log_rel = np.log(lam), np.log(policy.rel_tol)
+    with np.errstate(divide="ignore"):    # nu = 0 (a mode of 0), a ratio r of 1 (tail inf)
+        row_mode = np.floor(lam ** (1.0 / nu))
+        while True:
+            s, lf, basis = _support(n_terms)
+            nu_lf, peak = nu * lf, np.minimum(row_mode, n_terms)
+            top = log_lam * peak - nu * lf[peak.astype(int)]
+            sums, block = np.zeros((n_rep, n, 6)), np.empty(lam.size * EXP_BLOCK)
+            for a in range(0, len(s), EXP_BLOCK):
+                # contiguous B x columns x n: passes run along rows, matmul reads it transposed
+                t = block[: lam.size * min(EXP_BLOCK, len(s) - a)].reshape(n_rep, -1, n)
+                np.multiply(log_lam[:, None, :], s[a:a + EXP_BLOCK, None], out=t)
+                t -= nu_lf[:, a:a + EXP_BLOCK, None]
+                t -= top[:, None, :]
+                sums += np.matmul(np.exp(t, out=t).transpose(0, 2, 1), basis[a:a + EXP_BLOCK])
+            log_z = top + np.log(sums[..., 0])
+            # the last two terms over Z; geometric tail t_S r/(1-r), r = t_S/t_{S-1}
+            last, prev = (log_lam * s[k] - nu_lf[:, k, None] - log_z for k in (-1, -2))
+            step = np.minimum(last - prev, 0.0)
             tail = last + step - np.log1p(-np.exp(step))
-        done = (step < 0) & (last < log_rel) & (tail < log_rel) & (s[-1] > mode)
-        if done.all():
-            return SeriesTable(s, log_terms, log_z, sums[:, 1:] / sums[:, :1])
-        if n_terms >= policy.max_terms:
-            bad = int(np.flatnonzero(~done)[0]) // lam.shape[1]
-            raise TruncationError(
-                f"series not converged after {n_terms} terms "
-                f"(lambda_max={lam[bad].max():g}, nu={nu[bad, 0]:g}, "
-                f"rel_tol={policy.rel_tol:g})"
-            )
-        n_terms = min(2 * n_terms, policy.max_terms)
+            done = (step < 0) & (last < log_rel) & (tail < log_rel) & (s[-1] > mode)
+            if done.all():
+                raw = (sums[..., 1:] / sums[..., :1]).reshape(-1, 5)
+                return SeriesTable(s, log_z.ravel(), raw, log_lam[..., None], nu_lf)
+            if n_terms >= policy.max_terms:
+                bad = int(np.flatnonzero(~done.all(axis=1))[0])
+                raise TruncationError(
+                    f"series not converged after {n_terms} terms "
+                    f"(lambda_max={lam[bad].max():g}, nu={nu[bad, 0]:g}, "
+                    f"rel_tol={policy.rel_tol:g})"
+                )
+            n_terms = min(2 * n_terms, policy.max_terms)
 
 
 def pmf_table(lam, nu: float, policy: SeriesPolicy = DEFAULT_POLICY):

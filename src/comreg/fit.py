@@ -206,13 +206,12 @@ def _evaluate_each(X: np.ndarray, Y: np.ndarray, z: np.ndarray, policy: dist.Ser
 
     Replicates share a table only with replicates whose series starts at
     the same support length (dist.series_terms), in chunks of at most
-    CHUNK_CELLS table cells (a replicate that needs more has a chunk to
-    itself): one that needs a wide support never widens the others' rows.
-    Every sum runs within one replicate (row-wise einsum, or a stack of
-    per-replicate matrix products; never one BLAS product across
-    replicates, whose rounding can depend on how many rows it gets), so
-    a replicate's numbers do not depend on which replicates share its
-    chunk unless the chunk's support has to be doubled.  A chunk that raises one of
+    CHUNK_CELLS table cells (or of one replicate), so none widens the
+    others' rows.  Every sum runs within one replicate (row-wise einsum,
+    or a stack of per-replicate matrix products, never one BLAS product
+    across replicates, whose rounding can depend on how many rows it
+    gets): a replicate's numbers do not depend on its chunk unless the
+    chunk's support has to be doubled.  A chunk that raises one of
     SERIES_ERRORS is split in halves until the replicate that raises it
     is alone.  Returns (loglik, score, info, errors): NaN for those
     replicates, and per replicate None or the error it raised alone.
@@ -230,16 +229,10 @@ def _evaluate_each(X: np.ndarray, Y: np.ndarray, z: np.ndarray, policy: dist.Ser
     if n_rep > 1:
         with np.errstate(over="ignore"):
             terms = dist.series_terms(np.exp(eta.max(axis=1)), nu, policy)[0]
-        order = np.argsort(terms, kind="stable")
-        chunks, start = [], 0
-        while start < n_rep:
-            width = terms[order[start]]
-            stop = start + 1
-            while (stop < n_rep and terms[order[stop]] == width
-                   and (stop + 1 - start) * n * width <= CHUNK_CELLS):
-                stop += 1
-            chunks.append(order[start:stop])
-            start = stop
+        chunks = []
+        for width in np.unique(terms):
+            idx, size = np.flatnonzero(terms == width), max(1, CHUNK_CELLS // (n * width))
+            chunks += [idx[i:i + size] for i in range(0, len(idx), size)]
     while chunks:
         idx = chunks.pop()
         try:
@@ -282,9 +275,10 @@ def fit_replicates(
     lower, upper = np.append(np.full(p1, -np.inf), lo), np.append(np.full(p1, np.inf), hi)
     z = np.column_stack([beta0, np.full(n_rep, 1.0 if free_nu else fix_nu)])
     *at, errors = _evaluate_each(X, Y, z, policy)
-    z, (loglik, _, info), iterations, stop = baselines.newton(
+    z, (loglik, score, info), iterations, stop = baselines.newton(
         lambda rows, z: _evaluate_each(X, Y[rows], z, policy)[:3],
         z, at, lower, upper, settings.max_iter)
+    stop = baselines.ran_off(X, stop, info[:, :p1, :p1], score[:, :p1])
 
     # a 0/1 or constant response has no finite nu-hat: the loglik rises
     # towards the Bernoulli limit or a point mass as nu grows, so its
@@ -327,18 +321,18 @@ def fit_com(
 ) -> FitResult:
     """Maximize the COM-Poisson log-likelihood over (beta, nu) by Fisher scoring.
 
-    In (beta, nu) the model is a canonical exponential family: the
-    loglik is concave and the expected information is its negative
-    Hessian, so each scoring step I step = g is a Newton step.  The step
-    is halved until the loglik does not fall.  nu starts at 1 and is
-    clamped to [nu_floor, nu_ceiling]; at a bound whose gradient points
-    outward only beta moves, and the result is flagged boundary, as is a
-    0/1 response (the Bernoulli limit, where no finite nu maximizes the
-    loglik) or a constant one (a point mass).  fix_nu pins the
-    dispersion (e.g. fix_nu=1 gives the Poisson slice of the likelihood
-    surface) and solves the beta block only.  converged means one of
-    baselines.newton's relative stop rules fired within max_iter steps.
-    This is fit_replicates with one replicate.
+    In (beta, nu) the model is a canonical exponential family: the loglik
+    is concave and the expected information is its negative Hessian, so
+    each scoring step I step = g is a Newton step.  The step is halved
+    until the loglik does not fall.  nu starts at 1 and is clamped to
+    [nu_floor, nu_ceiling]; at a bound whose gradient points outward only
+    beta moves, and the result is flagged boundary, as is a 0/1 response
+    (the Bernoulli limit, where no finite nu maximizes the loglik) or a
+    constant one (a point mass).  fix_nu pins the dispersion (e.g. fix_nu=1
+    gives the Poisson slice of the likelihood surface) and solves the beta
+    block only.  converged means one of baselines.newton's relative stop
+    rules fired within max_iter steps and the fit did not run off
+    (baselines.ran_off).  This is fit_replicates with one replicate.
     """
     if beta0 is None:
         beta0 = fit_poisson_start(ds)

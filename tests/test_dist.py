@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import gammaln
 
 from comreg import dist
 from comreg.dist import (
@@ -136,6 +137,57 @@ class TestStackedTable:
     def test_mode_overflow_is_typed(self):
         with pytest.raises(OverflowError):
             dist.log_term_table([[2.0], [50.0]], [1.0, 1e-3])
+
+
+class TestSeriesSizing:
+    """series_terms starts each table where its largest lambda's terms have
+    fallen 2^-64 below their peak, so a table below max_terms never doubles."""
+
+    @staticmethod
+    def cut(lam, nu):
+        """First s past the mode whose term is 2^-64 below the peak, or None
+        when that lies beyond 2 * max_terms."""
+        s = np.arange(2 * dist.DEFAULT_POLICY.max_terms + 1, dtype=float)
+        mode = int(np.floor(lam ** (1.0 / nu))) if nu > 0 else 0
+        if mode >= len(s):
+            return None
+        log_t = s * np.log(lam) - nu * gammaln(s + 1.0)
+        past = (s > mode) & (log_t < log_t[mode] - 64.0 * np.log(2.0))
+        return int(np.argmax(past)) if past.any() else None
+
+    @staticmethod
+    def reference(lam, nu, n_terms):
+        """log Z and the raw moments over s < n_terms, by a max-shifted
+        (logsumexp) sum in long double."""
+        s = np.arange(n_terms, dtype=float)
+        lf = gammaln(s + 1.0)
+        log_t = (s * np.log(lam) - nu * lf).astype(np.longdouble)
+        t = np.exp(log_t - log_t.max())
+        raw = [(t * w).sum() / t.sum() for w in (s, lf, s * s, s * lf, lf * lf)]
+        return float(log_t.max() + np.log(t.sum())), np.array(raw, dtype=float)
+
+    @pytest.mark.parametrize("nu", np.geomspace(0.05, 20.0, 10))
+    def test_support_ends_at_most_a_step_past_the_cut(self, nu):
+        for lam in np.geomspace(1e-3, 5e3, 20):
+            cut = self.cut(lam, nu)
+            if cut is None or cut > dist.DEFAULT_POLICY.max_terms:
+                continue
+            terms, _ = dist.series_terms(lam, nu)
+            tab = dist.log_term_table(lam, nu)
+            assert len(tab.s) == terms + 1, (lam, nu)    # no doubling
+            assert cut <= terms <= max(64, cut + dist.TERMS_STEP), (lam, nu, cut, terms)
+            # Z to 1e-15 relative, i.e. log Z to 1e-15 absolute (relative past 1)
+            log_z, raw = self.reference(lam, nu, 2 * len(tab.s))
+            assert abs(tab.log_z[0] - log_z) <= 1e-15 * max(1.0, abs(log_z)), (lam, nu)
+            assert np.allclose(tab.raw[0], raw, rtol=1e-15, atol=0), (lam, nu)
+
+    def test_geometric_near_one_needs_no_doubling(self):
+        # nu = 0, lambda = 0.99: about 4400 terms, sized in one go
+        terms, _ = dist.series_terms(0.99, 0.0)
+        tab = dist.log_term_table(0.99, 0.0)
+        assert 4400 <= terms <= 4400 + 2 * dist.TERMS_STEP
+        assert len(tab.s) == terms + 1
+        assert tab.log_z[0] == pytest.approx(-math.log1p(-0.99), rel=1e-14)
 
 
 def centred_reference(lam, nu, n_terms):
