@@ -107,8 +107,8 @@ def _emit(args, payload: dict, text: str) -> None:
         print(rendered)
 
 
-def _aicc_json(value: float):
-    return "inf" if np.isinf(value) else value
+def _aicc_json(value: float | None):
+    return "inf" if value is not None and np.isinf(value) else value
 
 
 def _finite_or_none(value) -> float | None:
@@ -181,17 +181,7 @@ def cmd_test(args) -> int:
         n_boot=args.n_boot,
         seed=args.seed,
     )
-    payload = {
-        "model": "dispersion-test",
-        "statistic": res.statistic,
-        "df": res.df,
-        "p_value": res.p_value,
-        "loglik_null": res.loglik_null,
-        "loglik_alt": res.loglik_alt,
-        "boundary_warning": res.boundary_warning,
-        "bootstrap_p_value": res.bootstrap_p_value,
-        "errors": [],
-    }
+    payload = {"model": "dispersion-test", **vars(res), "errors": []}
     text = (
         f"dispersion test (H0: nu = 1)\n"
         f"  C = {res.statistic:.4f}  df = {res.df}  p = {res.p_value:.6g}\n"
@@ -209,17 +199,8 @@ def cmd_bootstrap(args) -> int:
     boot = infer.parametric_bootstrap(
         ds, fr, n_boot=args.n_boot, ci_level=args.ci, seed=args.seed
     )
-    payload = {
-        "model": "com-poisson-bootstrap",
-        "n_boot": boot.n_boot,
-        "seed": boot.seed,
-        "ci_level": boot.ci_level,
-        "n_failed": boot.n_failed,
-        "failures": boot.failures,
-        "unreliable": boot.unreliable,
-        "intervals": {k: list(v) for k, v in boot.intervals.items()},
-        "errors": [],
-    }
+    payload = {"model": "com-poisson-bootstrap", **vars(boot), "errors": []}
+    del payload["replicates"], payload["param_names"]
     lines = [
         f"parametric bootstrap: {boot.n_boot} replicates, seed {boot.seed}, "
         f"{boot.n_failed} failed"
@@ -269,21 +250,8 @@ def cmd_compare(args) -> int:
             f = exc
         fits[model.report_name] = f
     comp = baselines.compare_models(ds, fits, fitted)
-    rows_json = []
     lines = [f"{'model':<14} {'loglik':>10} {'k':>3} {'AIC':>9} {'AICc':>9} {'MSE':>8}  status"]
     for row in comp.rows:
-        rows_json.append(
-            {
-                "model": row.model,
-                "status": row.status,
-                "loglik": row.loglik,
-                "k": row.k,
-                "aic": row.aic,
-                "aicc": None if row.aicc is None else _aicc_json(row.aicc),
-                "mse": row.mse,
-                "note": row.note,
-            }
-        )
         if row.status == "ok":
             mse = "-" if row.mse is None else f"{row.mse:8.3f}"
             lines.append(
@@ -292,7 +260,8 @@ def cmd_compare(args) -> int:
             )
         else:
             lines.append(f"{row.model:<14} {'-':>10} {'-':>3} {'-':>9} {'-':>9} {'-':>8}  {row.status}")
-    payload = {"model": "comparison", "rows": rows_json, "errors": []}
+    rows = [{**vars(row), "aicc": _aicc_json(row.aicc)} for row in comp.rows]
+    payload = {"model": "comparison", "rows": rows, "errors": []}
     _emit(args, payload, "\n".join(lines))
     return EXIT_OK
 

@@ -42,7 +42,8 @@ class OptimSettings:
 
 
 DEFAULT_SETTINGS = OptimSettings()
-CHUNK_CELLS = 1 << 16    # series-table cells (512 KB of float64) per stacked evaluation
+CHUNK_CELLS = 1 << 16    # row x term cells one stacked evaluation computes; streamed in
+                         # dist.EXP_BLOCK-column blocks, so EXP_BLOCK/length of them are held
 
 
 @dataclass
@@ -51,7 +52,8 @@ class FitResult:
 
     beta: np.ndarray
     nu: float
-    cov: np.ndarray          # (p+2) x (p+2), parameter order (beta..., nu)
+    cov: np.ndarray          # (p+2) x (p+2), parameter order (beta..., nu); a fixed
+                             # nu was not estimated: its row and column are 0
     loglik: float
     n_obs: int
     n_params: int
@@ -259,13 +261,14 @@ def fit_replicates(
 
     Each replicate starts from (beta0[b], nu = 1) and has its own step,
     step halving, nu clamp, stop rule, boundary flag and covariance in
-    one baselines.newton loop; only the evaluations are shared: each
-    step, and each round of halving, evaluates the replicates still
-    trying as one stack (see _evaluate_each).  A replicate whose trial
-    point is unusable has that trial rejected, and no other.  Returns one
-    entry per replicate: its FitResult, or the error that ended it (one
-    of SERIES_ERRORS at the start, or SingularInformationError away from
-    a boundary).  X is not validated here: pass the design of a Dataset.
+    one baselines.newton loop (under fix_nu, cov inverts the beta block
+    alone); only the evaluations are shared: each step, and each round
+    of halving, evaluates the replicates still trying as one stack (see
+    _evaluate_each).  A replicate whose trial point is unusable has that
+    trial rejected, and no other.  Returns one entry per replicate: its
+    FitResult, or the error that ended it (one of SERIES_ERRORS at the
+    start, or SingularInformationError away from a boundary).  X is not
+    validated here: pass the design of a Dataset.
     """
     Y = np.asarray(Y)
     n_rep, n = Y.shape
@@ -284,6 +287,7 @@ def fit_replicates(
     # towards the Bernoulli limit or a point mass as nu grows, so its
     # nu-hat is wherever the stop fired
     unidentified = np.all(Y <= 1, axis=1) | np.all(Y == Y[:, :1], axis=1)
+    k = p1 + 1 if free_nu else p1    # a fixed nu is no parameter
     out = []
     for b in range(n_rep):
         if errors[b] is not None:
@@ -291,9 +295,9 @@ def fit_replicates(
             continue
         nu = float(z[b, p1])
         boundary = free_nu and (unidentified[b] or not (lo < nu < hi))
-        cov = np.full((p1 + 1, p1 + 1), np.nan)
+        cov = np.full((p1 + 1, p1 + 1), np.nan if free_nu else 0.0)
         try:
-            cov = _invert_information(info[b])
+            cov[:k, :k] = _invert_information(info[b, :k, :k])
         except SingularInformationError as exc:
             if not boundary:
                 out.append(exc)
@@ -330,9 +334,10 @@ def fit_com(
     (the Bernoulli limit, where no finite nu maximizes the loglik) or a
     constant one (a point mass).  fix_nu pins the dispersion (e.g. fix_nu=1
     gives the Poisson slice of the likelihood surface) and solves the beta
-    block only.  converged means one of baselines.newton's relative stop
-    rules fired within max_iter steps and the fit did not run off
-    (baselines.ran_off).  This is fit_replicates with one replicate.
+    block only: cov inverts the beta block of the information, with 0 in
+    nu's row and column.  converged means one of baselines.newton's
+    relative stop rules fired within max_iter steps and the fit did not
+    run off (baselines.ran_off).  This is fit_replicates with one replicate.
     """
     if beta0 is None:
         beta0 = fit_poisson_start(ds)

@@ -9,11 +9,13 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 import pytest
+from scipy.special import expit
 
 import comreg
 from comreg import fit, infer
+from comreg.baselines import fit_logistic
 from comreg.cli import EXIT_IO, EXIT_OK, EXIT_STAT, main
-from comreg.data import Dataset, write_csv
+from comreg.data import Dataset, load_csv, write_csv
 
 
 @pytest.fixture(scope="module")
@@ -125,6 +127,32 @@ class TestFit:
         report = json.loads(out)
         assert report["errors"]
         assert "converge" in report["errors"][0]["message"].lower()
+
+    def test_com_nonconvergence_exit_one(self, capsys, airfreight_path, monkeypatch):
+        # the airfreight fit needs 7 steps
+        monkeypatch.setattr(fit, "fit_com", functools.partial(
+            fit.fit_com, settings=fit.OptimSettings(max_iter=1)))
+        code, out = run_cli(capsys, "fit", "--data", str(airfreight_path),
+                            "--response", "broken", "--format", "json")
+        assert code == EXIT_STAT
+        assert json.loads(out)["errors"][0]["message"] == "COM-Poisson fit did not converge"
+
+    def test_log_transform(self, capsys, tmp_path):
+        rng = np.random.default_rng(2)
+        x = rng.uniform(1, 4, 40)
+        path = write_xy(tmp_path / "d.csv", x, rng.poisson(2 * x))
+        code, out = run_cli(capsys, "fit", "--data", path, "--response", "y",
+                            "--model", "poisson", "--transform", "x=log", "--format", "json")
+        assert code == EXIT_OK
+        coef = json.loads(out)["coefficients"]
+        assert [c["name"] for c in coef] == ["intercept", "log_x"]
+        assert coef[1]["estimate"] == pytest.approx(1.0, abs=0.3)
+
+    def test_malformed_transform_exit_two(self, capsys, airfreight_path):
+        code = main(["fit", "--data", str(airfreight_path), "--response", "broken",
+                     "--transform", "transfers", "--format", "text"])
+        assert code == EXIT_IO
+        assert "bad --transform 'transfers'" in capsys.readouterr().err
 
     def test_missing_file_exit_two(self, capsys):
         code, out = run_cli(
@@ -243,6 +271,55 @@ class TestCompare:
         assert rows["rgpr"]["status"].startswith("failed")
         assert rows["com-poisson"]["aicc"] == pytest.approx(47.29, abs=0.05)
         assert rows["com-poisson"]["mse"] == pytest.approx(1.90, abs=0.05)
+
+    def test_logistic_row_on_binary_response(self, capsys, tmp_path):
+        rng = np.random.default_rng(3)
+        x = rng.uniform(-1, 1, 60)
+        y = (rng.uniform(size=60) < expit(0.2 + 1.5 * x)).astype(int)
+        path = write_xy(tmp_path / "binary.csv", x, y)
+        code, out = run_cli(capsys, "compare", "--data", path, "--response", "y",
+                            "--models", "logistic,poisson", "--format", "json")
+        assert code == EXIT_OK
+        rows = {r["model"]: r for r in json.loads(out)["rows"]}
+        assert rows["logistic"]["status"] == "ok"
+        # the MSE of the fitted probabilities
+        ds = load_csv(path, response="y")
+        prob = expit(ds.X @ fit_logistic(ds).beta)
+        assert rows["logistic"]["mse"] == pytest.approx(np.mean((y - prob) ** 2), rel=1e-12)
+
+    def test_unknown_model_exit_two(self, capsys, airfreight_path):
+        code = main(["compare", "--data", str(airfreight_path), "--response", "broken",
+                     "--models", "com,gamma", "--format", "text"])
+        assert code == EXIT_IO
+        assert "unknown model 'gamma'" in capsys.readouterr().err
+
+
+class TestReportKeys:
+    # the schema leaves these reports open, so a field added to a result
+    # object would enter them unseen
+    def keys(self, capsys, airfreight_path, *argv):
+        code, out = run_cli(capsys, *argv, "--data", str(airfreight_path),
+                            "--response", "broken", "--format", "json")
+        assert code == EXIT_OK
+        return json.loads(out)
+
+    def test_dispersion_test(self, capsys, airfreight_path):
+        assert set(self.keys(capsys, airfreight_path, "test")) == {
+            "bootstrap_p_value", "boundary_warning", "df", "errors", "loglik_alt",
+            "loglik_null", "model", "p_value", "statistic"}
+
+    def test_bootstrap(self, capsys, airfreight_path):
+        report = self.keys(capsys, airfreight_path, "bootstrap", "--n-boot", "100",
+                           "--seed", "1")
+        assert set(report) == {"ci_level", "errors", "failures", "intervals", "model",
+                               "n_boot", "n_failed", "seed", "unreliable"}
+
+    def test_compare_rows(self, capsys, airfreight_path):
+        rows = self.keys(capsys, airfreight_path, "compare")["rows"]
+        assert len(rows) == 4
+        for row in rows:
+            assert set(row) == {"aic", "aicc", "k", "loglik", "model", "mse", "note",
+                                "status"}
 
 
 class TestFitErrors:

@@ -229,6 +229,15 @@ class TestFitCom:
         pois = fit_poisson(airfreight)
         assert np.allclose(fr.beta, pois.beta, atol=1e-6)
 
+    @pytest.mark.parametrize("seed", [None, 51])
+    def test_fixed_nu_covariance_is_the_beta_block(self, airfreight, seed):
+        # nu = 1 is not estimated: the beta SEs are Poisson's, nu gets none
+        ds = airfreight if seed is None else simulate(150, [0.9, 0.5], 1.0, seed=seed)
+        fr = fit_com(ds, fix_nu=1.0)
+        p1 = len(fr.beta)
+        assert np.allclose(fr.se[:p1], fit_poisson(ds).se, rtol=1e-10, atol=0)
+        assert not fr.cov[p1].any() and not fr.cov[:, p1].any()
+
     def test_likelihood_ascent(self, airfreight, airfreight_fit):
         # the fit climbs from its Poisson warm start (beta_pois, nu = 1)
         start = loglik(airfreight, fit_poisson(airfreight).beta, 1.0)
