@@ -1,7 +1,7 @@
 """COM-Poisson regression for count data of arbitrary dispersion."""
 
 from .data import Dataset, load_csv, linear_predictor
-from .dist import ComParams, SeriesPolicy
+from .dist import ComParams
 from .fit import FitResult, OptimSettings, fit_com, fitted_values
 from .infer import dispersion_test, parametric_bootstrap, wald_z
 from .baselines import (
@@ -15,7 +15,6 @@ from .diag import diagnostics_report
 
 __all__ = [
     "ComParams",
-    "SeriesPolicy",
     "Dataset",
     "load_csv",
     "linear_predictor",

@@ -13,7 +13,6 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from . import dist
 
@@ -78,11 +77,10 @@ class Dataset:
 
 
 def _check_full_rank(X: np.ndarray) -> None:
-    # Pivoted QR: relative magnitude of the trailing R diagonal flags
-    # (near-)collinear columns deterministically.
-    _, R, _ = scipy.linalg.qr(X, pivoting=True, mode="economic")
-    diag = np.abs(np.diag(R))
-    if diag[0] == 0 or diag[-1] < RANK_RTOL * diag[0]:
+    # the smallest singular value relative to the largest flags
+    # (near-)collinear columns; X has at least as many rows as columns
+    sv = np.linalg.svd(X, compute_uv=False)
+    if sv[0] == 0 or sv[-1] < RANK_RTOL * sv[0]:
         raise DataError("design matrix is rank deficient (collinear columns)")
 
 

@@ -53,9 +53,9 @@ class DiagnosticsReport:
         }
 
 
-def _evaluation_and_leverage(ds: Dataset, fr: FitResult, policy: dist.SeriesPolicy):
+def _evaluation_and_leverage(ds: Dataset, fr: FitResult):
     """The one evaluation at the fit, and diag(H) from its variances."""
-    ev = fit.evaluate(ds, fr.beta, fr.nu, policy)
+    ev = fit.evaluate(ds, fr.beta, fr.nu)
     Xw = ds.X * np.sqrt(ev.var)[:, None]
     XtWX = ds.X.T @ (ds.X * ev.var[:, None])
     try:
@@ -72,29 +72,21 @@ def _one_minus_leverage(h: np.ndarray) -> np.ndarray:
     return 1.0 - h
 
 
-def hat_diagonal(
-    ds: Dataset,
-    fr: FitResult,
-    policy: dist.SeriesPolicy = dist.DEFAULT_POLICY,
-) -> np.ndarray:
+def hat_diagonal(ds: Dataset, fr: FitResult) -> np.ndarray:
     """diag(H) with W = diag(var(Y_i | lambda_hat_i, nu_hat))."""
-    return _evaluation_and_leverage(ds, fr, policy)[1]
+    return _evaluation_and_leverage(ds, fr)[1]
 
 
 def _pearson(ds: Dataset, ev: fit.Evaluation, h: np.ndarray) -> np.ndarray:
     return (ds.y.astype(float) - ev.mean) / np.sqrt(ev.var * _one_minus_leverage(h))
 
 
-def pearson_residuals(
-    ds: Dataset,
-    fr: FitResult,
-    policy: dist.SeriesPolicy = dist.DEFAULT_POLICY,
-) -> np.ndarray:
+def pearson_residuals(ds: Dataset, fr: FitResult) -> np.ndarray:
     """(y_i - mu_hat_i) / sqrt(w_i (1 - h_i))."""
-    return _pearson(ds, *_evaluation_and_leverage(ds, fr, policy))
+    return _pearson(ds, *_evaluation_and_leverage(ds, fr))
 
 
-def _saturated(y: np.ndarray, nu: float, policy: dist.SeriesPolicy):
+def _saturated(y: np.ndarray, nu: float):
     """Per entry of y: (log lambda whose mean is y, log-pmf of y there), and
     {y: reason} for each y whose lambda was not found (its loglik is NaN).
 
@@ -113,7 +105,7 @@ def _saturated(y: np.ndarray, nu: float, policy: dist.SeriesPolicy):
     while todo.size and steps < MAX_NEWTON_STEPS:
         yt, lam = targets[todo], np.exp(t[todo])
         try:
-            tab = dist.log_term_table(lam, nu, policy)
+            tab = dist.log_term_table(lam, nu)
         except dist.TruncationError as exc:
             # a table truncates where its largest lambda does on its own
             failed[float(yt[lam.argmax()])] = str(exc)
@@ -132,8 +124,7 @@ def _saturated(y: np.ndarray, nu: float, policy: dist.SeriesPolicy):
     return t[inv], ll[inv], failed
 
 
-def _approx_unit_deviance(y: np.ndarray, mu: np.ndarray, nu: float,
-                          policy: dist.SeriesPolicy) -> np.ndarray:
+def _approx_unit_deviance(y: np.ndarray, mu: np.ndarray, nu: float) -> np.ndarray:
     """Mean-approximation unit deviances; NaN where its domain fails, except
     at (nu < 1, y = 0), where the second normalizer term is set to 1."""
     a = (nu - 1.0) / (2.0 * nu)
@@ -141,39 +132,33 @@ def _approx_unit_deviance(y: np.ndarray, mu: np.ndarray, nu: float,
     ok = (mu + a > 0) & ((y + a > 0) | patched)
     full = ok & ~patched
     # one table for the fitted means and one for the distinct y; 1 stands in elsewhere
-    log_z_mu = dist.log_term_table(np.where(ok, mu + a, 1.0) ** nu, nu, policy).log_z
+    log_z_mu = dist.log_term_table(np.where(ok, mu + a, 1.0) ** nu, nu).log_z
     ys, inv = np.unique(np.where(full, y + a, 1.0), return_inverse=True)
-    log_z_y = np.where(full, dist.log_term_table(ys ** nu, nu, policy).log_z[inv], 0.0)
+    log_z_y = np.where(full, dist.log_term_table(ys ** nu, nu).log_z[inv], 0.0)
     ratio = np.where(full, (y + a) / np.where(ok, mu + a, 1.0), 1.0)
     d = 2.0 * (y * nu * np.log(ratio) + log_z_mu - log_z_y)
     return np.where(ok, np.maximum(0.0, d), np.nan)
 
 
-def _deviance(ds: Dataset, fr: FitResult, ev: fit.Evaluation, h: np.ndarray,
-              kind: str, policy: dist.SeriesPolicy):
+def _deviance(ds: Dataset, fr: FitResult, ev: fit.Evaluation, h: np.ndarray, kind: str):
     if kind not in ("exact", "approx"):
         raise ValueError(f"kind must be 'exact' or 'approx', got {kind!r}")
     one_minus_h = _one_minus_leverage(h)
     y = ds.y.astype(float)
-    d = (_approx_unit_deviance(y, ev.mean, fr.nu, policy) if kind == "approx"
+    d = (_approx_unit_deviance(y, ev.mean, fr.nu) if kind == "approx"
          else np.full(ds.n_obs, np.nan))
     rows = np.flatnonzero(np.isnan(d))
     notes = dict.fromkeys(rows.tolist() if kind == "approx" else [],
                           "approximation domain violated; exact deviance used")
     # each row's fitted loglik y eta - nu log y! - log Z, from the same evaluation
     ll_fit = (y * linear_predictor(ds, fr.beta) - fr.nu * gammaln(y + 1.0) - ev.log_z)[rows]
-    _, ll_sat, failed = _saturated(y[rows], fr.nu, policy)
+    _, ll_sat, failed = _saturated(y[rows], fr.nu)
     d[rows] = np.maximum(0.0, -2.0 * (ll_fit - ll_sat))
     notes.update({int(i): f"deviance unavailable: {failed[y[i]]}" for i in rows if y[i] in failed})
     return np.sign(y - ev.mean) * np.sqrt(d) / np.sqrt(one_minus_h), notes
 
 
-def deviance_residuals(
-    ds: Dataset,
-    fr: FitResult,
-    kind: str = "exact",
-    policy: dist.SeriesPolicy = dist.DEFAULT_POLICY,
-):
+def deviance_residuals(ds: Dataset, fr: FitResult, kind: str = "exact"):
     """Standardized deviance residuals sign(y-mu) sqrt(d_i) / sqrt(1-h_i).
 
     kind='approx' uses the closed-form mean approximation of the unit
@@ -182,19 +167,15 @@ def deviance_residuals(
     lambda cannot be found (its series truncates, or Newton runs out of
     steps) comes back NaN with a note.  Returns (residuals, notes).
     """
-    return _deviance(ds, fr, *_evaluation_and_leverage(ds, fr, policy), kind, policy)
+    return _deviance(ds, fr, *_evaluation_and_leverage(ds, fr), kind)
 
 
-def diagnostics_report(
-    ds: Dataset,
-    fr: FitResult,
-    deviance_kind: str = "exact",
-    policy: dist.SeriesPolicy = dist.DEFAULT_POLICY,
-) -> DiagnosticsReport:
+def diagnostics_report(ds: Dataset, fr: FitResult,
+                       deviance_kind: str = "exact") -> DiagnosticsReport:
     """Leverage, Pearson and deviance residuals, and conventional flag lists."""
-    ev, h = _evaluation_and_leverage(ds, fr, policy)
+    ev, h = _evaluation_and_leverage(ds, fr)
     pearson = _pearson(ds, ev, h)
-    deviance, notes = _deviance(ds, fr, ev, h, deviance_kind, policy)
+    deviance, notes = _deviance(ds, fr, ev, h, deviance_kind)
     h_cut = LEVERAGE_FLAG_FACTOR * fr.n_params / ds.n_obs
     flagged_h = np.flatnonzero(h > h_cut).tolist()
     flagged_r = np.flatnonzero(np.abs(deviance) > RESIDUAL_FLAG).tolist()

@@ -8,7 +8,8 @@ with success probability lambda/(1+lambda)).
 The one series kernel, log_term_table, sums the terms until the largest
 lambda's fall 2^-64 below their peak at floor(lambda^(1/nu)), forming each
 term once in a cache-sized block, and gives log Z and the raw moments of
-(Y, log Y!); pmf, moments and likelihood are views of it.
+(Y, log Y!); pmf, moments and likelihood are views of it.  Its cap,
+MAX_TERMS, is read where a table is built, so it holds on every path.
 """
 
 from __future__ import annotations
@@ -47,47 +48,35 @@ class ComParams:
             )
 
 
-@dataclass(frozen=True)
-class SeriesPolicy:
-    """Truncation control for the infinite normalizing series."""
-
-    rel_tol: float = 1e-12
-    max_terms: int = 10_000
-
-    def __post_init__(self):
-        if not (0 < self.rel_tol < 1):
-            raise ValueError(f"rel_tol must lie in (0, 1), got {self.rel_tol}")
-        if self.max_terms < 100:
-            raise ValueError(f"max_terms must be >= 100, got {self.max_terms}")
-
-
-DEFAULT_POLICY = SeriesPolicy()
-TERMS_STEP = 32    # granularity of the first support length tried
+MAX_TERMS = 10_000    # the series cap: a support longer than this raises TruncationError
+REL_TOL = 1e-12       # the truncation guard's bound on the last term and the tail, over Z
+TERMS_STEP = 32    # granularity of the support length
 EXP_BLOCK = 32     # table columns formed and exponentiated per step, so the block stays in cache
 CUT = 64.0 * np.log(2.0)    # a term 2^-64 below the largest cannot change a double sum
 
 
-def series_terms(lam_max, nu, policy: SeriesPolicy = DEFAULT_POLICY):
-    """First support length tried, per replicate, for its largest lambda and its nu.
+def series_terms(lam_max, nu):
+    """Support length, per replicate, for its largest lambda and its nu.
 
     The log terms s*log(lambda) - nu*log(s!) are concave in s and peak at
     floor(lambda^(1/nu)) (0 when nu = 0, where lambda < 1), so Newton steps
     from a quadratic estimate right of the peak land on or past the s where
     they fall CUT below it.  That s, rounded up to a multiple of TERMS_STEP
-    (at least 64), is per replicate, so replicates of one length share a
-    table without widening each other's rows.  Returns (terms, lambda^(1/nu)).
+    (at least 64) and capped at MAX_TERMS, is per replicate, so replicates
+    of one length share a table without widening each other's rows.  A
+    mode at or past the cap gets the cap.  Returns (terms, lambda^(1/nu)).
     """
     nu = np.asarray(nu, dtype=float)
     with np.errstate(all="ignore"):
         mode = lam_max ** (1.0 / nu)    # nu = 0: lambda < 1 and lambda^inf = 0
         log_lam, top = np.log(lam_max), np.floor(mode) + 1.0
         level = top * log_lam - nu * gammaln(top) - CUT    # Newton on u = s + 1 to this level
-        u = np.fmin(top + 1.0 + np.sqrt(2.0 * CUT * top / nu), policy.max_terms)
+        u = np.fmin(top + 1.0 + np.sqrt(2.0 * CUT * top / nu), MAX_TERMS)
         for _ in range(2):
             u -= (u * log_lam - nu * gammaln(u) - level) / (log_lam - nu * digamma(u))
-    # fmin: a NaN lambda (rejected later) gets the cap, not an undefined int
-    terms = np.fmin(policy.max_terms, np.ceil(np.maximum(u - 1.0, 64.0) / TERMS_STEP) * TERMS_STEP)
-    return terms.astype(int), mode
+    terms = np.ceil(np.maximum(u - 1.0, 64.0) / TERMS_STEP) * TERMS_STEP
+    # a NaN lambda (rejected later) gets the cap too, not an undefined int
+    return np.where(mode < MAX_TERMS, np.fmin(terms, MAX_TERMS), MAX_TERMS).astype(int), mode
 
 
 @dataclass(frozen=True)
@@ -125,7 +114,7 @@ def _support(n_terms: int):
     return s, lf, np.stack([np.ones_like(s), s, lf, s * s, s * lf, lf * lf], axis=1)
 
 
-def log_term_table(lam, nu, policy: SeriesPolicy = DEFAULT_POLICY) -> SeriesTable:
+def log_term_table(lam, nu) -> SeriesTable:
     """The series kernel: log Z and raw moments for an array of lambdas.
 
     With a B x n lam and nu of length B (one per replicate, i.e. per row
@@ -135,10 +124,10 @@ def log_term_table(lam, nu, policy: SeriesPolicy = DEFAULT_POLICY) -> SeriesTabl
     and exponentiated; the sums of t_s times 1, s, log s!, s^2, s log s! and
     (log s!)^2 come from a stack of per-replicate matrix products, never one
     across replicates, whose rounding can depend on how many rows it gets.
-    The support starts at series_terms' length; the truncation rule guards
-    it: the last term must be past the mode, decreasing, below rel_tol of
-    the sum, and so must the geometric tail bound implied by the last two
-    terms.  Otherwise the support is doubled, up to max_terms.
+    The support is series_terms' length, built once; the truncation rule
+    guards it: the last term must be past the mode, decreasing, below
+    REL_TOL of the sum, and so must the geometric tail bound implied by the
+    last two terms.  Otherwise TruncationError is raised.
     """
     nu = np.asarray(nu, dtype=float)
     lam = np.asarray(lam, dtype=float).reshape(nu.size, -1)
@@ -150,63 +139,58 @@ def log_term_table(lam, nu, policy: SeriesPolicy = DEFAULT_POLICY) -> SeriesTabl
     if ((nu == 0) & (lam >= 1)).any():
         raise DivergentSeriesError("nu=0 requires lambda < 1 for every lambda")
 
-    terms, mode = series_terms(lam.max(axis=1, keepdims=True), nu, policy)
+    terms, mode = series_terms(lam.max(axis=1, keepdims=True), nu)
     if not np.isfinite(mode).all():
         raise OverflowError("series mode lambda^(1/nu) overflows")
     n_terms, (n_rep, n) = int(terms.max()), lam.shape
-    log_lam, log_rel = np.log(lam), np.log(policy.rel_tol)
+    s, lf, basis = _support(n_terms)
+    log_lam, log_rel, nu_lf = np.log(lam), np.log(REL_TOL), nu * lf
     with np.errstate(divide="ignore"):    # nu = 0 (a mode of 0), a ratio r of 1 (tail inf)
-        row_mode = np.floor(lam ** (1.0 / nu))
-        while True:
-            s, lf, basis = _support(n_terms)
-            nu_lf, peak = nu * lf, np.minimum(row_mode, n_terms)
-            top = log_lam * peak - nu * lf[peak.astype(int)]
-            sums, block = np.zeros((n_rep, n, 6)), np.empty(lam.size * EXP_BLOCK)
-            for a in range(0, len(s), EXP_BLOCK):
-                # contiguous B x columns x n: passes run along rows, matmul reads it transposed
-                t = block[: lam.size * min(EXP_BLOCK, len(s) - a)].reshape(n_rep, -1, n)
-                np.multiply(log_lam[:, None, :], s[a:a + EXP_BLOCK, None], out=t)
-                t -= nu_lf[:, a:a + EXP_BLOCK, None]
-                t -= top[:, None, :]
-                sums += np.matmul(np.exp(t, out=t).transpose(0, 2, 1), basis[a:a + EXP_BLOCK])
-            log_z = top + np.log(sums[..., 0])
-            # the last two terms over Z; geometric tail t_S r/(1-r), r = t_S/t_{S-1}
-            last, prev = (log_lam * s[k] - nu_lf[:, k, None] - log_z for k in (-1, -2))
-            step = np.minimum(last - prev, 0.0)
-            tail = last + step - np.log1p(-np.exp(step))
-            done = (step < 0) & (last < log_rel) & (tail < log_rel) & (s[-1] > mode)
-            if done.all():
-                raw = (sums[..., 1:] / sums[..., :1]).reshape(-1, 5)
-                return SeriesTable(s, log_z.ravel(), raw, log_lam[..., None], nu_lf)
-            if n_terms >= policy.max_terms:
-                bad = int(np.flatnonzero(~done.all(axis=1))[0])
-                raise TruncationError(
-                    f"series not converged after {n_terms} terms "
-                    f"(lambda_max={lam[bad].max():g}, nu={nu[bad, 0]:g}, "
-                    f"rel_tol={policy.rel_tol:g})"
-                )
-            n_terms = min(2 * n_terms, policy.max_terms)
+        peak = np.minimum(np.floor(lam ** (1.0 / nu)), n_terms)
+        top = log_lam * peak - nu * lf[peak.astype(int)]
+        sums, block = np.zeros((n_rep, n, 6)), np.empty(lam.size * EXP_BLOCK)
+        for a in range(0, len(s), EXP_BLOCK):
+            # contiguous B x columns x n: passes run along rows, matmul reads it transposed
+            t = block[: lam.size * min(EXP_BLOCK, len(s) - a)].reshape(n_rep, -1, n)
+            np.multiply(log_lam[:, None, :], s[a:a + EXP_BLOCK, None], out=t)
+            t -= nu_lf[:, a:a + EXP_BLOCK, None]
+            t -= top[:, None, :]
+            sums += np.matmul(np.exp(t, out=t).transpose(0, 2, 1), basis[a:a + EXP_BLOCK])
+        log_z = top + np.log(sums[..., 0])
+        # the last two terms over Z; geometric tail t_S r/(1-r), r = t_S/t_{S-1}
+        last, prev = (log_lam * s[k] - nu_lf[:, k, None] - log_z for k in (-1, -2))
+        step = np.minimum(last - prev, 0.0)
+        tail = last + step - np.log1p(-np.exp(step))
+    done = (step < 0) & (last < log_rel) & (tail < log_rel) & (s[-1] > mode)
+    if not done.all():
+        bad = int(np.flatnonzero(~done.all(axis=1))[0])
+        raise TruncationError(
+            f"series not converged after {n_terms} terms "
+            f"(lambda_max={lam[bad].max():g}, nu={nu[bad, 0]:g}, rel_tol={REL_TOL:g})"
+        )
+    raw = (sums[..., 1:] / sums[..., :1]).reshape(-1, 5)
+    return SeriesTable(s, log_z.ravel(), raw, log_lam[..., None], nu_lf)
 
 
-def pmf_table(lam, nu: float, policy: SeriesPolicy = DEFAULT_POLICY):
+def pmf_table(lam, nu: float):
     """Support points and normalized pmf rows for an array of lambdas."""
-    s, log_terms, log_z = log_term_table(lam, nu, policy)
+    s, log_terms, log_z = log_term_table(lam, nu)
     return s, np.exp(np.subtract(log_terms, log_z[:, None], out=log_terms), out=log_terms)
 
 
-def log_normalizer(p: ComParams, policy: SeriesPolicy = DEFAULT_POLICY) -> float:
+def log_normalizer(p: ComParams) -> float:
     """log Z(lambda, nu), with closed forms at nu=0 (geometric) and nu=1."""
     if p.nu == 0:
         return float(-np.log1p(-p.lam))
     if p.nu == 1:
         return p.lam
-    return float(log_term_table(p.lam, p.nu, policy).log_z[0])
+    return float(log_term_table(p.lam, p.nu).log_z[0])
 
 
-def log_pmf(y: int, p: ComParams, policy: SeriesPolicy = DEFAULT_POLICY) -> float:
+def log_pmf(y: int, p: ComParams) -> float:
     if y < 0 or y != int(y):
         raise ValueError(f"y must be a nonnegative integer, got {y}")
-    return float(y * np.log(p.lam) - p.nu * gammaln(y + 1.0) - log_normalizer(p, policy))
+    return float(y * np.log(p.lam) - p.nu * gammaln(y + 1.0) - log_normalizer(p))
 
 
 def consecutive_ratio(y: int, p: ComParams) -> float:
@@ -216,25 +200,21 @@ def consecutive_ratio(y: int, p: ComParams) -> float:
     return float(y**p.nu / p.lam)
 
 
-def expect_fn(
-    p: ComParams,
-    f: Callable[[np.ndarray], np.ndarray],
-    policy: SeriesPolicy = DEFAULT_POLICY,
-) -> float:
+def expect_fn(p: ComParams, f: Callable[[np.ndarray], np.ndarray]) -> float:
     """E[f(Y)] = sum_y f(y) pmf(y) over the truncated support."""
-    s, pmf = pmf_table(p.lam, p.nu, policy)
+    s, pmf = pmf_table(p.lam, p.nu)
     vals = np.asarray(f(s), dtype=float)
     if not np.all(np.isfinite(vals)):
         raise ValueError("f must be finite on the truncated support")
     return float(pmf[0] @ vals)
 
 
-def mean_exact(p: ComParams, policy: SeriesPolicy = DEFAULT_POLICY) -> float:
-    return float(log_term_table(p.lam, p.nu, policy).moments()[0][0])
+def mean_exact(p: ComParams) -> float:
+    return float(log_term_table(p.lam, p.nu).moments()[0][0])
 
 
-def var_exact(p: ComParams, policy: SeriesPolicy = DEFAULT_POLICY) -> float:
-    return float(log_term_table(p.lam, p.nu, policy).moments()[2][0])
+def var_exact(p: ComParams) -> float:
+    return float(log_term_table(p.lam, p.nu).moments()[2][0])
 
 
 def mean_approx(p: ComParams) -> float:
@@ -250,10 +230,10 @@ def approx_mean_valid(lam, nu: float) -> bool:
     return bool(nu <= 1.0 or np.all(np.asarray(lam) > 10.0**nu))
 
 
-def cdf(y: int, p: ComParams, policy: SeriesPolicy = DEFAULT_POLICY) -> float:
+def cdf(y: int, p: ComParams) -> float:
     if y < 0 or y != int(y):
         raise ValueError(f"y must be a nonnegative integer, got {y}")
-    s, pmf = pmf_table(p.lam, p.nu, policy)
+    s, pmf = pmf_table(p.lam, p.nu)
     return float(min(1.0, pmf[0][: int(y) + 1].sum()))
 
 
@@ -270,35 +250,25 @@ def inverse_cdf(pmf: np.ndarray, u) -> np.ndarray:
     return np.minimum(idx, pmf.shape[-1] - 1)
 
 
-def quantile(q: float, p: ComParams, policy: SeriesPolicy = DEFAULT_POLICY) -> int:
+def quantile(q: float, p: ComParams) -> int:
     """Smallest y with CDF(y) >= q (left-continuous inverse)."""
     if not (0 < q < 1):
         raise ValueError(f"q must lie in (0, 1), got {q}")
-    _, pmf = pmf_table(p.lam, p.nu, policy)
+    _, pmf = pmf_table(p.lam, p.nu)
     return int(inverse_cdf(pmf[0], q))
 
 
-def sample(
-    p: ComParams,
-    rng: np.random.Generator,
-    size: int | None = None,
-    policy: SeriesPolicy = DEFAULT_POLICY,
-):
+def sample(p: ComParams, rng: np.random.Generator, size: int | None = None):
     """Inverse-CDF sampling driven by an explicit random source."""
-    _, pmf = pmf_table(p.lam, p.nu, policy)
+    _, pmf = pmf_table(p.lam, p.nu)
     draws = inverse_cdf(pmf[0], rng.uniform(size=size))
     if size is None:
         return int(draws)
     return draws.astype(np.int64)
 
 
-def sample_many(
-    lam,
-    nu: float,
-    rng: np.random.Generator,
-    policy: SeriesPolicy = DEFAULT_POLICY,
-) -> np.ndarray:
+def sample_many(lam, nu: float, rng: np.random.Generator) -> np.ndarray:
     """One draw per entry of lam (shared nu); used for regression resampling."""
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
-    _, pmf = pmf_table(lam, nu, policy)
+    _, pmf = pmf_table(lam, nu)
     return inverse_cdf(pmf, rng.uniform(size=len(lam))).astype(np.int64)

@@ -89,8 +89,7 @@ class Evaluation:
     log_z: np.ndarray    # log Z(lambda_i, nu); row i's loglik is y_i eta_i - nu log y_i! - log_z_i
 
 
-def _evaluate_stack(X: np.ndarray, Y: np.ndarray, eta: np.ndarray, nu: np.ndarray,
-                    policy: dist.SeriesPolicy) -> Evaluation:
+def _evaluate_stack(X: np.ndarray, Y: np.ndarray, eta: np.ndarray, nu: np.ndarray) -> Evaluation:
     """Stacked evaluation: replicate b has response Y[b], linear predictor
     eta[b] and dispersion nu[b], all on the design X, and the replicates
     share one series table.  Raises OverflowError when some lambda =
@@ -101,7 +100,7 @@ def _evaluate_stack(X: np.ndarray, Y: np.ndarray, eta: np.ndarray, nu: np.ndarra
         lam = np.exp(eta)
     if not np.all((lam > 0) & np.isfinite(lam)):
         raise OverflowError("linear predictor out of range: lambda overflows or underflows")
-    tab = dist.log_term_table(lam, nu, policy)
+    tab = dist.log_term_table(lam, nu)
     mean, e_lf, var, cov_y_lf, var_lf, log_z = (
         a.reshape(eta.shape) for a in (*tab.moments(), tab.log_z))
 
@@ -120,12 +119,7 @@ def _evaluate_stack(X: np.ndarray, Y: np.ndarray, eta: np.ndarray, nu: np.ndarra
     return Evaluation(loglik, score, info, mean, var, log_z)
 
 
-def evaluate(
-    ds: Dataset,
-    beta: np.ndarray,
-    nu: float,
-    policy: dist.SeriesPolicy = dist.DEFAULT_POLICY,
-) -> Evaluation:
+def evaluate(ds: Dataset, beta: np.ndarray, nu: float) -> Evaluation:
     """Loglik, score, expected information and per-row moments and log Z at (beta, nu).
 
     The score is (X'(y - E Y), sum(E log Y! - log y!)); the information
@@ -141,43 +135,28 @@ def evaluate(
     if nu < 0:
         raise ValueError(f"nu must be nonnegative, got {nu}")
     eta = linear_predictor(ds, beta)
-    ev = _evaluate_stack(ds.X, ds.y[None], eta[None], np.array([float(nu)]), policy)
+    ev = _evaluate_stack(ds.X, ds.y[None], eta[None], np.array([float(nu)]))
     return Evaluation(float(ev.loglik[0]), ev.score[0], ev.info[0], ev.mean[0],
                       ev.var[0], ev.log_z[0])
 
 
-def loglik(
-    ds: Dataset,
-    beta: np.ndarray,
-    nu: float,
-    policy: dist.SeriesPolicy = dist.DEFAULT_POLICY,
-) -> float:
+def loglik(ds: Dataset, beta: np.ndarray, nu: float) -> float:
     """Sum_i [y_i eta_i - nu log y_i! - log Z(lambda_i, nu)]."""
-    return evaluate(ds, beta, nu, policy).loglik
+    return evaluate(ds, beta, nu).loglik
 
 
-def score(
-    ds: Dataset,
-    beta: np.ndarray,
-    nu: float,
-    policy: dist.SeriesPolicy = dist.DEFAULT_POLICY,
-) -> np.ndarray:
+def score(ds: Dataset, beta: np.ndarray, nu: float) -> np.ndarray:
     """Gradient of loglik in (beta, nu): (X'(y - E Y), sum(E log Y! - log y!))."""
     if nu <= 0:
         raise ValueError(f"score requires nu > 0, got {nu}")
-    return evaluate(ds, beta, nu, policy).score
+    return evaluate(ds, beta, nu).score
 
 
-def fisher_information(
-    ds: Dataset,
-    beta: np.ndarray,
-    nu: float,
-    policy: dist.SeriesPolicy = dist.DEFAULT_POLICY,
-) -> np.ndarray:
+def fisher_information(ds: Dataset, beta: np.ndarray, nu: float) -> np.ndarray:
     """Expected information in (beta, nu) from sufficient-statistic covariances."""
     if nu <= 0:
         raise ValueError(f"fisher_information requires nu > 0, got {nu}")
-    return evaluate(ds, beta, nu, policy).info
+    return evaluate(ds, beta, nu).info
 
 
 def _invert_information(info: np.ndarray) -> np.ndarray:
@@ -203,17 +182,17 @@ def fit_poisson_start(ds: Dataset) -> np.ndarray:
 SERIES_ERRORS = (dist.DivergentSeriesError, dist.TruncationError, OverflowError)
 
 
-def _evaluate_each(X: np.ndarray, Y: np.ndarray, z: np.ndarray, policy: dist.SeriesPolicy):
+def _evaluate_each(X: np.ndarray, Y: np.ndarray, z: np.ndarray):
     """Loglik, score and information at z[b] = (beta..., nu) for each replicate b.
 
-    Replicates share a table only with replicates whose series starts at
-    the same support length (dist.series_terms), in chunks of at most
+    Replicates share a table only with replicates whose series has the
+    same support length (dist.series_terms), in chunks of at most
     CHUNK_CELLS table cells (or of one replicate), so none widens the
     others' rows.  Every sum runs within one replicate (row-wise einsum,
     or a stack of per-replicate matrix products, never one BLAS product
     across replicates, whose rounding can depend on how many rows it
-    gets): a replicate's numbers do not depend on its chunk unless the
-    chunk's support has to be doubled.  A chunk that raises one of
+    gets): a replicate's numbers do not depend on its chunk.  A chunk
+    that raises one of
     SERIES_ERRORS is split in halves until the replicate that raises it
     is alone.  Returns (loglik, score, info, errors): NaN for those
     replicates, and per replicate None or the error it raised alone.
@@ -230,7 +209,7 @@ def _evaluate_each(X: np.ndarray, Y: np.ndarray, z: np.ndarray, policy: dist.Ser
     chunks = [np.arange(n_rep)]
     if n_rep > 1:
         with np.errstate(over="ignore"):
-            terms = dist.series_terms(np.exp(eta.max(axis=1)), nu, policy)[0]
+            terms = dist.series_terms(np.exp(eta.max(axis=1)), nu)[0]
         chunks = []
         for width in np.unique(terms):
             idx, size = np.flatnonzero(terms == width), max(1, CHUNK_CELLS // (n * width))
@@ -238,7 +217,7 @@ def _evaluate_each(X: np.ndarray, Y: np.ndarray, z: np.ndarray, policy: dist.Ser
     while chunks:
         idx = chunks.pop()
         try:
-            part = _evaluate_stack(X, Y[idx], eta[idx], nu[idx], policy)
+            part = _evaluate_stack(X, Y[idx], eta[idx], nu[idx])
         except SERIES_ERRORS as exc:
             if len(idx) == 1:
                 errors[idx[0]] = exc
@@ -254,7 +233,6 @@ def fit_replicates(
     Y: np.ndarray,
     beta0: np.ndarray,
     settings: OptimSettings = DEFAULT_SETTINGS,
-    policy: dist.SeriesPolicy = dist.DEFAULT_POLICY,
     fix_nu: float | None = None,
 ) -> list:
     """fit_com on every response Y[b] (one per row of Y) with the shared design X.
@@ -277,9 +255,9 @@ def fit_replicates(
     lo, hi = (settings.nu_floor, settings.nu_ceiling) if free_nu else (fix_nu, fix_nu)
     lower, upper = np.append(np.full(p1, -np.inf), lo), np.append(np.full(p1, np.inf), hi)
     z = np.column_stack([beta0, np.full(n_rep, 1.0 if free_nu else fix_nu)])
-    *at, errors = _evaluate_each(X, Y, z, policy)
+    *at, errors = _evaluate_each(X, Y, z)
     z, (loglik, score, info), iterations, stop = baselines.newton(
-        lambda rows, z: _evaluate_each(X, Y[rows], z, policy)[:3],
+        lambda rows, z: _evaluate_each(X, Y[rows], z)[:3],
         z, at, lower, upper, settings.max_iter)
     stop = baselines.ran_off(X, stop, info[:, :p1, :p1], score[:, :p1])
 
@@ -308,7 +286,7 @@ def fit_replicates(
             cov=cov,
             loglik=float(loglik[b]),
             n_obs=n,
-            n_params=p1 + 1,
+            n_params=k,
             converged=stop[b] == "converged",
             iterations=int(iterations[b]),
             boundary=bool(boundary),
@@ -319,7 +297,6 @@ def fit_replicates(
 def fit_com(
     ds: Dataset,
     settings: OptimSettings = DEFAULT_SETTINGS,
-    policy: dist.SeriesPolicy = dist.DEFAULT_POLICY,
     beta0: np.ndarray | None = None,
     fix_nu: float | None = None,
 ) -> FitResult:
@@ -335,25 +312,21 @@ def fit_com(
     constant one (a point mass).  fix_nu pins the dispersion (e.g. fix_nu=1
     gives the Poisson slice of the likelihood surface) and solves the beta
     block only: cov inverts the beta block of the information, with 0 in
-    nu's row and column.  converged means one of baselines.newton's
-    relative stop rules fired within max_iter steps and the fit did not
-    run off (baselines.ran_off).  This is fit_replicates with one replicate.
+    nu's row and column, and n_params counts beta alone.  converged means
+    one of baselines.newton's relative stop rules fired within max_iter
+    steps and the fit did not run off (baselines.ran_off).  This is
+    fit_replicates with one replicate.
     """
     if beta0 is None:
         beta0 = fit_poisson_start(ds)
     (result,) = fit_replicates(ds.X, ds.y[None], np.asarray(beta0, dtype=float)[None],
-                               settings, policy, fix_nu)
+                               settings, fix_nu)
     if isinstance(result, Exception):
         raise result
     return result
 
 
-def fitted_values(
-    ds: Dataset,
-    fr: FitResult,
-    kind: str = "median",
-    policy: dist.SeriesPolicy = dist.DEFAULT_POLICY,
-) -> np.ndarray:
+def fitted_values(ds: Dataset, fr: FitResult, kind: str = "median") -> np.ndarray:
     """Fitted values: 'mean_approx' via the closed-form mean, or 'median'.
 
     mean_approx is refused when the approximation's validity region
@@ -368,6 +341,6 @@ def fitted_values(
             )
         return lam ** (1.0 / fr.nu) - (fr.nu - 1.0) / (2.0 * fr.nu)
     if kind == "median":
-        _, pmf = dist.pmf_table(lam, fr.nu, policy)
+        _, pmf = dist.pmf_table(lam, fr.nu)
         return dist.inverse_cdf(pmf, 0.5).astype(float)
     raise ValueError(f"unknown fitted-value kind {kind!r}")

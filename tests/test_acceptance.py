@@ -22,7 +22,6 @@ from comreg.data import Dataset, linear_predictor, simulate
 from comreg.diag import hat_diagonal  # noqa: F401  (import check: diag is part of the gate)
 from comreg.dist import (
     ComParams,
-    DEFAULT_POLICY,
     consecutive_ratio,
     expect_fn,
     log_normalizer,
@@ -195,7 +194,7 @@ def test_criterion_09_distribution_kernel(capsys):
     ]
     for lam, nu in grid:
         params = ComParams(lam, nu)
-        _, pmf = pmf_table(np.array([lam]), nu, DEFAULT_POLICY)
+        _, pmf = pmf_table(np.array([lam]), nu)
         checks.append(
             (f"normalization lam={lam} nu={nu}",
              abs(pmf.sum() - 1.0) < 1e-10)

@@ -415,9 +415,9 @@ def run_fresh(code):
 
 
 def test_import_defers_scipy_stats_and_optimize():
-    # a fresh interpreter: neither module is loaded until a subcommand needs it
-    code = ("import sys, comreg.cli; "
-            "print([m for m in ('scipy.stats', 'scipy.optimize') if m in sys.modules])")
+    # a fresh interpreter: none of these is loaded until a subcommand needs it
+    code = ("import sys, comreg.cli; print([m for m in "
+            "('scipy.stats', 'scipy.optimize', 'scipy.linalg') if m in sys.modules])")
     assert run_fresh(code).strip() == "[]"
 
 

@@ -3,7 +3,7 @@ import pytest
 import scipy.optimize
 from scipy.special import gammaln
 
-from comreg import fit
+from comreg import dist, fit
 from comreg.data import Dataset, simulate
 from comreg.diag import (
     LeverageError,
@@ -14,7 +14,7 @@ from comreg.diag import (
     hat_diagonal,
     pearson_residuals,
 )
-from comreg.dist import ComParams, DEFAULT_POLICY, SeriesPolicy, log_pmf, mean_exact
+from comreg.dist import ComParams, log_pmf, mean_exact
 from comreg.fit import fit_com
 
 
@@ -114,7 +114,7 @@ class TestDevianceResiduals:
         assert np.all(np.sign(rd[mask]) == np.sign(rp[mask]))
 
     def test_monotone_in_distance_from_mean(self, airfreight, airfreight_fit):
-        from comreg.dist import mean_exact, log_normalizer, ComParams, DEFAULT_POLICY
+        from comreg.dist import mean_exact, log_normalizer, ComParams
 
         lam = float(np.exp(airfreight.X @ airfreight_fit.beta)[0])
         nu = airfreight_fit.nu
@@ -123,7 +123,7 @@ class TestDevianceResiduals:
         def unit_deviances(ys):
             y = np.array(list(ys), dtype=float)
             ll_fit = y * np.log(lam) - nu * gammaln(y + 1.0) - log_normalizer(ComParams(lam, nu))
-            _, ll_sat, failed = _saturated(y, nu, DEFAULT_POLICY)
+            _, ll_sat, failed = _saturated(y, nu)
             assert failed == {}
             return list(np.maximum(0.0, -2.0 * (ll_fit - ll_sat)))
 
@@ -254,7 +254,7 @@ class TestSaturatedNewton:
     @pytest.mark.parametrize("nu", [0.1, 0.35, 1.0, 5.78, 30.0])
     def test_mean_at_saturated_lambda_is_y(self, nu):
         y = np.array([1.0, 2.0, 5.0, 39.0, 500.0])
-        log_lam, ll, failed = _saturated(y, nu, DEFAULT_POLICY)
+        log_lam, ll, failed = _saturated(y, nu)
         assert failed == {}
         for target, t in zip(y, log_lam):
             assert mean_exact(ComParams(float(np.exp(t)), nu)) == pytest.approx(target, rel=1e-10)
@@ -264,14 +264,14 @@ class TestSaturatedNewton:
 
     def test_zero_and_repeated_counts(self):
         y = np.array([3.0, 0.0, 3.0, 7.0])
-        log_lam, ll, failed = _saturated(y, 0.8, DEFAULT_POLICY)
+        log_lam, ll, failed = _saturated(y, 0.8)
         assert failed == {}
         assert ll[1] == 0.0
         assert log_lam[0] == log_lam[2] and ll[0] == ll[2]
 
     def test_step_cap_reported(self):
         # at nu = 1e-3 steps of +-nu cannot travel from log lambda = 0 to the root
-        _, ll, failed = _saturated(np.array([1.0]), 1e-3, DEFAULT_POLICY)
+        _, ll, failed = _saturated(np.array([1.0]), 1e-3)
         assert np.isnan(ll[0])
         assert failed[1.0].endswith(f"not found in {MAX_NEWTON_STEPS} Newton steps")
 
@@ -286,7 +286,7 @@ class TestSaturatedNewton:
         assert notes == {}
         assert np.allclose(r, _brentq_deviance_residuals(ds, fr), rtol=0, atol=1e-9)
 
-    def test_truncated_row_nan_with_note(self):
+    def test_truncated_row_nan_with_note(self, monkeypatch):
         rng = np.random.default_rng(5)
         x = rng.uniform(0, 1, 40)
         y = rng.poisson(np.exp(1 + 0.5 * x))
@@ -294,13 +294,14 @@ class TestSaturatedNewton:
         ds = Dataset(y=y, X=np.column_stack([np.ones(40), x]), names=("intercept", "x"))
         fr = fit_com(ds, fix_nu=1.0)
         # 100 terms cover every fitted lambda, but not the saturated lambda = 300 of row 5
-        r, notes = deviance_residuals(ds, fr, kind="exact", policy=SeriesPolicy(max_terms=100))
+        full, _ = deviance_residuals(ds, fr, kind="exact")
+        monkeypatch.setattr(dist, "MAX_TERMS", 100)
+        r, notes = deviance_residuals(ds, fr, kind="exact")
         assert list(notes) == [5]
         assert notes[5].startswith("deviance unavailable: series not converged")
         assert np.isnan(r[5])
         assert np.all(np.isfinite(np.delete(r, 5)))
-        # the other rows are what the default policy gives
-        full, _ = deviance_residuals(ds, fr, kind="exact")
+        # the other rows are what the default cap gives
         assert np.allclose(np.delete(r, 5), np.delete(full, 5), rtol=1e-10, atol=1e-12)
 
 

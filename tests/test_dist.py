@@ -17,7 +17,6 @@ from comreg import dist
 from comreg.dist import (
     ComParams,
     DivergentSeriesError,
-    SeriesPolicy,
     TruncationError,
     cdf,
     consecutive_ratio,
@@ -64,12 +63,6 @@ class TestComParams:
             ComParams(1.0, 0.0)
         ComParams(0.99, 0.0)  # valid
 
-    def test_policy_validation(self):
-        with pytest.raises(ValueError):
-            SeriesPolicy(rel_tol=0.0)
-        with pytest.raises(ValueError):
-            SeriesPolicy(max_terms=10)
-
 
 class TestLogNormalizer:
     def test_poisson_case(self):
@@ -94,13 +87,12 @@ class TestLogNormalizer:
             _, log_terms, log_z = dist.log_term_table(lam, nu)
             assert np.allclose(log_z, logsumexp(log_terms, axis=1), rtol=1e-14, atol=1e-14)
 
-    def test_truncation_failure_raises(self):
+    def test_truncation_failure_raises(self, monkeypatch):
         # nu just above 0 with lambda near 1: the series needs far more
         # terms than a tiny cap allows.
-        with pytest.raises(TruncationError):
-            dist.log_term_table(
-                np.array([0.999]), 0.01, SeriesPolicy(rel_tol=1e-12, max_terms=100)
-            )
+        monkeypatch.setattr(dist, "MAX_TERMS", 100)
+        with pytest.raises(TruncationError, match="after 100 terms"):
+            dist.log_term_table(np.array([0.999]), 0.01)
 
 
 class TestStackedTable:
@@ -127,12 +119,13 @@ class TestStackedTable:
             assert terms[b] == alone
         assert mode[0] == pytest.approx(7.0 ** (1 / 0.6))
 
-    def test_divergence_and_truncation_name_the_replicate(self):
+    def test_divergence_and_truncation_name_the_replicate(self, monkeypatch):
         with pytest.raises(DivergentSeriesError):
             dist.log_term_table([[0.5, 0.9], [0.5, 1.5]], [0.0, 0.0])
         dist.log_term_table([[0.5, 0.9], [0.5, 1.5]], [0.0, 1.0])    # lambda >= 1 only at nu = 1
+        monkeypatch.setattr(dist, "MAX_TERMS", 100)
         with pytest.raises(TruncationError, match="nu=0.01"):
-            dist.log_term_table([[2.0], [0.999]], [1.0, 0.01], SeriesPolicy(max_terms=100))
+            dist.log_term_table([[2.0], [0.999]], [1.0, 0.01])
 
     def test_mode_overflow_is_typed(self):
         with pytest.raises(OverflowError):
@@ -141,13 +134,13 @@ class TestStackedTable:
 
 class TestSeriesSizing:
     """series_terms starts each table where its largest lambda's terms have
-    fallen 2^-64 below their peak, so a table below max_terms never doubles."""
+    fallen 2^-64 below their peak, so one table below MAX_TERMS is enough."""
 
     @staticmethod
     def cut(lam, nu):
         """First s past the mode whose term is 2^-64 below the peak, or None
-        when that lies beyond 2 * max_terms."""
-        s = np.arange(2 * dist.DEFAULT_POLICY.max_terms + 1, dtype=float)
+        when that lies beyond 2 * MAX_TERMS."""
+        s = np.arange(2 * dist.MAX_TERMS + 1, dtype=float)
         mode = int(np.floor(lam ** (1.0 / nu))) if nu > 0 else 0
         if mode >= len(s):
             return None
@@ -170,16 +163,26 @@ class TestSeriesSizing:
     def test_support_ends_at_most_a_step_past_the_cut(self, nu):
         for lam in np.geomspace(1e-3, 5e3, 20):
             cut = self.cut(lam, nu)
-            if cut is None or cut > dist.DEFAULT_POLICY.max_terms:
+            if cut is None or cut > dist.MAX_TERMS:
                 continue
             terms, _ = dist.series_terms(lam, nu)
             tab = dist.log_term_table(lam, nu)
-            assert len(tab.s) == terms + 1, (lam, nu)    # no doubling
+            assert len(tab.s) == terms + 1, (lam, nu)
             assert cut <= terms <= max(64, cut + dist.TERMS_STEP), (lam, nu, cut, terms)
             # Z to 1e-15 relative, i.e. log Z to 1e-15 absolute (relative past 1)
             log_z, raw = self.reference(lam, nu, 2 * len(tab.s))
             assert abs(tab.log_z[0] - log_z) <= 1e-15 * max(1.0, abs(log_z)), (lam, nu)
             assert np.allclose(tab.raw[0], raw, rtol=1e-15, atol=0), (lam, nu)
+
+    def test_mode_at_or_past_the_cap_gets_the_cap(self, monkeypatch):
+        assert dist.series_terms(10_200.0, 1.0)[0] == dist.MAX_TERMS == 10_000
+        built, support = [], dist._support
+        monkeypatch.setattr(dist, "_support", lambda n: built.append(n) or support(n))
+        with pytest.raises(TruncationError, match="after 10000 terms"):
+            dist.log_term_table(10_200.0, 1.0)
+        assert built == [10_000]    # one table, then the guard raises
+        monkeypatch.setattr(dist, "MAX_TERMS", 100)
+        assert dist.series_terms(169.5, 1.0)[0] == 100
 
     def test_geometric_near_one_needs_no_doubling(self):
         # nu = 0, lambda = 0.99: about 4400 terms, sized in one go
@@ -208,10 +211,13 @@ class TestKernelAccuracy:
     """Raw moments from the kernel against a centred long-double reference
     on a wider support, to 1e-9 relative per row."""
 
-    WIDE = SeriesPolicy(max_terms=40_000)    # a mean of 9000 at nu = 0.2 needs ~12 000 terms
+    @pytest.fixture(autouse=True)
+    def wide_cap(self, monkeypatch):
+        # a mean of 9000 at nu = 0.2 needs ~12 000 terms
+        monkeypatch.setattr(dist, "MAX_TERMS", 40_000)
 
     def assert_rows_accurate(self, lam, nu):
-        tab = dist.log_term_table(lam, nu, self.WIDE)
+        tab = dist.log_term_table(lam, nu)
         mean, _, var, cov_lf, var_lf = tab.moments()
         ref = centred_reference(lam, nu, 2 * len(tab.s) + 64)
         for got, want in zip((mean, var, cov_lf, var_lf), ref):
@@ -253,9 +259,8 @@ class TestLogPmf:
 
     @pytest.mark.parametrize("lam,nu", GRID)
     def test_normalization_on_grid(self, lam, nu):
-        policy = dist.DEFAULT_POLICY
-        s, pmf = dist.pmf_table(lam, nu, policy)
-        assert pmf[0].sum() == pytest.approx(1.0, abs=10 * policy.rel_tol)
+        s, pmf = dist.pmf_table(lam, nu)
+        assert pmf[0].sum() == pytest.approx(1.0, abs=10 * dist.REL_TOL)
 
 
 class TestSpecialCaseCollapse:

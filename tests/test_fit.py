@@ -5,7 +5,7 @@ import pytest
 from scipy.special import gammaln
 
 from comreg import dist, fit
-from comreg.baselines import fit_logistic, fit_poisson, poisson_newton
+from comreg.baselines import fit_logistic, fit_poisson, information_criteria, poisson_newton
 from comreg.data import Dataset, simulate
 from comreg.fit import (
     OptimSettings,
@@ -238,6 +238,13 @@ class TestFitCom:
         assert np.allclose(fr.se[:p1], fit_poisson(ds).se, rtol=1e-10, atol=0)
         assert not fr.cov[p1].any() and not fr.cov[:, p1].any()
 
+    def test_fixed_nu_counts_beta_alone(self, airfreight):
+        # the Poisson slice has Poisson's parameter count, so its AIC and AICc
+        fr, pois = fit_com(airfreight, fix_nu=1.0), fit_poisson(airfreight)
+        assert fr.n_params == pois.n_params == 2
+        aic, aicc = information_criteria(fr.loglik, fr.n_params, airfreight.n_obs)
+        assert (aic, aicc) == pytest.approx((50.3946, 52.1088), abs=1e-4)
+
     def test_likelihood_ascent(self, airfreight, airfreight_fit):
         # the fit climbs from its Poisson warm start (beta_pois, nu = 1)
         start = loglik(airfreight, fit_poisson(airfreight).beta, 1.0)
@@ -381,25 +388,25 @@ class TestFitReplicates:
         Y = fitted_draws(ds, 3, seed=12)
         assert_same_fits(fit_stack(ds.X, Y), fit_each(ds.X, ds.names, Y), rel=1e-9)
 
-    def test_truncation_and_max_iter_touch_no_other_replicate(self, airfreight):
-        # Under max_terms=100 the over-dispersed responses' trials at small
+    def test_truncation_and_max_iter_touch_no_other_replicate(self, airfreight, monkeypatch):
+        # With MAX_TERMS at 100 the over-dispersed responses' trials at small
         # nu truncate: the first still converges, every trial of the
         # second's last step truncates; the third truncates at its
         # starting point.  The
         # airfreight draws never need 100 terms.
-        policy = dist.SeriesPolicy(max_terms=100)
+        monkeypatch.setattr(dist, "MAX_TERMS", 100)
         hard = np.array([[8, 5, 16, 12, 27, 19, 20, 5, 7, 12],
                          [7, 11, 14, 11, 4, 11, 6, 2, 30, 2],
                          [150, 140, 160, 150, 170, 150, 140, 150, 160, 140]])
         easy = fitted_draws(airfreight, 20, seed=13)
         Y = np.concatenate([easy[:10], hard, easy[10:]])
-        got = fit_stack(airfreight.X, Y, policy=policy)
-        assert_same_fits(got, fit_each(airfreight.X, airfreight.names, Y, policy=policy),
+        got = fit_stack(airfreight.X, Y)
+        assert_same_fits(got, fit_each(airfreight.X, airfreight.names, Y),
                          rel=1e-12)
         first, second, third = got[10:13]
         assert first.converged and not second.converged
         assert isinstance(third, dist.TruncationError)
-        alone = fit_stack(airfreight.X, easy, policy=policy)
+        alone = fit_stack(airfreight.X, easy)
         assert_same_fits(got[:10] + got[13:], alone, rel=1e-12)
 
         # a max_iter that cuts off the slow replicates leaves the others'

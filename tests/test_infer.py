@@ -5,6 +5,7 @@ from scipy.stats import chi2, kstest
 from comreg import dist, fit
 from comreg.baselines import fit_poisson
 from comreg.data import Dataset, simulate
+from comreg.diag import diagnostics_report
 from comreg.fit import OptimSettings, fit_com
 from comreg.infer import dispersion_test, parametric_bootstrap, wald_z
 
@@ -216,3 +217,22 @@ class TestWaldZ:
         )
         with pytest.raises(ValueError, match="boundary"):
             wald_z(fr_b, len(fr.beta))
+
+
+def test_series_cap_reaches_every_path(monkeypatch):
+    # lambda near e^5 puts every row's mode past a cap of 100 terms
+    ds = simulate(30, [5.0, 0.1], 1.0, seed=3)
+    fr = fit_com(ds)
+    monkeypatch.setattr(dist, "MAX_TERMS", 100)
+    paths = {
+        "simulate": lambda: simulate(30, [5.0, 0.1], 1.0, seed=3),
+        "fit_com": lambda: fit_com(ds),
+        "parametric_bootstrap": lambda: parametric_bootstrap(ds, fr, n_boot=100, seed=1),
+        "dispersion_test": lambda: dispersion_test(ds),
+        "fitted_values": lambda: fit.fitted_values(ds, fr),
+        "diagnostics_report": lambda: diagnostics_report(ds, fr),
+    }
+    for name, call in paths.items():
+        with pytest.raises(dist.TruncationError, match="after 100 terms"):
+            call()
+            pytest.fail(f"{name} ignored the cap")
