@@ -2,7 +2,7 @@
 
 from .data import Dataset, load_csv, linear_predictor
 from .dist import ComParams
-from .fit import FitResult, OptimSettings, fit_com, fitted_values
+from .fit import FitResult, fit_com, fitted_values
 from .infer import dispersion_test, parametric_bootstrap, wald_z
 from .baselines import (
     fit_logistic,
@@ -19,7 +19,6 @@ __all__ = [
     "load_csv",
     "linear_predictor",
     "FitResult",
-    "OptimSettings",
     "fit_com",
     "fitted_values",
     "dispersion_test",

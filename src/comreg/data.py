@@ -88,13 +88,12 @@ def load_csv(
     path: str | Path,
     response: str,
     transforms: Mapping[str, str] | None = None,
-    covariates: Sequence[str] | None = None,
 ) -> Dataset:
     """Load a Dataset from CSV.
 
+    The covariates are every non-response column, in header order.
     transforms maps column name -> {'identity', 'log'}; by default every
-    non-response column enters untransformed.  covariates restricts (and
-    orders) the columns used; default is all non-response columns.
+    covariate enters untransformed.
     """
     path = Path(path)
     if not path.exists():
@@ -134,17 +133,13 @@ def load_csv(
     table = np.array(rows, dtype=float)
     col = {name: table[:, j] for j, name in enumerate(header)}
 
-    if covariates is None:
-        covariates = [name for name in header if name != response]
     unknown = set(transforms) - set(header)
     if unknown:
         raise DataError(f"{path}: transforms refer to unknown columns {sorted(unknown)}")
 
     cols = [np.ones(len(table))]
     names = ["intercept"]
-    for name in covariates:
-        if name not in col:
-            raise DataError(f"{path}: covariate {name!r} not in header")
+    for name in [h for h in header if h != response]:
         tag = transforms.get(name, "identity")
         if tag not in _TRANSFORMS:
             raise DataError(f"unknown transform {tag!r} for column {name!r}")
@@ -193,8 +188,9 @@ def simulate(
 
     X is an intercept plus len(beta) - 1 columns from U(x_min, x_max),
     then y_i ~ COM-Poisson(exp(x_i' beta), nu), all drawn in that order
-    from default_rng(seed).  An unusable design raises DataError; counts
-    too large for the series raise dist.TruncationError.
+    from default_rng(seed).  An unusable design raises DataError, an
+    exp(x_i' beta) beyond the double range ValueError, and counts too
+    large for the series dist.TruncationError.
     """
     beta = np.asarray(beta, dtype=float)
     if n < 1:
@@ -206,7 +202,9 @@ def simulate(
     X = np.column_stack(
         [np.ones(n)] + [rng.uniform(x_min, x_max, size=n) for _ in range(n_cov)]
     )
-    y = dist.sample_many(np.exp(X @ beta), nu, rng)
+    with np.errstate(over="ignore"):
+        lam = np.exp(X @ beta)
+    y = dist.sample_many(lam, nu, rng)
     names = tuple(["intercept"] + [f"x{j + 1}" for j in range(n_cov)])
     return Dataset(y=y, X=X, names=names)
 

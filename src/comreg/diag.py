@@ -41,16 +41,9 @@ class DiagnosticsReport:
     notes: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "leverage": [float(v) for v in self.leverage],
-            "pearson": [float(v) for v in self.pearson],
-            "deviance": [float(v) for v in self.deviance],
-            "deviance_kind": self.deviance_kind,
-            "flagged_leverage": list(self.flagged_leverage),
-            "flagged_residual": list(self.flagged_residual),
-            "log_lambda": [float(v) for v in self.log_lambda],
-            "notes": {str(k): v for k, v in self.notes.items()},
-        }
+        out = {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in vars(self).items()}
+        out["notes"] = {str(k): v for k, v in self.notes.items()}
+        return out
 
 
 def _evaluation_and_leverage(ds: Dataset, fr: FitResult):

@@ -30,18 +30,9 @@ class SingularInformationError(FitError):
     """The information matrix is not invertible to tolerance."""
 
 
-@dataclass(frozen=True)
-class OptimSettings:
-    max_iter: int = 500
-    nu_floor: float = 1e-6
-    nu_ceiling: float = 1e3
-
-    def __post_init__(self):
-        if not (self.nu_floor < 1 < self.nu_ceiling):
-            raise ValueError("need nu_floor < 1 < nu_ceiling")
-
-
-DEFAULT_SETTINGS = OptimSettings()
+MAX_ITER = 500           # Newton steps before a fit is reported not converged
+NU_FLOOR = 1e-6          # nu's clamp: a fit pinned at either end is flagged boundary
+NU_CEILING = 1e3
 CHUNK_CELLS = 1 << 16    # row x term cells one stacked evaluation computes; streamed in
                          # dist.EXP_BLOCK-column blocks, so EXP_BLOCK/length of them are held
 
@@ -59,7 +50,7 @@ class FitResult:
     n_params: int
     converged: bool
     iterations: int
-    boundary: bool = False   # nu pinned at nu_floor/nu_ceiling, or a 0/1 or constant
+    boundary: bool = False   # nu pinned at NU_FLOOR/NU_CEILING, or a 0/1 or constant
                              # response (no finite nu-hat); nu covariance unreliable
 
     @property
@@ -232,7 +223,6 @@ def fit_replicates(
     X: np.ndarray,
     Y: np.ndarray,
     beta0: np.ndarray,
-    settings: OptimSettings = DEFAULT_SETTINGS,
     fix_nu: float | None = None,
 ) -> list:
     """fit_com on every response Y[b] (one per row of Y) with the shared design X.
@@ -240,25 +230,27 @@ def fit_replicates(
     Each replicate starts from (beta0[b], nu = 1) and has its own step,
     step halving, nu clamp, stop rule, boundary flag and covariance in
     one baselines.newton loop (under fix_nu, cov inverts the beta block
-    alone); only the evaluations are shared: each step, and each round
-    of halving, evaluates the replicates still trying as one stack (see
-    _evaluate_each).  A replicate whose trial point is unusable has that
-    trial rejected, and no other.  Returns one entry per replicate: its
-    FitResult, or the error that ended it (one of SERIES_ERRORS at the
-    start, or SingularInformationError away from a boundary).  X is not
-    validated here: pass the design of a Dataset.
+    alone) of at most MAX_ITER steps, with nu clamped to [NU_FLOOR,
+    NU_CEILING], all three read at call time.  Only the evaluations are
+    shared: each step, and each round of halving, evaluates the
+    replicates still trying as one stack (see _evaluate_each).  A
+    replicate whose trial point is unusable has that trial rejected, and
+    no other.  Returns one entry per replicate: its FitResult, or the
+    error that ended it (one of SERIES_ERRORS at the start, or
+    SingularInformationError away from a boundary).  X is not validated
+    here: pass the design of a Dataset.
     """
     Y = np.asarray(Y)
     n_rep, n = Y.shape
     p1 = X.shape[1]
     free_nu = fix_nu is None
-    lo, hi = (settings.nu_floor, settings.nu_ceiling) if free_nu else (fix_nu, fix_nu)
+    lo, hi = (NU_FLOOR, NU_CEILING) if free_nu else (fix_nu, fix_nu)
     lower, upper = np.append(np.full(p1, -np.inf), lo), np.append(np.full(p1, np.inf), hi)
     z = np.column_stack([beta0, np.full(n_rep, 1.0 if free_nu else fix_nu)])
     *at, errors = _evaluate_each(X, Y, z)
     z, (loglik, score, info), iterations, stop = baselines.newton(
         lambda rows, z: _evaluate_each(X, Y[rows], z)[:3],
-        z, at, lower, upper, settings.max_iter)
+        z, at, lower, upper, MAX_ITER)
     stop = baselines.ran_off(X, stop, info[:, :p1, :p1], score[:, :p1])
 
     # a 0/1 or constant response has no finite nu-hat: the loglik rises
@@ -296,7 +288,6 @@ def fit_replicates(
 
 def fit_com(
     ds: Dataset,
-    settings: OptimSettings = DEFAULT_SETTINGS,
     beta0: np.ndarray | None = None,
     fix_nu: float | None = None,
 ) -> FitResult:
@@ -306,21 +297,21 @@ def fit_com(
     is concave and the expected information is its negative Hessian, so
     each scoring step I step = g is a Newton step.  The step is halved
     until the loglik does not fall.  nu starts at 1 and is clamped to
-    [nu_floor, nu_ceiling]; at a bound whose gradient points outward only
+    [NU_FLOOR, NU_CEILING]; at a bound whose gradient points outward only
     beta moves, and the result is flagged boundary, as is a 0/1 response
     (the Bernoulli limit, where no finite nu maximizes the loglik) or a
     constant one (a point mass).  fix_nu pins the dispersion (e.g. fix_nu=1
     gives the Poisson slice of the likelihood surface) and solves the beta
     block only: cov inverts the beta block of the information, with 0 in
     nu's row and column, and n_params counts beta alone.  converged means
-    one of baselines.newton's relative stop rules fired within max_iter
+    one of baselines.newton's relative stop rules fired within MAX_ITER
     steps and the fit did not run off (baselines.ran_off).  This is
     fit_replicates with one replicate.
     """
     if beta0 is None:
         beta0 = fit_poisson_start(ds)
     (result,) = fit_replicates(ds.X, ds.y[None], np.asarray(beta0, dtype=float)[None],
-                               settings, fix_nu)
+                               fix_nu)
     if isinstance(result, Exception):
         raise result
     return result

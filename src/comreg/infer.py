@@ -50,7 +50,7 @@ class BootstrapResult:
     failures: dict = field(default_factory=dict)   # cause -> count, summing to n_failed
 
 
-def _refit(ds: Dataset, y_star: np.ndarray, settings: fit.OptimSettings):
+def _refit(ds: Dataset, y_star: np.ndarray):
     """fit_com on each replicate response y_star[b] with the design of ds.
 
     The Poisson warm starts and the COM-Poisson fits (fit.fit_replicates)
@@ -61,14 +61,13 @@ def _refit(ds: Dataset, y_star: np.ndarray, settings: fit.OptimSettings):
     beta0, _, null_loglik, fits = poisson_newton(ds.X, y_star)
     started = np.array([f is None for f in fits])
     for b, f in zip(np.flatnonzero(started),
-                    fit.fit_replicates(ds.X, y_star[started], beta0[started], settings)):
+                    fit.fit_replicates(ds.X, y_star[started], beta0[started])):
         fits[b] = f
     return fits, null_loglik
 
 
 def dispersion_test(
     ds: Dataset,
-    settings: fit.OptimSettings = fit.DEFAULT_SETTINGS,
     bootstrap_calibrate: bool = False,
     n_boot: int = 500,
     seed: int | None = None,
@@ -78,11 +77,11 @@ def dispersion_test(
 
     bootstrap_calibrate simulates C under the fitted Poisson null and
     reports the empirical tail fraction as well (small-sample guidance).
-    fr, the caller's fit_com(ds), is the alternative instead of a refit;
-    settings still drive the calibration refits.
+    fr, the caller's fit_com(ds), is the alternative instead of a refit.
+    Calibrating needs a seed and n_boot >= 1.
     """
     null = fit_poisson(ds)
-    alt = fr if fr is not None else fit.fit_com(ds, settings=settings, beta0=null.beta)
+    alt = fr if fr is not None else fit.fit_com(ds, beta0=null.beta)
     stat = max(0.0, -2.0 * (null.loglik - alt.loglik))
     result = DispersionTest(
         statistic=stat,
@@ -95,10 +94,12 @@ def dispersion_test(
     if bootstrap_calibrate:
         if seed is None:
             raise ValueError("bootstrap calibration requires a seed")
+        if n_boot < 1:
+            raise ValueError(f"n_boot must be >= 1, got {n_boot}")
         lam0 = np.exp(linear_predictor(ds, null.beta))
         children = np.random.SeedSequence(seed).spawn(n_boot)
         y_star = np.stack([np.random.default_rng(c).poisson(lam0) for c in children])
-        fits, null_loglik = _refit(ds, y_star, settings)
+        fits, null_loglik = _refit(ds, y_star)
         for f in fits:
             if isinstance(f, Exception):
                 raise f
@@ -113,7 +114,6 @@ def parametric_bootstrap(
     n_boot: int = 1000,
     ci_level: float = 0.90,
     seed: int = 0,
-    settings: fit.OptimSettings = fit.DEFAULT_SETTINGS,
 ) -> BootstrapResult:
     """Resample y* ~ COM-Poisson(lambda_hat_i, nu_hat), refit, collect (beta*, nu*).
 
@@ -138,7 +138,7 @@ def parametric_bootstrap(
     children = np.random.SeedSequence(seed).spawn(n_boot)
     y_star = np.stack([dist.inverse_cdf(pmf, np.random.default_rng(c).uniform(size=ds.n_obs))
                        for c in children])
-    fits, _ = _refit(ds, y_star, settings)
+    fits, _ = _refit(ds, y_star)
     rows = np.full((n_boot, ds.n_cols + 1), np.nan)
     ok = np.zeros(n_boot, dtype=bool)
     failures: Counter = Counter()

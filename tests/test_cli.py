@@ -1,4 +1,3 @@
-import functools
 import json
 import os
 import subprocess
@@ -130,8 +129,7 @@ class TestFit:
 
     def test_com_nonconvergence_exit_one(self, capsys, airfreight_path, monkeypatch):
         # the airfreight fit needs 7 steps
-        monkeypatch.setattr(fit, "fit_com", functools.partial(
-            fit.fit_com, settings=fit.OptimSettings(max_iter=1)))
+        monkeypatch.setattr(fit, "MAX_ITER", 1)
         code, out = run_cli(capsys, "fit", "--data", str(airfreight_path),
                             "--response", "broken", "--format", "json")
         assert code == EXIT_STAT
@@ -192,6 +190,14 @@ class TestDispersionTest:
         assert report["statistic"] == pytest.approx(9.1, abs=0.5)
         assert report["p_value"] < 0.01
 
+    @pytest.mark.parametrize("n_boot", ["-3", "0"])
+    def test_calibration_without_replicates_exit_two(self, capsys, airfreight_path, n_boot):
+        code, out = run_cli(capsys, "test", "--data", str(airfreight_path),
+                            "--response", "broken", "--bootstrap-calibrate", "--seed", "1",
+                            "--n-boot", n_boot, "--format", "json")
+        assert code == EXIT_IO
+        assert json.loads(out)["errors"][0]["message"] == f"n_boot must be >= 1, got {n_boot}"
+
 
 class TestBootstrap:
     @pytest.mark.slow
@@ -211,9 +217,15 @@ class TestBootstrap:
         assert sum(report["failures"].values()) == report["n_failed"]
 
     def test_every_replicate_failed_exit_one(self, capsys, airfreight_path, monkeypatch):
-        # no replicate converges in 5 steps
-        monkeypatch.setattr(infer, "parametric_bootstrap", functools.partial(
-            infer.parametric_bootstrap, settings=fit.OptimSettings(max_iter=5)))
+        # no replicate converges in 5 steps; the airfreight fit itself needs
+        # 7, so the cap is lowered only around the bootstrap
+        bootstrap = infer.parametric_bootstrap
+
+        def capped(*args, **kwargs):
+            monkeypatch.setattr(fit, "MAX_ITER", 5)
+            return bootstrap(*args, **kwargs)
+
+        monkeypatch.setattr(infer, "parametric_bootstrap", capped)
         code, out = run_cli(capsys, "bootstrap", "--data", str(airfreight_path),
                             "--response", "broken", "--n-boot", "100", "--seed", "3",
                             "--format", "json")
@@ -375,6 +387,13 @@ class TestSimulate:
                 "--nu", "2.0", "--seed", "4", "--output", str(dest),
             )
         assert a.read_bytes() == b.read_bytes()
+
+    def test_overflowing_lambda_exit_two(self, capsys, tmp_path):
+        code = main(["simulate", "--n", "10", "--beta", "1000,0.5", "--nu", "1.0",
+                     "--seed", "1", "--output", str(tmp_path / "o.csv")])
+        assert code == EXIT_IO
+        assert capsys.readouterr().err == (
+            "error: all lambda values must be positive finite reals\n")
 
     def test_geometric_regime_guard(self, capsys, tmp_path):
         code, _ = run_cli(

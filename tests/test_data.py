@@ -128,6 +128,11 @@ class TestSimulate:
         with pytest.raises(DataError, match=match):
             simulate(n, [0.5, 0.3], nu, seed=1)
 
+    def test_overflowing_lambda_is_a_value_error(self):
+        # the kernel's typed error, not numpy's overflow warning
+        with pytest.raises(ValueError, match="positive finite"):
+            simulate(10, [1000.0, 0.5], 1.0, seed=1)
+
 
 class TestRoundTrip:
     def test_csv_round_trip_identical(self, airfreight, tmp_path):

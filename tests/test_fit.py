@@ -8,7 +8,6 @@ from comreg import dist, fit
 from comreg.baselines import fit_logistic, fit_poisson, information_criteria, poisson_newton
 from comreg.data import Dataset, simulate
 from comreg.fit import (
-    OptimSettings,
     evaluate,
     fisher_information,
     fit_com,
@@ -286,8 +285,9 @@ class TestFitCom:
     def test_few_scoring_iterations(self, airfreight_fit):
         assert airfreight_fit.iterations <= 25
 
-    def test_max_iter_exhausted_is_not_converged(self, airfreight):
-        fr = fit_com(airfreight, settings=OptimSettings(max_iter=1))
+    def test_max_iter_exhausted_is_not_converged(self, airfreight, monkeypatch):
+        monkeypatch.setattr(fit, "MAX_ITER", 1)
+        fr = fit_com(airfreight)
         assert not fr.converged
         assert fr.iterations == 1
 
@@ -411,7 +411,8 @@ class TestFitReplicates:
 
         # a max_iter that cuts off the slow replicates leaves the others'
         # results as they are
-        short = fit_stack(airfreight.X, easy, settings=OptimSettings(max_iter=6))
+        monkeypatch.setattr(fit, "MAX_ITER", 6)
+        short = fit_stack(airfreight.X, easy)
         assert 0 < sum(not f.converged for f in short) < len(easy)
         for f, ref in zip(short, alone):
             if f.converged:
@@ -503,9 +504,3 @@ class TestFittedValues:
     def test_unknown_kind(self, airfreight, airfreight_fit):
         with pytest.raises(ValueError):
             fitted_values(airfreight, airfreight_fit, "mode")
-
-
-class TestOptimSettings:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            OptimSettings(nu_floor=2.0)

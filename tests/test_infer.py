@@ -6,7 +6,7 @@ from comreg import dist, fit
 from comreg.baselines import fit_poisson
 from comreg.data import Dataset, simulate
 from comreg.diag import diagnostics_report
-from comreg.fit import OptimSettings, fit_com
+from comreg.fit import fit_com
 from comreg.infer import dispersion_test, parametric_bootstrap, wald_z
 
 
@@ -134,18 +134,19 @@ class TestParametricBootstrap:
             return invert_real(info)
 
         monkeypatch.setattr(fit, "_invert_information", flaky)
-        boot = parametric_bootstrap(airfreight, airfreight_fit, n_boot=100, seed=3,
-                                    settings=OptimSettings(max_iter=7))
+        monkeypatch.setattr(fit, "MAX_ITER", 7)
+        boot = parametric_bootstrap(airfreight, airfreight_fit, n_boot=100, seed=3)
         assert boot.failures["SingularInformationError"] == 14
         assert boot.failures["nonconverged"] >= 17
         assert sum(boot.failures.values()) == boot.n_failed
         assert boot.n_failed + len(boot.replicates) == 100
 
-    def test_every_replicate_failed_is_a_fit_error(self, airfreight, airfreight_fit):
+    def test_every_replicate_failed_is_a_fit_error(self, airfreight, airfreight_fit,
+                                                   monkeypatch):
         # no replicate converges in 5 steps
+        monkeypatch.setattr(fit, "MAX_ITER", 5)
         with pytest.raises(fit.FitError, match="every bootstrap replicate failed") as err:
-            parametric_bootstrap(airfreight, airfreight_fit, n_boot=100, seed=3,
-                                 settings=OptimSettings(max_iter=5))
+            parametric_bootstrap(airfreight, airfreight_fit, n_boot=100, seed=3)
         assert "'nonconverged': 100" in str(err.value)
 
     def test_untyped_failure_propagates(self, airfreight, airfreight_fit, monkeypatch):
