@@ -17,13 +17,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import digamma, expit, gammaln, polygamma
 
+from ._special import expit, log_factorial
 from .data import Dataset, linear_predictor
 
 NEGBIN_BOUNDARY_R = 1e6   # log r is capped here; a fit that reaches it is the Poisson limit
 NEGBIN_LIMIT_R = 1e8      # the r reported for that limit
 NEGBIN_R0 = 10.0          # start of the negative binomial fit
+NEGBIN_MAX_COUNT = 1 << 20  # its loglik sums over k < y: larger counts are refused
 NEWTON_MAX_ITER = 500     # newton steps per baseline fit
 NEWTON_DECREMENT = 1e-12  # newton stops when g' step <= this * max(1, |loglik|)
 NEWTON_RTOL = 1e-8        # or when a step moves no coordinate by more than this * max(1, max|z|)
@@ -217,7 +218,7 @@ def poisson_newton(X: np.ndarray, Y: np.ndarray):
     beta0 = np.zeros((len(Y), X.shape[1]))
     beta0[:, 0] = np.log(np.maximum(Y.mean(axis=1), 0.1))
     return _fit_glm(X, Y, beta0, np.exp, lambda mu: mu, lambda eta, mu: mu,
-                    -gammaln(Y + 1.0).sum(axis=1))
+                    -log_factorial(Y).sum(axis=1))
 
 
 def fit_poisson(ds: Dataset) -> BaselineFit:
@@ -254,14 +255,30 @@ def _one_response(derivatives, X: np.ndarray, y: np.ndarray, z0: np.ndarray, low
     return z, (float(ll), g, info), stop
 
 
+def _negbin_ladder(y: np.ndarray) -> np.ndarray:
+    """k = 0, ..., max(y) - 1 in long double: the terms of the sums over k < y_i."""
+    top = int(y.max())
+    if top > NEGBIN_MAX_COUNT:
+        raise BaselineError(f"negative binomial needs counts of at most {NEGBIN_MAX_COUNT}, "
+                            f"got {top}")
+    return np.arange(top, dtype=np.longdouble)
+
+
+def _sum_below(terms: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Per count y_i, the sum of terms[k] over k < y_i: a prefix sum, rounded once."""
+    return np.concatenate([[0.0], np.cumsum(terms)]).astype(float)[y.astype(np.intp)]
+
+
 def negbin_loglik(y: np.ndarray, mu: np.ndarray, r: float) -> float:
-    return float(
-        np.sum(
-            gammaln(r + y) - gammaln(r) - gammaln(y + 1.0)
-            + r * (np.log(r) - np.log(r + mu))
-            + y * (np.log(mu) - np.log(r + mu))
-        )
-    )
+    """Sum of log Gamma(r+y)/(Gamma(r) y!) + r log(r/(r+mu)) + y log(mu/(r+mu)).
+
+    At integer y, log Gamma(r+y) - log Gamma(r) - y log r is the sum of
+    log1p(k/r) over k < y, and log(r+mu) = log r + log1p(mu/r), so no
+    term cancels as r grows towards the Poisson limit.
+    """
+    k = _negbin_ladder(y)
+    return float(np.sum(_sum_below(np.log1p(k / r), y) - log_factorial(y)
+                        - (r + y) * np.log1p(mu / r) + y * np.log(mu)))
 
 
 def _negbin_derivatives(X: np.ndarray, y: np.ndarray, z: np.ndarray):
@@ -273,8 +290,10 @@ def _negbin_derivatives(X: np.ndarray, y: np.ndarray, z: np.ndarray):
     if not np.isfinite(ll):
         return -np.inf, np.full(p1 + 1, np.nan), np.full((p1 + 1, p1 + 1), np.nan)
     rm = r + mu
-    s_r = digamma(r + y) - digamma(r) + np.log(r) - np.log(rm) + 1.0 - (r + y) / rm
-    ds_r = polygamma(1, r + y) - polygamma(1, r) + 1.0 / r - 1.0 / rm - (mu - y) / rm**2
+    v = r + _negbin_ladder(y)
+    # psi(r+y) - psi(r) and psi_1(r+y) - psi_1(r) at integer y, as sums over k < y
+    s_r = _sum_below(1.0 / v, y) - np.log1p(mu / r) + 1.0 - (r + y) / rm
+    ds_r = -_sum_below(1.0 / (v * v), y) + 1.0 / r - 1.0 / rm - (mu - y) / rm**2
     info = np.empty((p1 + 1, p1 + 1))
     info[:p1, :p1] = (X.T * (r * mu * (r + y) / rm**2)) @ X
     info[:p1, p1] = info[p1, :p1] = X.T @ (r * mu * (mu - y) / rm**2)
@@ -330,7 +349,7 @@ def rgpr_loglik(y: np.ndarray, mu: np.ndarray, alpha: float) -> float:
 def _rgpr_logpmf(y, mu, alpha: float):
     """Elementwise RGPR log pmf, where 1 + alpha*mu > 0 and 1 + alpha*y > 0."""
     return (y * (np.log(mu) - np.log1p(alpha * mu)) + (y - 1.0) * np.log1p(alpha * y)
-            - gammaln(y + 1.0) - mu * (1.0 + alpha * y) / (1.0 + alpha * mu))
+            - log_factorial(y) - mu * (1.0 + alpha * y) / (1.0 + alpha * mu))
 
 
 def _rgpr_derivatives(X: np.ndarray, y: np.ndarray, z: np.ndarray):

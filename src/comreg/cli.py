@@ -15,9 +15,9 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import expit
 
 from . import baselines, data, diag, dist, fit, infer
+from ._special import expit
 from .data import Dataset, linear_predictor, load_csv
 
 EXIT_OK = 0

@@ -93,7 +93,7 @@ def load_csv(
 
     The covariates are every non-response column, in header order.
     transforms maps column name -> {'identity', 'log'}; by default every
-    covariate enters untransformed.
+    covariate enters untransformed; a transform of the response is refused.
     """
     path = Path(path)
     if not path.exists():
@@ -136,6 +136,9 @@ def load_csv(
     unknown = set(transforms) - set(header)
     if unknown:
         raise DataError(f"{path}: transforms refer to unknown columns {sorted(unknown)}")
+    if response in transforms:
+        raise DataError(f"{path}: transform given for the response column {response!r}; "
+                        "transforms apply to covariates only")
 
     cols = [np.ones(len(table))]
     names = ["intercept"]
@@ -188,7 +191,8 @@ def simulate(
 
     X is an intercept plus len(beta) - 1 columns from U(x_min, x_max),
     then y_i ~ COM-Poisson(exp(x_i' beta), nu), all drawn in that order
-    from default_rng(seed).  An unusable design raises DataError, an
+    from default_rng(seed).  An unusable design or covariate range
+    (x_min > x_max, or either not finite) raises DataError, an
     exp(x_i' beta) beyond the double range ValueError, and counts too
     large for the series dist.TruncationError.
     """
@@ -197,6 +201,9 @@ def simulate(
         raise DataError(f"n must be a positive integer, got {n}")
     if not (np.isfinite(nu) and nu >= 0):
         raise DataError(f"nu must be a nonnegative finite real, got {nu}")
+    if not (np.isfinite(x_min) and np.isfinite(x_max) and x_min <= x_max):
+        raise DataError(f"x_min must be finite and at most x_max, got x_min={x_min:g}, "
+                        f"x_max={x_max:g}")
     rng = np.random.default_rng(seed)
     n_cov = len(beta) - 1
     X = np.column_stack(

@@ -14,9 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln
 
 from . import dist, fit
+from ._special import log_factorial
 from .data import Dataset, linear_predictor
 from .fit import FitResult
 
@@ -107,7 +107,7 @@ def _saturated(y: np.ndarray, nu: float):
         steps += 1
         mean, _, var, _, _ = tab.moments()
         solved = np.abs(yt - mean) <= 1e-12 * yt
-        ll[todo[solved]] = (yt * t[todo] - nu * gammaln(yt + 1.0) - tab.log_z)[solved]
+        ll[todo[solved]] = (yt * t[todo] - nu * log_factorial(yt) - tab.log_z)[solved]
         with np.errstate(divide="ignore"):
             step = np.clip((yt - mean) / var, -nu, nu)
         t[todo[~solved]] += step[~solved]
@@ -144,7 +144,7 @@ def _deviance(ds: Dataset, fr: FitResult, ev: fit.Evaluation, h: np.ndarray, kin
     notes = dict.fromkeys(rows.tolist() if kind == "approx" else [],
                           "approximation domain violated; exact deviance used")
     # each row's fitted loglik y eta - nu log y! - log Z, from the same evaluation
-    ll_fit = (y * linear_predictor(ds, fr.beta) - fr.nu * gammaln(y + 1.0) - ev.log_z)[rows]
+    ll_fit = (y * linear_predictor(ds, fr.beta) - fr.nu * log_factorial(y) - ev.log_z)[rows]
     _, ll_sat, failed = _saturated(y[rows], fr.nu)
     d[rows] = np.maximum(0.0, -2.0 * (ll_fit - ll_sat))
     notes.update({int(i): f"deviance unavailable: {failed[y[i]]}" for i in rows if y[i] in failed})

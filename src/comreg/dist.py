@@ -19,7 +19,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import digamma, gammaln
+
+from ._special import log_factorial, log_factorials
 
 
 class DivergentSeriesError(ValueError):
@@ -59,23 +60,32 @@ def series_terms(lam_max, nu):
     """Support length, per replicate, for its largest lambda and its nu.
 
     The log terms s*log(lambda) - nu*log(s!) are concave in s and peak at
-    floor(lambda^(1/nu)) (0 when nu = 0, where lambda < 1), so Newton steps
-    from a quadratic estimate right of the peak land on or past the s where
-    they fall CUT below it.  That s, rounded up to a multiple of TERMS_STEP
+    floor(lambda^(1/nu)) (0 when nu = 0, where lambda < 1).  Two chord
+    steps on integer s, from a quadratic estimate right of the peak, find
+    where they fall CUT below it: each chord runs through the log terms at
+    s - 1 and s (slope log(lambda) - nu*log(s), log s! read from the table)
+    and lies above them outside [s - 1, s], so rounding its root up lands
+    on or past the cut.  That s, rounded up to a multiple of TERMS_STEP
     (at least 64) and capped at MAX_TERMS, is per replicate, so replicates
     of one length share a table without widening each other's rows.  A
     mode at or past the cap gets the cap.  Returns (terms, lambda^(1/nu)).
     """
     nu = np.asarray(nu, dtype=float)
+    lf = log_factorials(MAX_TERMS)
     with np.errstate(all="ignore"):
         mode = lam_max ** (1.0 / nu)    # nu = 0: lambda < 1 and lambda^inf = 0
-        log_lam, top = np.log(lam_max), np.floor(mode) + 1.0
-        level = top * log_lam - nu * gammaln(top) - CUT    # Newton on u = s + 1 to this level
-        u = np.fmin(top + 1.0 + np.sqrt(2.0 * CUT * top / nu), MAX_TERMS)
+        log_lam = np.log(lam_max)
+        # fmin/fmax pass over NaN, so a NaN lambda (rejected later) stays on the table
+        peak = np.fmin(np.floor(mode), MAX_TERMS - 1.0)
+        level = peak * log_lam - nu * lf[peak.astype(np.intp)] - CUT
+        lo = peak + 1.0
+        s = np.ceil(np.fmin(lo + np.sqrt(2.0 * CUT * lo / nu), MAX_TERMS))
         for _ in range(2):
-            u -= (u * log_lam - nu * gammaln(u) - level) / (log_lam - nu * digamma(u))
-    terms = np.ceil(np.maximum(u - 1.0, 64.0) / TERMS_STEP) * TERMS_STEP
-    # a NaN lambda (rejected later) gets the cap too, not an undefined int
+            # the chord's root: s - (s log_lam - nu lf[s] - level) / (log_lam - nu log s)
+            w = nu * np.log(s)
+            s = np.fmin(np.fmax(np.ceil((nu * lf[s.astype(np.intp)] - s * w + level)
+                                        / (log_lam - w)), lo), MAX_TERMS)
+    terms = np.ceil(np.maximum(s, 64.0) / TERMS_STEP) * TERMS_STEP
     return np.where(mode < MAX_TERMS, np.fmin(terms, MAX_TERMS), MAX_TERMS).astype(int), mode
 
 
@@ -109,7 +119,7 @@ class SeriesTable:
 def _support(n_terms: int):
     """The support 0..n_terms and its log(s!) (read-only), and the six sum weights."""
     s = np.arange(n_terms + 1, dtype=float)
-    lf = gammaln(s + 1.0)
+    lf = log_factorials(n_terms)[: n_terms + 1]
     s.flags.writeable = lf.flags.writeable = False
     return s, lf, np.stack([np.ones_like(s), s, lf, s * s, s * lf, lf * lf], axis=1)
 
@@ -190,7 +200,7 @@ def log_normalizer(p: ComParams) -> float:
 def log_pmf(y: int, p: ComParams) -> float:
     if y < 0 or y != int(y):
         raise ValueError(f"y must be a nonnegative integer, got {y}")
-    return float(y * np.log(p.lam) - p.nu * gammaln(y + 1.0) - log_normalizer(p))
+    return float(y * np.log(p.lam) - p.nu * log_factorial(y) - log_normalizer(p))
 
 
 def consecutive_ratio(y: int, p: ComParams) -> float:

@@ -16,9 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from . import baselines, dist
+from ._special import log_factorial
 from .data import Dataset, linear_predictor
 
 
@@ -96,7 +96,7 @@ def _evaluate_stack(X: np.ndarray, Y: np.ndarray, eta: np.ndarray, nu: np.ndarra
         a.reshape(eta.shape) for a in (*tab.moments(), tab.log_z))
 
     y = Y.astype(float)
-    lf_y = gammaln(y + 1.0)
+    lf_y = log_factorial(y)
     p1 = X.shape[1]
     info = np.empty((len(y), p1 + 1, p1 + 1))
     info[:, :p1, :p1] = (X.T * var[:, None, :]) @ X
@@ -150,18 +150,26 @@ def fisher_information(ds: Dataset, beta: np.ndarray, nu: float) -> np.ndarray:
     return evaluate(ds, beta, nu).info
 
 
-def _invert_information(info: np.ndarray) -> np.ndarray:
-    cond = np.linalg.cond(info)
-    if not np.isfinite(cond) or cond > 1e14:
-        raise SingularInformationError(
-            f"information matrix not invertible (condition number {cond:.3g})"
-        )
-    cov = np.linalg.inv(info)
-    if not np.all(np.diag(cov) > 0):
-        raise SingularInformationError(
-            "information matrix not invertible (inverse has a non-positive diagonal)"
-        )
-    return cov
+def _invert_information(info: np.ndarray):
+    """Invert each matrix of the stack info (m, k, k) with one condition-number
+    pass and one inversion.  Returns (cov, errors): cov holds NaN where
+    errors[b] is the SingularInformationError that refused matrix b (not
+    finite, condition number above 1e14, or an inverse with a
+    non-positive diagonal), and errors[b] is None elsewhere."""
+    cond = np.full(len(info), np.nan)
+    finite = np.isfinite(info).all(axis=(1, 2))
+    cond[finite] = np.linalg.cond(info[finite])
+    ok = cond <= 1e14
+    cov = np.full_like(info, np.nan)
+    cov[ok] = np.linalg.inv(info[ok])
+    errors = [None if usable else SingularInformationError(
+        f"information matrix not invertible (condition number {c:.3g})")
+        for usable, c in zip(ok, cond)]
+    for b in np.flatnonzero(ok & ~(np.diagonal(cov, axis1=1, axis2=2) > 0).all(axis=1)):
+        cov[b] = np.nan
+        errors[b] = SingularInformationError(
+            "information matrix not invertible (inverse has a non-positive diagonal)")
+    return cov, errors
 
 
 def fit_poisson_start(ds: Dataset) -> np.ndarray:
@@ -258,31 +266,27 @@ def fit_replicates(
     # nu-hat is wherever the stop fired
     unidentified = np.all(Y <= 1, axis=1) | np.all(Y == Y[:, :1], axis=1)
     k = p1 + 1 if free_nu else p1    # a fixed nu is no parameter
-    out = []
-    for b in range(n_rep):
-        if errors[b] is not None:
-            out.append(errors[b])
-            continue
+    usable = np.flatnonzero([e is None for e in errors])
+    cov = np.full((n_rep, p1 + 1, p1 + 1), np.nan if free_nu else 0.0)
+    cov[usable, :k, :k], refused = _invert_information(info[usable, :k, :k])
+    out = list(errors)
+    for b, exc in zip(usable, refused):
         nu = float(z[b, p1])
         boundary = free_nu and (unidentified[b] or not (lo < nu < hi))
-        cov = np.full((p1 + 1, p1 + 1), np.nan if free_nu else 0.0)
-        try:
-            cov[:k, :k] = _invert_information(info[b, :k, :k])
-        except SingularInformationError as exc:
-            if not boundary:
-                out.append(exc)
-                continue
-        out.append(FitResult(
+        if exc is not None and not boundary:    # at a boundary its cov is left NaN
+            out[b] = exc
+            continue
+        out[b] = FitResult(
             beta=z[b, :p1].copy(),
             nu=nu,
-            cov=cov,
+            cov=cov[b],
             loglik=float(loglik[b]),
             n_obs=n,
             n_params=k,
             converged=stop[b] == "converged",
             iterations=int(iterations[b]),
             boundary=bool(boundary),
-        ))
+        )
     return out
 
 

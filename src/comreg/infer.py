@@ -6,9 +6,9 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import chdtrc
 
 from . import dist, fit
+from ._special import chi2_sf_1df
 from .baselines import BaselineError, fit_poisson, poisson_newton
 from .data import DataError, Dataset, linear_predictor
 
@@ -86,7 +86,7 @@ def dispersion_test(
     result = DispersionTest(
         statistic=stat,
         df=1,
-        p_value=float(chdtrc(1, stat)),
+        p_value=chi2_sf_1df(stat),
         loglik_null=null.loglik,
         loglik_alt=alt.loglik,
         boundary_warning=alt.boundary,

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from scipy.special import expit
+from scipy.stats import poisson
 
 from comreg import baselines
 from comreg.baselines import (
@@ -152,6 +153,32 @@ class TestNegbin:
         mu = np.exp(airfreight.X @ pois.beta)
         ll = negbin_loglik(airfreight.y.astype(float), mu, 1e8)
         assert ll == pytest.approx(pois.loglik, abs=1e-4)
+
+    def test_loglik_at_huge_r_is_the_poisson_loglik(self, airfreight):
+        # log NB(y; mu, r) = log Poisson(y; mu) + ((y - mu)^2 - y) / (2r) + O(r^-2);
+        # here that term is 2.6e-12 of the loglik, and no term may cancel
+        y = airfreight.y.astype(float)
+        mu = np.exp(airfreight.X @ fit_poisson(airfreight).beta)
+        r = 1e12
+        limit = np.sum(poisson.logpmf(airfreight.y, mu) + ((y - mu) ** 2 - y) / (2.0 * r))
+        assert negbin_loglik(y, mu, r) == pytest.approx(float(limit), rel=1e-13)
+
+    @pytest.mark.parametrize("r", [0.3, 4.0, 1e3, 1e8])
+    def test_loglik_matches_mpmath(self, r):
+        mpmath = pytest.importorskip("mpmath")
+        y = np.array([0.0, 1.0, 3.0, 7.0, 20.0, 61.0])
+        mu = np.array([0.5, 2.0, 3.5, 6.0, 18.0, 40.0])
+        with mpmath.workdps(40):
+            rr = mpmath.mpf(r)
+            exact = sum(mpmath.loggamma(rr + a) - mpmath.loggamma(rr) - mpmath.loggamma(a + 1)
+                        + rr * mpmath.log(rr / (rr + m)) + a * mpmath.log(m / (rr + m))
+                        for a, m in zip(y.tolist(), map(mpmath.mpf, mu.tolist())))
+        assert negbin_loglik(y, mu, r) == pytest.approx(float(exact), rel=1e-13)
+
+    def test_counts_past_the_cap_are_refused(self):
+        y = np.array([0.0, baselines.NEGBIN_MAX_COUNT + 1.0])
+        with pytest.raises(BaselineError, match="counts of at most"):
+            negbin_loglik(y, np.ones(2), 2.0)
 
 
 class TestLogistic:

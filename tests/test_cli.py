@@ -37,15 +37,15 @@ def write_xy(path, x, y):
 
 @pytest.fixture
 def singular_path(tmp_path, monkeypatch):
-    # Ordinary counts, with the information at the optimum made exactly
-    # singular (its nu row and column zeroed) at the fit's covariance step.
+    # Ordinary counts, with each information at the optimum made exactly
+    # singular (its nu row and column zeroed) at the fits' covariance step.
     # No natural input is singular wherever the optimizer happens to stop,
     # and what these tests check is how the CLI reports the error.
     invert = fit._invert_information
 
     def singular(info):
         info = info.copy()
-        info[-1, :] = info[:, -1] = 0.0
+        info[:, -1, :] = info[:, :, -1] = 0.0
         return invert(info)
 
     monkeypatch.setattr(fit, "_invert_information", singular)
@@ -151,6 +151,13 @@ class TestFit:
                      "--transform", "transfers", "--format", "text"])
         assert code == EXIT_IO
         assert "bad --transform 'transfers'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tag", ["log", "bogus"])
+    def test_transform_of_the_response_exit_two(self, capsys, airfreight_path, tag):
+        code = main(["fit", "--data", str(airfreight_path), "--response", "broken",
+                     "--transform", f"broken={tag}", "--format", "text"])
+        assert code == EXIT_IO
+        assert "transform given for the response column 'broken'" in capsys.readouterr().err
 
     def test_missing_file_exit_two(self, capsys):
         code, out = run_cli(
@@ -395,6 +402,15 @@ class TestSimulate:
         assert capsys.readouterr().err == (
             "error: all lambda values must be positive finite reals\n")
 
+    def test_reversed_x_range_exit_two(self, capsys, tmp_path):
+        dest = tmp_path / "r.csv"
+        code = main(["simulate", "--n", "20", "--beta", "0.5,0.3", "--nu", "1.0",
+                     "--x-min", "2", "--x-max", "1", "--seed", "1", "--output", str(dest)])
+        assert code == EXIT_IO
+        assert capsys.readouterr().err == (
+            "error: x_min must be finite and at most x_max, got x_min=2, x_max=1\n")
+        assert not dest.exists()
+
     def test_geometric_regime_guard(self, capsys, tmp_path):
         code, _ = run_cli(
             capsys, "simulate", "--n", "20", "--beta", "0.5",
@@ -433,19 +449,28 @@ def run_fresh(code):
     return proc.stdout
 
 
-def test_import_defers_scipy_stats_and_optimize():
-    # a fresh interpreter: none of these is loaded until a subcommand needs it
-    code = ("import sys, comreg.cli; print([m for m in "
-            "('scipy.stats', 'scipy.optimize', 'scipy.linalg') if m in sys.modules])")
+def test_import_defers_scipy_stats_and_optimize(airfreight_path, tmp_path):
+    # a fresh interpreter loads no scipy module, on import or through a fit
+    code = ("import sys, comreg.cli; "
+            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
     assert run_fresh(code).strip() == "[]"
+    argv = ["fit", "--data", str(airfreight_path), "--response", "broken",
+            "--output", str(tmp_path / "fit.json")]
+    code = ("import runpy, sys\n"
+            f"sys.argv = ['comreg', *{argv!r}]\n"
+            "try:\n"
+            "    runpy.run_module('comreg.cli', run_name='__main__')\n"
+            "except SystemExit as exit:\n"
+            "    print(exit.code, [m for m in sys.modules if m.split('.')[0] == 'scipy'])\n")
+    assert run_fresh(code).strip() == "0 []"
+    sources = Path(comreg.__file__).parent.rglob("*.py")
+    assert not [p.name for p in sources if "scipy" in p.read_text()]
 
 
 def test_compare_never_imports_scipy_optimize(airfreight_path, tmp_path):
-    # every model of the default compare list fits without scipy.optimize
+    # every model of the default compare list fits without any scipy module
     argv = ["compare", "--data", str(airfreight_path), "--response", "broken",
             "--output", str(tmp_path / "compare.json")]
     code = (f"import sys, comreg.cli; code = comreg.cli.main({argv!r}); "
-            "print(code, 'scipy.optimize' in sys.modules)")
-    assert run_fresh(code).strip() == "0 False"
-    sources = Path(comreg.__file__).parent.rglob("*.py")
-    assert not [p.name for p in sources if "scipy.optimize" in p.read_text()]
+            "print(code, [m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+    assert run_fresh(code).strip() == "0 []"

@@ -81,6 +81,13 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="positive values"):
             load_csv(path, response="y", transforms={"flow": "log"})
 
+    @pytest.mark.parametrize("tag", ["log", "bogus"])
+    def test_transform_of_the_response_rejected(self, tmp_path, tag):
+        rows = "\n".join(f"{i + 1},{i + 1}" for i in range(8))
+        path = write(tmp_path, f"flow,y\n{rows}\n")
+        with pytest.raises(DataError, match="response column 'y'"):
+            load_csv(path, response="y", transforms={"y": tag})
+
     def test_unknown_transform_tag(self, tmp_path):
         rows = "\n".join(f"{i + 1},{i}" for i in range(8))
         path = write(tmp_path, f"flow,y\n{rows}\n")
@@ -127,6 +134,11 @@ class TestSimulate:
     def test_unusable_design_rejected(self, n, nu, match):
         with pytest.raises(DataError, match=match):
             simulate(n, [0.5, 0.3], nu, seed=1)
+
+    @pytest.mark.parametrize("x_min, x_max", [(2.0, 1.0), (0.0, np.inf), (np.nan, 1.0)])
+    def test_unusable_covariate_range_rejected(self, x_min, x_max):
+        with pytest.raises(DataError, match="x_min must be finite and at most x_max"):
+            simulate(20, [0.5, 0.3], 1.0, seed=1, x_min=x_min, x_max=x_max)
 
     def test_overflowing_lambda_is_a_value_error(self):
         # the kernel's typed error, not numpy's overflow warning

@@ -334,8 +334,11 @@ class TestFitCom:
         assert np.all(np.isfinite(fr.cov)) or np.all(np.isnan(fr.cov))
 
     def test_invert_information_refuses_negative_diagonal(self):
-        with pytest.raises(fit.SingularInformationError, match="diagonal"):
-            fit._invert_information(np.diag([1.0, -1.0]))
+        cov, (ok, refused) = fit._invert_information(np.stack([np.eye(2), np.diag([1.0, -1.0])]))
+        assert ok is None and np.array_equal(cov[0], np.eye(2))
+        assert isinstance(refused, fit.SingularInformationError)
+        assert "diagonal" in str(refused)
+        assert np.isnan(cov[1]).all()
 
 
 def fitted_draws(ds, n_rep, seed):

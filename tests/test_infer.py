@@ -122,16 +122,18 @@ class TestParametricBootstrap:
         assert np.exp(hi) == pytest.approx(boot_small.intervals["nu"][1], rel=1e-10)
 
     def test_failures_tallied_by_cause(self, airfreight, airfreight_fit, monkeypatch):
-        # The engine inverts each replicate's information once: every 7th
-        # inversion fails, and max_iter=7 cuts off the slower replicates.
+        # The engine inverts each replicate's information once, in one stack:
+        # every 7th inversion fails, and max_iter=7 cuts off the slower replicates.
         invert_real = fit._invert_information
         calls = []
 
         def flaky(info):
-            calls.append(1)
-            if len(calls) % 7 == 0:
-                raise fit.SingularInformationError("information matrix not invertible")
-            return invert_real(info)
+            cov, errors = invert_real(info)
+            for b in range(len(info)):
+                calls.append(1)
+                if len(calls) % 7 == 0:
+                    errors[b] = fit.SingularInformationError("information matrix not invertible")
+            return cov, errors
 
         monkeypatch.setattr(fit, "_invert_information", flaky)
         monkeypatch.setattr(fit, "MAX_ITER", 7)
