@@ -49,13 +49,11 @@ class NonConvergenceError(BaselineError):
 
 @dataclass
 class BaselineFit:
-    model_kind: str          # poisson | negbin | logistic | rgpr
     beta: np.ndarray
     cov: np.ndarray
     loglik: float
     converged: bool
-    extra: float | None = None       # r for negbin, alpha for rgpr
-    extra_se: float | None = None
+    extra: float | None = None       # r for negbin, alpha for rgpr: cov's last row
     boundary: bool = False
     n_obs: int = 0
 
@@ -226,8 +224,7 @@ def fit_poisson(ds: Dataset) -> BaselineFit:
     beta, H, ll, (failure,) = poisson_newton(ds.X, ds.y[None])
     if failure is not None:
         raise failure
-    return BaselineFit("poisson", beta[0], np.linalg.inv(H[0]), float(ll[0]), True,
-                       n_obs=ds.n_obs)
+    return BaselineFit(beta[0], np.linalg.inv(H[0]), float(ll[0]), True, n_obs=ds.n_obs)
 
 
 def fit_logistic(ds: Dataset) -> BaselineFit:
@@ -240,8 +237,7 @@ def fit_logistic(ds: Dataset) -> BaselineFit:
                                        lambda eta, mu: np.logaddexp(0.0, eta), np.zeros(1))
     if failure is not None:
         raise SeparationError(f"logistic fit failed: {failure}") from failure
-    return BaselineFit("logistic", beta[0], np.linalg.inv(H[0]), float(ll[0]), True,
-                       n_obs=ds.n_obs)
+    return BaselineFit(beta[0], np.linalg.inv(H[0]), float(ll[0]), True, n_obs=ds.n_obs)
 
 
 def _one_response(derivatives, X: np.ndarray, y: np.ndarray, z0: np.ndarray, lower, upper):
@@ -322,7 +318,7 @@ def fit_negbin(ds: Dataset) -> BaselineFit:
         cov = np.full((p1 + 1, p1 + 1), np.nan)
         cov[:p1, :p1] = pois.cov
         mu = np.exp(linear_predictor(ds, pois.beta))
-        return BaselineFit("negbin", pois.beta.copy(), cov, negbin_loglik(y, mu, NEGBIN_LIMIT_R),
+        return BaselineFit(pois.beta.copy(), cov, negbin_loglik(y, mu, NEGBIN_LIMIT_R),
                            True, extra=NEGBIN_LIMIT_R, boundary=True, n_obs=ds.n_obs)
     if stop != "converged":
         raise NonConvergenceError(f"negative binomial fit did not converge ({stop})")
@@ -330,8 +326,7 @@ def fit_negbin(ds: Dataset) -> BaselineFit:
     J = np.eye(p1 + 1)
     J[p1, p1] = r_hat      # delta method log r -> r
     cov = J @ np.linalg.inv(info) @ J.T
-    return BaselineFit("negbin", z[:p1], cov, ll, True, extra=r_hat,
-                       extra_se=float(np.sqrt(cov[p1, p1])), n_obs=ds.n_obs)
+    return BaselineFit(z[:p1], cov, ll, True, extra=r_hat, n_obs=ds.n_obs)
 
 
 def rgpr_loglik(y: np.ndarray, mu: np.ndarray, alpha: float) -> float:
@@ -429,8 +424,7 @@ def fit_rgpr(ds: Dataset) -> BaselineFit:
         cov = np.linalg.inv(info)
     except np.linalg.LinAlgError as exc:
         raise NonConvergenceError("RGPR observed information singular", diagnostics) from exc
-    return BaselineFit("rgpr", beta_hat, cov, ll, True, extra=alpha_hat,
-                       extra_se=float(np.sqrt(cov[p1, p1])), n_obs=ds.n_obs)
+    return BaselineFit(beta_hat, cov, ll, True, extra=alpha_hat, n_obs=ds.n_obs)
 
 
 @dataclass

@@ -131,19 +131,17 @@ def _fit_report(ds: Dataset, model: Model, f) -> dict:
         "converged": bool(f.converged),
         "errors": [],
     }
+    extra = f.extra if isinstance(f, baselines.BaselineFit) else f.nu
     if isinstance(f, fit.FitResult):
         for c in report["coefficients"]:
             c["scaled_estimate"] = c["estimate"] / f.nu
         report["scaled_note"] = ("scaled_estimate = estimate / nu, for crude comparison "
                                  "with Poisson-scale coefficients")
         report["iterations"] = int(f.iterations)
-        extra, extra_se = f.nu, se[-1]
-    else:
-        extra, extra_se = f.extra, f.extra_se
     if extra is not None:
         report[model.extra] = {
             "estimate": float(extra),
-            "se": None if f.boundary else _finite_or_none(extra_se),
+            "se": None if f.boundary else _finite_or_none(se[-1]),
             "boundary": bool(f.boundary),
         }
     return report
@@ -187,8 +185,14 @@ def cmd_test(args) -> int:
         f"  C = {res.statistic:.4f}  df = {res.df}  p = {res.p_value:.6g}\n"
         f"  loglik: null {res.loglik_null:.4f}, alternative {res.loglik_alt:.4f}"
     )
+    if res.boundary_warning:
+        text += "\n  boundary: nu-hat at a bound or not identified; the chi^2_1 p is unreliable"
     if res.bootstrap_p_value is not None:
         text += f"\n  bootstrap-calibrated p = {res.bootstrap_p_value:.6g}"
+    if res.bootstrap_failures:
+        causes = ", ".join(f"{cause} {n}" for cause, n in res.bootstrap_failures.items())
+        text += (f" ({sum(res.bootstrap_failures.values())} of {args.n_boot} replicates "
+                 f"dropped: {causes})")
     _emit(args, payload, text)
     return EXIT_OK
 

@@ -309,8 +309,10 @@ def fit_com(
     block only: cov inverts the beta block of the information, with 0 in
     nu's row and column, and n_params counts beta alone.  converged means
     one of baselines.newton's relative stop rules fired within MAX_ITER
-    steps and the fit did not run off (baselines.ran_off).  This is
-    fit_replicates with one replicate.
+    steps and the fit did not run off (baselines.ran_off).  beta0 (by
+    default the Poisson fit's beta) is a Poisson-scale start paired with
+    nu = 1, so a COM-Poisson beta-hat, scaled for its nu-hat, is not a
+    valid start.  This is fit_replicates with one replicate.
     """
     if beta0 is None:
         beta0 = fit_poisson_start(ds)

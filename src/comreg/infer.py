@@ -9,19 +9,8 @@ import numpy as np
 
 from . import dist, fit
 from ._special import chi2_sf_1df
-from .baselines import BaselineError, fit_poisson, poisson_newton
-from .data import DataError, Dataset, linear_predictor
-
-# Failures that drop one bootstrap replicate; any other exception is a
-# defect and propagates.
-REPLICATE_ERRORS = (
-    fit.FitError,
-    BaselineError,
-    dist.TruncationError,
-    dist.DivergentSeriesError,
-    DataError,
-    np.linalg.LinAlgError,
-)
+from .baselines import fit_poisson, poisson_newton
+from .data import Dataset, linear_predictor
 
 
 @dataclass
@@ -34,7 +23,8 @@ class DispersionTest:
     loglik_null: float
     loglik_alt: float
     boundary_warning: bool = False
-    bootstrap_p_value: float | None = None
+    bootstrap_p_value: float | None = None     # over the kept replicates
+    bootstrap_failures: dict | None = None     # cause -> count dropped, when calibrating
 
 
 @dataclass
@@ -50,20 +40,31 @@ class BootstrapResult:
     failures: dict = field(default_factory=dict)   # cause -> count, summing to n_failed
 
 
-def _refit(ds: Dataset, y_star: np.ndarray):
-    """fit_com on each replicate response y_star[b] with the design of ds.
-
-    The Poisson warm starts and the COM-Poisson fits (fit.fit_replicates)
-    each run as one stacked Newton loop (baselines.newton).
-    Returns per replicate its FitResult or the error that ended it, and
-    its Poisson loglik.
+def _refit(ds: Dataset, draw, n_boot: int, seed: int):
+    """fit_com on n_boot responses draw(rng), each from its own substream
+    of seed (so results do not depend on execution order), with the
+    design of ds: one stacked Poisson warm start (poisson_newton) and one
+    stacked COM-Poisson fit (fit.fit_replicates).  A replicate whose fit
+    returns an error or does not converge is dropped and counted by
+    cause, the exception class name or "nonconverged"; an error raised
+    propagates, and fit.FitError is raised when every replicate fails.
+    Returns the kept FitResults and their Poisson logliks in replicate
+    order, and the counts by cause.
     """
+    children = np.random.SeedSequence(seed).spawn(n_boot)
+    y_star = np.stack([draw(np.random.default_rng(c)) for c in children])
     beta0, _, null_loglik, fits = poisson_newton(ds.X, y_star)
     started = np.array([f is None for f in fits])
     for b, f in zip(np.flatnonzero(started),
                     fit.fit_replicates(ds.X, y_star[started], beta0[started])):
         fits[b] = f
-    return fits, null_loglik
+    kept = [isinstance(f, fit.FitResult) and f.converged for f in fits]
+    failures = dict(sorted(Counter(
+        "nonconverged" if isinstance(f, fit.FitResult) else type(f).__name__
+        for f, ok in zip(fits, kept) if not ok).items()))
+    if not any(kept):
+        raise fit.FitError(f"every bootstrap replicate failed: {failures}")
+    return [f for f, ok in zip(fits, kept) if ok], null_loglik[kept], failures
 
 
 def dispersion_test(
@@ -76,12 +77,16 @@ def dispersion_test(
     """C = -2 [logL(beta0, nu=1) - logL(beta, nu)], chi^2_1 under the null.
 
     bootstrap_calibrate simulates C under the fitted Poisson null and
-    reports the empirical tail fraction as well (small-sample guidance).
-    fr, the caller's fit_com(ds), is the alternative instead of a refit.
-    Calibrating needs a seed and n_boot >= 1.
+    reports the empirical tail fraction as well (small-sample guidance),
+    over the replicates _refit keeps; the dropped ones are counted in
+    bootstrap_failures.  fr, the caller's fit_com(ds), is the alternative
+    instead of a refit; fit.FitError is raised when the alternative is
+    not converged.  Calibrating needs a seed and n_boot >= 1.
     """
     null = fit_poisson(ds)
     alt = fr if fr is not None else fit.fit_com(ds, beta0=null.beta)
+    if not alt.converged:
+        raise fit.FitError("COM-Poisson fit did not converge")
     stat = max(0.0, -2.0 * (null.loglik - alt.loglik))
     result = DispersionTest(
         statistic=stat,
@@ -97,12 +102,8 @@ def dispersion_test(
         if n_boot < 1:
             raise ValueError(f"n_boot must be >= 1, got {n_boot}")
         lam0 = np.exp(linear_predictor(ds, null.beta))
-        children = np.random.SeedSequence(seed).spawn(n_boot)
-        y_star = np.stack([np.random.default_rng(c).poisson(lam0) for c in children])
-        fits, null_loglik = _refit(ds, y_star)
-        for f in fits:
-            if isinstance(f, Exception):
-                raise f
+        fits, null_loglik, result.bootstrap_failures = _refit(
+            ds, lambda rng: rng.poisson(lam0), n_boot, seed)
         stats = np.maximum(0.0, -2.0 * (null_loglik - [f.loglik for f in fits]))
         result.bootstrap_p_value = float(np.mean(stats >= stat))
     return result
@@ -117,14 +118,11 @@ def parametric_bootstrap(
 ) -> BootstrapResult:
     """Resample y* ~ COM-Poisson(lambda_hat_i, nu_hat), refit, collect (beta*, nu*).
 
-    Each replicate draws from its own counter-indexed substream of the
-    master seed, so results do not depend on execution order; the draws
-    share one pmf table, and the replicates are refitted together (one
-    stacked Poisson warm start, one stacked COM-Poisson fit).  Percentile
-    intervals are computed over converged replicates only; a >20% failure
-    rate marks the result unreliable, and fit.FitError is raised when
-    every replicate fails.  failures counts the dropped replicates by
-    cause: the exception class name, or "nonconverged".
+    The draws share one pmf table and are refitted by _refit, which
+    drops failed replicates, counts them by cause in failures and raises
+    fit.FitError when every replicate fails.  Percentile intervals are
+    computed over the kept replicates; a >20% failure rate marks the
+    result unreliable.
     """
     if n_boot < 100:
         raise ValueError(f"n_boot must be >= 100, got {n_boot}")
@@ -135,29 +133,10 @@ def parametric_bootstrap(
 
     lam_hat = np.exp(linear_predictor(ds, fr.beta))
     _, pmf = dist.pmf_table(lam_hat, fr.nu)
-    children = np.random.SeedSequence(seed).spawn(n_boot)
-    y_star = np.stack([dist.inverse_cdf(pmf, np.random.default_rng(c).uniform(size=ds.n_obs))
-                       for c in children])
-    fits, _ = _refit(ds, y_star)
-    rows = np.full((n_boot, ds.n_cols + 1), np.nan)
-    ok = np.zeros(n_boot, dtype=bool)
-    failures: Counter = Counter()
-    for b, f in enumerate(fits):
-        if isinstance(f, REPLICATE_ERRORS):
-            failures[type(f).__name__] += 1
-        elif isinstance(f, Exception):
-            raise f
-        elif f.converged:
-            rows[b, :-1] = f.beta
-            rows[b, -1] = f.nu
-            ok[b] = True
-        else:
-            failures["nonconverged"] += 1
-
-    n_failed = int(n_boot - ok.sum())
-    if n_failed == n_boot:
-        raise fit.FitError(f"every bootstrap replicate failed: {dict(sorted(failures.items()))}")
-    good = rows[ok]
+    fits, _, failures = _refit(
+        ds, lambda rng: dist.inverse_cdf(pmf, rng.uniform(size=ds.n_obs)), n_boot, seed)
+    good = np.array([[*f.beta, f.nu] for f in fits])
+    n_failed = n_boot - len(fits)
     lo = 100.0 * (1.0 - ci_level) / 2.0
     hi = 100.0 - lo
     names = tuple([*ds.names, "nu"])
@@ -179,7 +158,7 @@ def parametric_bootstrap(
         n_failed=n_failed,
         param_names=names,
         unreliable=n_failed > 0.2 * n_boot,
-        failures=dict(sorted(failures.items())),
+        failures=failures,
     )
 
 

@@ -251,7 +251,7 @@ class TestRgpr:
         ds = gamma_poisson_dataset(5000, [1.0, 0.5], r=4.0, seed=11)
         bf = fit_rgpr(ds)
         assert bf.extra > 0
-        assert bf.extra / bf.extra_se > 2
+        assert bf.extra / bf.se[-1] > 2
 
 
 def central_differences(loglik, z, h=2e-4):

@@ -205,6 +205,60 @@ class TestDispersionTest:
         assert code == EXIT_IO
         assert json.loads(out)["errors"][0]["message"] == f"n_boot must be >= 1, got {n_boot}"
 
+    def test_unconverged_alternative_exit_one(self, capsys, airfreight_path, monkeypatch):
+        monkeypatch.setattr(fit, "MAX_ITER", 5)    # the airfreight fit needs 7 steps
+        code, out = run_cli(capsys, "test", "--data", str(airfreight_path),
+                            "--response", "broken", "--format", "json")
+        assert code == EXIT_STAT
+        assert json.loads(out)["errors"][0]["message"] == "COM-Poisson fit did not converge"
+
+    def test_calibration_drops_failed_replicates(self, capsys, tmp_path, sparse_dummy, schema):
+        path = tmp_path / "sparse.csv"
+        write_csv(sparse_dummy, path)
+        argv = ["test", "--data", str(path), "--response", "y", "--bootstrap-calibrate",
+                "--n-boot", "200", "--seed", "1"]
+        code, out = run_cli(capsys, *argv, "--format", "json")
+        assert code == EXIT_OK
+        report = json.loads(out)
+        jsonschema.validate(report, schema)
+        assert report["bootstrap_failures"] == {"NonConvergenceError": 30}
+        code, out = run_cli(capsys, *argv, "--format", "text")
+        assert code == EXIT_OK
+        assert out.splitlines()[-1] == (
+            f"  bootstrap-calibrated p = {report['bootstrap_p_value']:.6g} "
+            "(30 of 200 replicates dropped: NonConvergenceError 30)")
+
+    def test_calibrated_text_on_airfreight(self, capsys, airfreight_path, schema):
+        argv = ["test", "--data", str(airfreight_path), "--response", "broken",
+                "--bootstrap-calibrate", "--n-boot", "100", "--seed", "5"]
+        code, out = run_cli(capsys, *argv, "--format", "json")
+        assert code == EXIT_OK
+        report = json.loads(out)
+        jsonschema.validate(report, schema)
+        assert report["bootstrap_failures"] == {}
+        code, out = run_cli(capsys, *argv, "--format", "text")
+        assert code == EXIT_OK
+        assert out.splitlines()[1:] == [
+            f"  C = {report['statistic']:.4f}  df = 1  p = {report['p_value']:.6g}",
+            f"  loglik: null {report['loglik_null']:.4f}, "
+            f"alternative {report['loglik_alt']:.4f}",
+            f"  bootstrap-calibrated p = {report['bootstrap_p_value']:.6g}"]
+
+    def test_boundary_warning_in_text(self, capsys, tmp_path, schema):
+        # a constant response has no finite nu-hat
+        path = write_xy(tmp_path / "const.csv", np.linspace(0, 1, 20), np.full(20, 4))
+        argv = ["test", "--data", path, "--response", "y"]
+        code, out = run_cli(capsys, *argv, "--format", "json")
+        assert code == EXIT_OK
+        report = json.loads(out)
+        jsonschema.validate(report, schema)
+        assert report["boundary_warning"] is True
+        assert report["bootstrap_failures"] is None
+        code, out = run_cli(capsys, *argv, "--format", "text")
+        assert code == EXIT_OK
+        assert out.splitlines()[-1] == (
+            "  boundary: nu-hat at a bound or not identified; the chi^2_1 p is unreliable")
+
 
 class TestBootstrap:
     @pytest.mark.slow
@@ -324,8 +378,8 @@ class TestReportKeys:
 
     def test_dispersion_test(self, capsys, airfreight_path):
         assert set(self.keys(capsys, airfreight_path, "test")) == {
-            "bootstrap_p_value", "boundary_warning", "df", "errors", "loglik_alt",
-            "loglik_null", "model", "p_value", "statistic"}
+            "bootstrap_failures", "bootstrap_p_value", "boundary_warning", "df", "errors",
+            "loglik_alt", "loglik_null", "model", "p_value", "statistic"}
 
     def test_bootstrap(self, capsys, airfreight_path):
         report = self.keys(capsys, airfreight_path, "bootstrap", "--n-boot", "100",

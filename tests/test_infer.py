@@ -1,9 +1,12 @@
+from collections import Counter
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.stats import chi2, kstest
 
 from comreg import dist, fit
-from comreg.baselines import fit_poisson
+from comreg.baselines import BaselineError, fit_poisson
 from comreg.data import Dataset, simulate
 from comreg.diag import diagnostics_report
 from comreg.fit import fit_com
@@ -78,6 +81,35 @@ class TestDispersionTest:
             alt = fit_com(ds, beta0=null.beta)
             stats.append(max(0.0, -2.0 * (null.loglik - alt.loglik)))
         assert res.bootstrap_p_value == float(np.mean(np.array(stats) >= res.statistic))
+
+    def test_calibration_drops_failed_replicates(self, sparse_dummy):
+        # the loop of the reference above, keeping the replicates whose
+        # Poisson and COM-Poisson fits both succeed and converge
+        ds = sparse_dummy
+        res = dispersion_test(ds, bootstrap_calibrate=True, n_boot=200, seed=1)
+        lam0 = np.exp(ds.X @ fit_poisson(ds).beta)
+        stats, failures = [], Counter()
+        for child in np.random.SeedSequence(1).spawn(200):
+            rep = Dataset(y=np.random.default_rng(child).poisson(lam0), X=ds.X, names=ds.names)
+            try:
+                null = fit_poisson(rep)
+                alt = fit_com(rep, beta0=null.beta)
+            except (BaselineError, fit.FitError) as exc:
+                failures[type(exc).__name__] += 1
+                continue
+            if not alt.converged:
+                failures["nonconverged"] += 1
+                continue
+            stats.append(max(0.0, -2.0 * (null.loglik - alt.loglik)))
+        assert res.bootstrap_failures == dict(failures) == {"NonConvergenceError": 30}
+        assert res.bootstrap_p_value == float(np.mean(np.array(stats) >= res.statistic))
+
+    @pytest.mark.parametrize("given", [False, True])
+    def test_unconverged_alternative_is_a_fit_error(self, airfreight, monkeypatch, given):
+        fr = replace(fit_com(airfreight), converged=False) if given else None
+        monkeypatch.setattr(fit, "MAX_ITER", 5)    # the airfreight fit needs 7 steps
+        with pytest.raises(fit.FitError, match="COM-Poisson fit did not converge"):
+            dispersion_test(airfreight, fr=fr)
 
     @pytest.mark.slow
     def test_null_distribution_ks(self):
@@ -158,6 +190,25 @@ class TestParametricBootstrap:
         monkeypatch.setattr(fit, "_invert_information", broken)
         with pytest.raises(KeyError):
             parametric_bootstrap(airfreight, airfreight_fit, n_boot=100, seed=3)
+
+    def test_returned_overflow_is_tallied(self, airfreight, airfreight_fit, monkeypatch):
+        # fit_replicates returns OverflowError (one of fit.SERIES_ERRORS) for a
+        # replicate whose linear predictor overflows: here every 10th one
+        clean = parametric_bootstrap(airfreight, airfreight_fit, n_boot=100, seed=3)
+        fit_replicates = fit.fit_replicates
+
+        def overflowing(*args, **kwargs):
+            out = fit_replicates(*args, **kwargs)
+            return [OverflowError("lambda overflows") if b % 10 == 9 else f
+                    for b, f in enumerate(out)]
+
+        monkeypatch.setattr(fit, "fit_replicates", overflowing)
+        boot = parametric_bootstrap(airfreight, airfreight_fit, n_boot=100, seed=3)
+        assert clean.n_failed == 0
+        assert boot.failures == {"OverflowError": 10}
+        assert boot.n_failed == 10
+        kept = np.arange(100) % 10 != 9
+        assert np.array_equal(boot.replicates, clean.replicates[kept])
 
     def test_matches_per_replicate_reference(self, airfreight, airfreight_fit, boot_small):
         # the loop the stacked engine replaced: one substream, one draw and
