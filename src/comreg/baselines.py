@@ -88,29 +88,17 @@ def newton(model, z, at, lower, upper, max_iter):
     rules are relative, so counts of any size converge.  It stops
     unconverged after max_iter steps, when its information is unusable,
     or when every trial of a step is unusable.  Returns (z, (loglik,
-    score, info) at z, iterations, stop): stop[b] is "converged" or why
-    replicate b stopped.
+    score, info) at z, iterations, stop): stop is an object array whose
+    entry b is "converged" or why replicate b stopped.
     """
     z = np.array(z, dtype=float)
     loglik, score, info = (np.array(a, dtype=float) for a in at)
     bounded = np.isfinite(lower).any() or np.isfinite(upper).any()
     iterations = np.zeros(len(z), dtype=int)
-    stop = np.full(len(z), "unusable start point", dtype=object)
-    parts = []
-
-    def accept(rows, trial, at, small, last):
-        z[rows] = trial
-        loglik[rows], score[rows], info[rows] = at
-        iterations[rows] += ~last
-        done = small | last
-        if done.any():      # a step that small, or the last one: converged
-            stop[rows[done]] = "converged"
-            rows = rows[~done]
-        parts.append(rows)
-
-    todo = np.flatnonzero(np.isfinite(loglik))
+    # why each replicate stopped, "" while it is still stepping
+    stop = np.where(np.isfinite(loglik), "", "unusable start point").astype(object)
     with np.errstate(all="ignore"):    # unusable points are rejected, not reported
-        while todo.size:
+        while (todo := np.flatnonzero(stop == "")).size:
             g, system, zi, base = score[todo], info[todo], z[todo], loglik[todo]
             if bounded:
                 held = ((zi <= lower) & (g <= 0.0)) | ((zi >= upper) & (g >= 0.0))
@@ -158,18 +146,20 @@ def newton(model, z, at, lower, upper, max_iter):
                         break
                 new = model(idx, trial)
                 ok = new[0] >= base
-                if ok.all():
-                    accept(idx, trial, new, small, last)
-                    break
-                accept(idx[ok], trial[ok], (a[ok] for a in new), small[ok], last[ok])
-                stop[idx[last & ~ok]] = "converged"
+                rows = idx[ok]
+                z[rows] = trial[ok]
+                loglik[rows], score[rows], info[rows] = (a[ok] for a in new)
+                iterations[rows] += ~last[ok]
+                # the last step, accepted or not, or an accepted step that small: converged
+                stop[idx[last | (ok & small)]] = "converged"
                 keep = ~(ok | last)
+                if not keep.any():     # every trial accepted, or the last one
+                    break
                 usable = usable[keep] | np.isfinite(new[0][keep])
                 idx, zi, base, step, tol, last = (
                     idx[keep], zi[keep], base[keep], step[keep] / 2.0, tol[keep], last[keep])
                 halved = True
-            todo, parts = (np.concatenate(parts) if parts else todo[:0]), []
-    return z, (loglik, score, info), iterations, stop.astype(str).tolist()
+    return z, (loglik, score, info), iterations, stop
 
 
 def _fit_glm(X: np.ndarray, Y: np.ndarray, beta0, mean_fn, var_fn, cumulant_fn, log_c):
@@ -195,18 +185,18 @@ def _fit_glm(X: np.ndarray, Y: np.ndarray, beta0, mean_fn, var_fn, cumulant_fn, 
     return beta, H, loglik, failure
 
 
-def ran_off(X: np.ndarray, stop, H: np.ndarray, g: np.ndarray):
-    """stop, with a converged fit marked as run off (no finite estimate) where its
-    next Newton step in beta (H step = g) moves some x'beta by more than RUNOFF_STEP."""
-    reasons = np.array(stop, dtype=object)
-    done = np.flatnonzero(reasons == "converged")
+def ran_off(X: np.ndarray, stop: np.ndarray, H: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """newton's stop array, with a converged fit marked in place as run off (no
+    finite estimate) where its next Newton step in beta (H step = g) moves
+    some x'beta by more than RUNOFF_STEP."""
+    done = np.flatnonzero(stop == "converged")
     try:
         step = np.linalg.solve(H[done], g[done, :, None])[..., 0]
     except np.linalg.LinAlgError:   # weights underflowed: only a fit that ran off gets there
         step = np.full((len(done), X.shape[1]), np.inf)
-    reasons[done[np.abs(step @ X.T).max(axis=1) > RUNOFF_STEP]] = (
+    stop[done[np.abs(step @ X.T).max(axis=1) > RUNOFF_STEP]] = (
         "ran off towards an estimate at infinity")
-    return reasons
+    return stop
 
 
 def poisson_newton(X: np.ndarray, Y: np.ndarray):

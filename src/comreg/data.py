@@ -107,6 +107,9 @@ def load_csv(
         except StopIteration:
             raise DataError(f"{path}: empty file") from None
         header = [h.strip() for h in header]
+        repeated = [h for i, h in enumerate(header) if h in header[:i]]
+        if repeated:
+            raise DataError(f"{path}: column {repeated[0]!r} appears more than once in the header")
         if response not in header:
             raise DataError(f"{path}: response column {response!r} not in header {header}")
         rows = []

@@ -87,8 +87,13 @@ def _saturated(y: np.ndarray, nu: float):
     (dE[Y]/dt = var Y) with one shared table per step, until the mean is
     within 1e-12 relative.  The mean is near lambda^(1/nu), so the start
     nu log y puts it near y, and a step clipped to +-nu moves it by at most
-    about a factor e.  At y = 0 the loglik is the lambda -> 0 limit, 0.
+    about a factor e.  At y = 0 the loglik is the lambda -> 0 limit, 0.  At
+    nu = 0 (geometric) the mean lambda/(1-lambda) is y at lambda = y/(1+y).
     """
+    if nu == 0:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = np.log(y / (1.0 + y))
+            return t, np.where(y > 0, y * t, 0.0) - np.log1p(y), {}
     targets, inv = np.unique(y, return_inverse=True)
     with np.errstate(divide="ignore"):
         t = nu * np.log(targets)
@@ -118,8 +123,8 @@ def _saturated(y: np.ndarray, nu: float):
 
 
 def _approx_unit_deviance(y: np.ndarray, mu: np.ndarray, nu: float) -> np.ndarray:
-    """Mean-approximation unit deviances; NaN where its domain fails, except
-    at (nu < 1, y = 0), where the second normalizer term is set to 1."""
+    """Mean-approximation unit deviances at nu > 0; NaN where its domain fails,
+    except at (nu < 1, y = 0), where the second normalizer term is set to 1."""
     a = (nu - 1.0) / (2.0 * nu)
     patched = (y == 0) & (nu < 1.0)     # there y + a < 0
     ok = (mu + a > 0) & ((y + a > 0) | patched)
@@ -138,7 +143,7 @@ def _deviance(ds: Dataset, fr: FitResult, ev: fit.Evaluation, h: np.ndarray, kin
         raise ValueError(f"kind must be 'exact' or 'approx', got {kind!r}")
     one_minus_h = _one_minus_leverage(h)
     y = ds.y.astype(float)
-    d = (_approx_unit_deviance(y, ev.mean, fr.nu) if kind == "approx"
+    d = (_approx_unit_deviance(y, ev.mean, fr.nu) if kind == "approx" and fr.nu > 0
          else np.full(ds.n_obs, np.nan))
     rows = np.flatnonzero(np.isnan(d))
     notes = dict.fromkeys(rows.tolist() if kind == "approx" else [],
@@ -156,7 +161,7 @@ def deviance_residuals(ds: Dataset, fr: FitResult, kind: str = "exact"):
 
     kind='approx' uses the closed-form mean approximation of the unit
     deviance, falling back to the exact computation (with a note) for
-    observations outside its domain.  An observation whose saturated
+    observations outside its domain (all at nu = 0).  A row whose saturated
     lambda cannot be found (its series truncates, or Newton runs out of
     steps) comes back NaN with a note.  Returns (residuals, notes).
     """

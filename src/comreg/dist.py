@@ -227,17 +227,18 @@ def var_exact(p: ComParams) -> float:
     return float(log_term_table(p.lam, p.nu).moments()[2][0])
 
 
-def mean_approx(p: ComParams) -> float:
-    """lambda^(1/nu) - (nu-1)/(2 nu); accurate for nu <= 1 or lambda > 10^nu."""
-    if p.nu == 0:
+def mean_approx(lam, nu: float):
+    """lambda^(1/nu) - (nu-1)/(2 nu), per entry of lam; accurate where
+    approx_mean_valid holds, undefined at nu = 0."""
+    if nu == 0:
         raise ValueError("mean_approx is undefined at nu=0; use mean_exact")
-    return float(p.lam ** (1.0 / p.nu) - (p.nu - 1.0) / (2.0 * p.nu))
+    return lam ** (1.0 / nu) - (nu - 1.0) / (2.0 * nu)
 
 
 def approx_mean_valid(lam, nu: float) -> bool:
-    """Validity region of the mean approximation: nu <= 1 or lambda > 10^nu
-    (for every entry when lam is an array)."""
-    return bool(nu <= 1.0 or np.all(np.asarray(lam) > 10.0**nu))
+    """Validity region of the mean approximation: 0 < nu <= 1 or lambda >
+    10^nu (for every entry when lam is an array)."""
+    return bool(0.0 < nu <= 1.0 or np.all(np.asarray(lam) > 10.0**nu))
 
 
 def cdf(y: int, p: ComParams) -> float:

@@ -326,17 +326,13 @@ def fit_com(
 def fitted_values(ds: Dataset, fr: FitResult, kind: str = "median") -> np.ndarray:
     """Fitted values: 'mean_approx' via the closed-form mean, or 'median'.
 
-    mean_approx is refused when the approximation's validity region
-    (nu <= 1 or lambda_i > 10^nu for every i) does not hold.
+    mean_approx (dist.mean_approx) is refused where dist.approx_mean_valid fails.
     """
     lam = np.exp(linear_predictor(ds, fr.beta))
     if kind == "mean_approx":
         if not dist.approx_mean_valid(lam, fr.nu):
-            raise ValueError(
-                "mean approximation invalid here (requires nu <= 1 or "
-                "lambda_i > 10^nu for every observation); use kind='median'"
-            )
-        return lam ** (1.0 / fr.nu) - (fr.nu - 1.0) / (2.0 * fr.nu)
+            raise ValueError(f"mean approximation invalid (nu = {fr.nu:g}); use kind='median'")
+        return dist.mean_approx(lam, fr.nu)
     if kind == "median":
         _, pmf = dist.pmf_table(lam, fr.nu)
         return dist.inverse_cdf(pmf, 0.5).astype(float)

@@ -80,11 +80,15 @@ def dispersion_test(
     reports the empirical tail fraction as well (small-sample guidance),
     over the replicates _refit keeps; the dropped ones are counted in
     bootstrap_failures.  fr, the caller's fit_com(ds), is the alternative
-    instead of a refit; fit.FitError is raised when the alternative is
-    not converged.  Calibrating needs a seed and n_boot >= 1.
+    instead of a refit: ValueError is raised when its nu was fixed or its
+    rows or columns are not those of ds, and fit.FitError when the
+    alternative is not converged.  Calibrating needs a seed and n_boot >= 1.
     """
     null = fit_poisson(ds)
     alt = fr if fr is not None else fit.fit_com(ds, beta0=null.beta)
+    if (alt.n_obs, len(alt.beta), alt.n_params) != (ds.n_obs, ds.n_cols, ds.n_cols + 1):
+        raise ValueError(f"fr must be fit_com(ds) with nu estimated, not a fit of {alt.n_obs} rows "
+                         f"with {len(alt.beta)} coefficients and {alt.n_params} parameters")
     if not alt.converged:
         raise fit.FitError("COM-Poisson fit did not converge")
     stat = max(0.0, -2.0 * (null.loglik - alt.loglik))

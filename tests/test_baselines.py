@@ -301,6 +301,33 @@ class TestNewtonDerivatives:
                    ds, np.append(beta, alpha))
 
 
+def quadratic(K):
+    """One-coordinate toy model for newton: loglik -K z^2 / 2, exact score and information."""
+    return lambda rows, z: (-0.5 * K * z[:, 0] ** 2, -K * z, np.full((len(z), 1, 1), K))
+
+
+def usable_above_one(rows, z):
+    """Finite only where z >= 1, with a score pointing below 1."""
+    return np.where(z[:, 0] >= 1.0, -z[:, 0], -np.inf), -np.ones_like(z), np.ones((len(z), 1, 1))
+
+
+def no_curvature(rows, z):
+    return -z[:, 0], -np.ones_like(z), np.zeros((len(z), 1, 1))
+
+
+# each way a newton replicate stops: (stop reason, model, start, end point,
+# iterations counted)
+NEWTON_STOPS = {
+    "unusable start point": ("unusable start point", usable_above_one, 0.5, 0.5, 0),
+    "information not usable": ("information not usable", no_curvature, 1.0, 1.0, 0),
+    "no usable trial point": ("no usable trial point", usable_above_one, 1.0, 1.0, 0),
+    # K huge: a step of 1e-9 (within NEWTON_RTOL) with a decrement of 100
+    "converged by step size": ("converged", quadratic(1e20), 1e-9, 0.0, 1),
+    # K tiny: the decrement fires at once, and the pending step to 0 is taken
+    "converged by decrement": ("converged", quadratic(1e-30), 1.0, 0.0, 0),
+}
+
+
 class TestNewtonLoop:
     def test_never_accepts_a_lower_loglik(self):
         # a model whose "score" points downhill: every trial lowers the
@@ -313,6 +340,42 @@ class TestNewtonLoop:
         (z,), ((ll,), _, _), _, _ = baselines.newton(
             downhill_score, z0[None], downhill_score(None, z0[None]), -np.inf, np.inf, 500)
         assert np.array_equal(z, z0) and ll == -2.5
+
+    @pytest.mark.parametrize("case", sorted(NEWTON_STOPS))
+    def test_stop_reason(self, case):
+        reason, model, z0, z_end, steps = NEWTON_STOPS[case]
+        start = np.array([[z0]])
+        (z,), _, (iterations,), (stop,) = baselines.newton(
+            model, start, model(None, start), -np.inf, np.inf, 500)
+        assert stop == reason
+        assert abs(z[0] - z_end) <= 1e-15 and iterations == steps
+
+    def test_stop_reasons_in_one_stack(self):
+        # every case as one replicate of a stack: each stops as it does alone
+        cases = sorted(NEWTON_STOPS)
+        models = [NEWTON_STOPS[c][1] for c in cases]
+        start = np.array([[NEWTON_STOPS[c][2]] for c in cases])
+
+        def model(rows, z):
+            rows = np.arange(len(cases)) if rows is None else rows
+            out = [models[r](None, z[i:i + 1]) for i, r in enumerate(rows)]
+            return tuple(np.concatenate(a) for a in zip(*out))
+
+        z, _, iterations, stop = baselines.newton(model, start, model(None, start),
+                                                  -np.inf, np.inf, 500)
+        for b, alone in enumerate(models):
+            (z_b,), _, (iterations_b,), (stop_b,) = baselines.newton(
+                alone, start[b:b + 1], alone(None, start[b:b + 1]), -np.inf, np.inf, 500)
+            assert (z[b, 0], iterations[b], stop[b]) == (z_b[0], iterations_b, stop_b)
+
+    def test_stop_after_max_iter(self):
+        model = quadratic(1.0)
+        start = np.array([[1.0], [1e-20]])
+        # the first replicate needs a step, the second has converged at once
+        _, _, iterations, stop = baselines.newton(model, start, model(None, start),
+                                                  -np.inf, np.inf, 0)
+        assert list(stop) == ["no convergence in 0 iterations", "converged"]
+        assert list(iterations) == [0, 0]
 
     @pytest.mark.parametrize("derivatives", ["_negbin_derivatives", "_rgpr_derivatives"])
     def test_loglik_rises_monotonically(self, airfreight, derivatives):

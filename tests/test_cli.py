@@ -176,6 +176,14 @@ class TestFit:
         assert code == EXIT_IO
         assert "nope" in json.loads(out)["errors"][0]["message"]
 
+    def test_duplicate_column_exit_two(self, capsys, tmp_path):
+        path = tmp_path / "dup.csv"
+        path.write_text("y,x,y\n" + "".join(f"{i % 4},{i},{i % 3}\n" for i in range(10)))
+        code, out = run_cli(capsys, "fit", "--data", str(path), "--response", "y",
+                            "--model", "poisson", "--format", "json")
+        assert code == EXIT_IO
+        assert "'y' appears more than once" in json.loads(out)["errors"][0]["message"]
+
     def test_output_file(self, capsys, airfreight_path, tmp_path):
         dest = tmp_path / "report.json"
         code, _ = run_cli(

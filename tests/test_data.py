@@ -53,6 +53,14 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="rank deficient"):
             load_csv(path, response="y")
 
+    @pytest.mark.parametrize("header,repeated", [("y,x,y", "y"), ("y,x,x", "x")])
+    def test_duplicate_column_name_rejected(self, tmp_path, header, repeated):
+        # the second 'y' was fitted silently; a repeated covariate was called collinear
+        rows = "\n".join(f"{i},{i * i % 5},{i % 3}" for i in range(8))
+        path = write(tmp_path, f"{header}\n{rows}\n")
+        with pytest.raises(DataError, match=f"column '{repeated}' appears more than once"):
+            load_csv(path, response="y")
+
     def test_missing_value_rejected(self, tmp_path):
         path = write(tmp_path, "x,y\n1,2\n,3\n2,4\n3,5\n")
         with pytest.raises(DataError, match="missing value"):

@@ -305,6 +305,56 @@ class TestSaturatedNewton:
         assert np.allclose(np.delete(r, 5), np.delete(full, 5), rtol=1e-10, atol=1e-12)
 
 
+class TestGeometricFit:
+    """nu = 0: the saturated lambda y/(1+y) has a closed form, and the mean
+    approximation is undefined."""
+
+    @pytest.fixture(scope="class")
+    def geometric(self):
+        rng = np.random.default_rng(0)
+        x = rng.uniform(0, 1, 40)
+        y = rng.geometric(0.6, 40) - 1
+        ds = Dataset(y=y, X=np.column_stack([np.ones(40), x]), names=("intercept", "x"))
+        fr = fit_com(ds, beta0=[np.log(0.4), 0.0], fix_nu=0.0)
+        assert fr.converged and fr.nu == 0.0
+        return ds, fr
+
+    def test_saturated_closed_form(self):
+        y = np.array([0.0, 1.0, 4.0, 1.0])
+        log_lam, ll, failed = _saturated(y, 0.0)
+        assert failed == {} and ll[0] == 0.0
+        for target, t, value in zip(y[1:], log_lam[1:], ll[1:]):
+            p = ComParams(float(np.exp(t)), 0.0)
+            assert mean_exact(p) == pytest.approx(target, rel=1e-12)
+            assert value == pytest.approx(log_pmf(int(target), p), rel=1e-12)
+
+    def test_exact_deviance_against_closed_form(self, geometric):
+        ds, fr = geometric
+        rep = diagnostics_report(ds, fr)
+        lam = np.exp(ds.X @ fr.beta)
+        h = hat_diagonal(ds, fr)
+        expected = []
+        for y, l, hi in zip(ds.y.tolist(), lam, h):
+            sat = 0.0 if y == 0 else log_pmf(y, ComParams(y / (1.0 + y), 0.0))
+            d = max(0.0, -2.0 * (log_pmf(y, ComParams(float(l), 0.0)) - sat))
+            expected.append(np.sign(y - l / (1.0 - l)) * np.sqrt(d / (1.0 - hi)))
+        assert rep.notes == {}
+        assert np.allclose(rep.deviance, expected, rtol=1e-10, atol=1e-12)
+
+    def test_approx_deviance_falls_back_to_exact(self, geometric):
+        ds, fr = geometric
+        r, notes = deviance_residuals(ds, fr, kind="approx")
+        assert np.array_equal(r, deviance_residuals(ds, fr)[0])
+        assert sorted(notes) == list(range(ds.n_obs))
+        assert set(notes.values()) == {"approximation domain violated; exact deviance used"}
+
+    def test_mean_approx_refused(self, geometric):
+        ds, fr = geometric
+        assert not dist.approx_mean_valid(np.exp(ds.X @ fr.beta), 0.0)
+        with pytest.raises(ValueError, match="median"):
+            fit.fitted_values(ds, fr, "mean_approx")
+
+
 class TestLeverageOne:
     def test_residuals_raise_typed_error(self, airfreight):
         # an indicator of data row 3 fits that row exactly: leverage 1

@@ -338,16 +338,26 @@ class TestMoments:
         p = ComParams(16.0, 2.0)
         m = mean_exact(p)
         assert m == pytest.approx(ORACLE_MEAN_16_2, rel=1e-10)
-        assert abs(m - mean_approx(p)) / m < 0.02
+        assert abs(m - mean_approx(p.lam, p.nu)) / m < 0.02
 
     def test_mean_approx_formula(self):
-        assert mean_approx(ComParams(16.0, 2.0)) == pytest.approx(3.75)
-        assert mean_approx(ComParams(3.0, 1.0)) == pytest.approx(3.0)
-        assert mean_approx(ComParams(2.0, 0.5)) == pytest.approx(4.5)
+        assert mean_approx(16.0, 2.0) == pytest.approx(3.75)
+        assert mean_approx(3.0, 1.0) == pytest.approx(3.0)
+        assert mean_approx(2.0, 0.5) == pytest.approx(4.5)
+
+    def test_mean_approx_per_entry(self):
+        lam = np.array([16.0, 40.0, 250.0])
+        expected = [mean_approx(float(v), 2.0) for v in lam]
+        assert np.allclose(mean_approx(lam, 2.0), expected, rtol=1e-15, atol=0)
+
+    @pytest.mark.parametrize("lam,nu,valid", [
+        (0.5, 0.0, False), (0.5, 1e-6, True), (0.5, 1.0, True), (50.0, 1.5, True), (5.0, 1.5, False)])
+    def test_approx_mean_valid(self, lam, nu, valid):
+        assert dist.approx_mean_valid(lam, nu) is valid
 
     def test_mean_approx_rejects_nu_zero(self):
         with pytest.raises(ValueError):
-            mean_approx(ComParams(0.5, 0.0))
+            mean_approx(0.5, 0.0)
 
     @pytest.mark.parametrize("lam,nu", GRID)
     def test_mean_matches_logz_derivative(self, lam, nu):

@@ -56,6 +56,18 @@ class TestDispersionTest:
         monkeypatch.setattr(fit, "fit_replicates", lambda *a, **k: pytest.fail("refitted"))
         assert dispersion_test(ds, fr=fr) == refitted
 
+    @pytest.mark.parametrize("alternative", [
+        lambda ds: fit_com(ds, fix_nu=1.0),
+        lambda ds: fit_com(ds, fix_nu=3.0),
+        lambda ds: fit_com(simulate(30, [0.5, 0.4], 1.5, seed=3)),
+        lambda ds: fit_com(simulate(10, [0.5, 0.4, 0.1], 1.5, seed=3)),
+    ], ids=["nu fixed at 1", "nu fixed at 3", "other rows", "other columns"])
+    def test_caller_fit_must_be_the_alternative(self, airfreight, alternative):
+        # a fixed nu gave C = 0, p = 1 (or a p from the fixed nu), and a fit
+        # to other data a statistic against the wrong likelihood
+        with pytest.raises(ValueError, match=r"fr must be fit_com\(ds\) with nu estimated"):
+            dispersion_test(airfreight, fr=alternative(airfreight))
+
     def test_bootstrap_calibration_requires_seed(self, airfreight):
         with pytest.raises(ValueError, match="seed"):
             dispersion_test(airfreight, bootstrap_calibrate=True)
