@@ -1,7 +1,9 @@
 """Command-line interface for COM-Poisson regression runs.
 
-Subcommands: fit, test, bootstrap, diagnose, compare, simulate.  Reports
-are emitted as JSON (schema: schemas/report-v1.json) or plain text.
+Subcommands: fit, test, bootstrap, diagnose, compare, simulate.  Each
+report subcommand cmd_x(args, ds) returns its (payload, text) report of
+the --data Dataset; main loads that Dataset, adds "errors" and emits the
+report as JSON (schema: schemas/report-v1.json) or plain text.
 Exit codes: 0 success, 1 statistical/convergence failure, 2 usage or
 I/O failure.
 """
@@ -129,7 +131,6 @@ def _fit_report(ds: Dataset, model: Model, f) -> dict:
         "aic": float(aic),
         "aicc": _aicc_json(aicc),
         "converged": bool(f.converged),
-        "errors": [],
     }
     extra = f.extra if isinstance(f, baselines.BaselineFit) else f.nu
     if isinstance(f, fit.FitResult):
@@ -163,23 +164,20 @@ def _coef_text(report: dict) -> str:
     return "\n".join(lines)
 
 
-def cmd_fit(args) -> int:
-    ds = _load(args)
+def cmd_fit(args, ds: Dataset) -> tuple[dict, str]:
     model = MODELS[args.model]
     report = _fit_report(ds, model, model.fit(ds))
-    _emit(args, report, _coef_text(report))
-    return EXIT_OK
+    return report, _coef_text(report)
 
 
-def cmd_test(args) -> int:
-    ds = _load(args)
+def cmd_test(args, ds: Dataset) -> tuple[dict, str]:
     res = infer.dispersion_test(
         ds,
         bootstrap_calibrate=args.bootstrap_calibrate,
         n_boot=args.n_boot,
         seed=args.seed,
     )
-    payload = {"model": "dispersion-test", **vars(res), "errors": []}
+    payload = {"model": "dispersion-test", **vars(res)}
     text = (
         f"dispersion test (H0: nu = 1)\n"
         f"  C = {res.statistic:.4f}  df = {res.df}  p = {res.p_value:.6g}\n"
@@ -193,17 +191,15 @@ def cmd_test(args) -> int:
         causes = ", ".join(f"{cause} {n}" for cause, n in res.bootstrap_failures.items())
         text += (f" ({sum(res.bootstrap_failures.values())} of {args.n_boot} replicates "
                  f"dropped: {causes})")
-    _emit(args, payload, text)
-    return EXIT_OK
+    return payload, text
 
 
-def cmd_bootstrap(args) -> int:
-    ds = _load(args)
+def cmd_bootstrap(args, ds: Dataset) -> tuple[dict, str]:
     fr = MODELS["com"].fit(ds)
     boot = infer.parametric_bootstrap(
         ds, fr, n_boot=args.n_boot, ci_level=args.ci, seed=args.seed
     )
-    payload = {"model": "com-poisson-bootstrap", **vars(boot), "errors": []}
+    payload = {"model": "com-poisson-bootstrap", **vars(boot)}
     del payload["replicates"], payload["param_names"]
     lines = [
         f"parametric bootstrap: {boot.n_boot} replicates, seed {boot.seed}, "
@@ -211,23 +207,17 @@ def cmd_bootstrap(args) -> int:
     ]
     for name, (lo, hi) in boot.intervals.items():
         lines.append(f"  {name:<12} {100 * boot.ci_level:.0f}% CI ({lo:.4f}, {hi:.4f})")
-    _emit(args, payload, "\n".join(lines))
-    return EXIT_OK
+    return payload, "\n".join(lines)
 
 
-def cmd_diagnose(args) -> int:
-    ds = _load(args)
+def cmd_diagnose(args, ds: Dataset) -> tuple[dict, str]:
     fr = MODELS["com"].fit(ds)
     report = diag.diagnostics_report(ds, fr, deviance_kind=args.deviance)
-    payload = {"model": "com-poisson-diagnostics", "errors": []}
     body = report.to_dict()
     # observation numbers are reported 1-based
     body["flagged_leverage"] = [i + 1 for i in report.flagged_leverage]
     body["flagged_residual"] = [i + 1 for i in report.flagged_residual]
-    payload["diagnostics"] = body
-    lines = [
-        "obs  leverage  pearson  deviance",
-    ]
+    lines = ["obs  leverage  pearson  deviance"]
     for i in range(ds.n_obs):
         lines.append(
             f"{i + 1:>3}  {report.leverage[i]:8.4f}  {report.pearson[i]:7.3f}  "
@@ -235,12 +225,10 @@ def cmd_diagnose(args) -> int:
         )
     lines.append(f"flagged leverage (obs): {body['flagged_leverage']}")
     lines.append(f"flagged residuals (obs): {body['flagged_residual']}")
-    _emit(args, payload, "\n".join(lines))
-    return EXIT_OK
+    return {"model": "com-poisson-diagnostics", "diagnostics": body}, "\n".join(lines)
 
 
-def cmd_compare(args) -> int:
-    ds = _load(args)
+def cmd_compare(args, ds: Dataset) -> tuple[dict, str]:
     fits: dict = {}
     fitted: dict = {}
     for name in (m.strip() for m in args.models.split(",")):
@@ -265,9 +253,7 @@ def cmd_compare(args) -> int:
         else:
             lines.append(f"{row.model:<14} {'-':>10} {'-':>3} {'-':>9} {'-':>9} {'-':>8}  {row.status}")
     rows = [{**vars(row), "aicc": _aicc_json(row.aicc)} for row in comp.rows]
-    payload = {"model": "comparison", "rows": rows, "errors": []}
-    _emit(args, payload, "\n".join(lines))
-    return EXIT_OK
+    return {"model": "comparison", "rows": rows}, "\n".join(lines)
 
 
 def cmd_simulate(args) -> int:
@@ -343,10 +329,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        if args.func is cmd_simulate:    # writes a CSV, no report
+            return cmd_simulate(args)
+        payload, text = args.func(args, _load(args))
+        _emit(args, {**payload, "errors": []}, text)
+        return EXIT_OK
     except tuple(cls for cls, _ in ERROR_EXIT) as exc:
         if getattr(args, "format", "text") == "json":
             print(json.dumps({"errors": [{"message": str(exc)}]}, indent=2))

@@ -1,8 +1,8 @@
 """Dataset ingestion and design-matrix construction.
 
-CSV convention: UTF-8, comma separated, header row, '.' decimal
-separator.  The intercept column of ones is always prepended and is
-always the first column of X.
+CSV convention: UTF-8 (a leading byte-order mark is skipped), comma
+separated, header row, '.' decimal separator.  The intercept column of
+ones is always prepended and is always the first column of X.
 """
 
 from __future__ import annotations
@@ -100,7 +100,7 @@ def load_csv(
         raise FileNotFoundError(f"input file not found: {path}")
     transforms = dict(transforms or {})
 
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

@@ -312,10 +312,15 @@ def fit_com(
     steps and the fit did not run off (baselines.ran_off).  beta0 (by
     default the Poisson fit's beta) is a Poisson-scale start paired with
     nu = 1, so a COM-Poisson beta-hat, scaled for its nu-hat, is not a
-    valid start.  This is fit_replicates with one replicate.
+    valid start.  At fix_nu=0 (geometric) the series needs every
+    lambda < 1, so the default start's intercept is lowered until every
+    start lambda is at most 1/2; a caller's beta0 is used as given.  This
+    is fit_replicates with one replicate.
     """
     if beta0 is None:
         beta0 = fit_poisson_start(ds)
+        if fix_nu == 0:
+            beta0[0] -= max(0.0, linear_predictor(ds, beta0).max() + np.log(2.0))
     (result,) = fit_replicates(ds.X, ds.y[None], np.asarray(beta0, dtype=float)[None],
                                fix_nu)
     if isinstance(result, Exception):

@@ -67,6 +67,13 @@ def _refit(ds: Dataset, draw, n_boot: int, seed: int):
     return [f for f, ok in zip(fits, kept) if ok], null_loglik[kept], failures
 
 
+def _check_fit_of(ds: Dataset, fr: fit.FitResult) -> None:
+    # a caller's fit_com(ds) must estimate nu on the rows and columns of ds
+    if (fr.n_obs, len(fr.beta), fr.n_params) != (ds.n_obs, ds.n_cols, ds.n_cols + 1):
+        raise ValueError(f"fr must be fit_com(ds) with nu estimated, not a fit of {fr.n_obs} rows "
+                         f"with {len(fr.beta)} coefficients and {fr.n_params} parameters")
+
+
 def dispersion_test(
     ds: Dataset,
     bootstrap_calibrate: bool = False,
@@ -86,9 +93,7 @@ def dispersion_test(
     """
     null = fit_poisson(ds)
     alt = fr if fr is not None else fit.fit_com(ds, beta0=null.beta)
-    if (alt.n_obs, len(alt.beta), alt.n_params) != (ds.n_obs, ds.n_cols, ds.n_cols + 1):
-        raise ValueError(f"fr must be fit_com(ds) with nu estimated, not a fit of {alt.n_obs} rows "
-                         f"with {len(alt.beta)} coefficients and {alt.n_params} parameters")
+    _check_fit_of(ds, alt)
     if not alt.converged:
         raise fit.FitError("COM-Poisson fit did not converge")
     stat = max(0.0, -2.0 * (null.loglik - alt.loglik))
@@ -126,12 +131,15 @@ def parametric_bootstrap(
     drops failed replicates, counts them by cause in failures and raises
     fit.FitError when every replicate fails.  Percentile intervals are
     computed over the kept replicates; a >20% failure rate marks the
-    result unreliable.
+    result unreliable.  fr must be fit_com(ds) with nu estimated:
+    ValueError is raised when its nu was fixed, its rows or columns are
+    not those of ds, or it did not converge.
     """
     if n_boot < 100:
         raise ValueError(f"n_boot must be >= 100, got {n_boot}")
     if not (0 < ci_level < 1):
         raise ValueError(f"ci_level must lie in (0, 1), got {ci_level}")
+    _check_fit_of(ds, fr)
     if not fr.converged:
         raise ValueError("parametric_bootstrap requires a converged fit")
 
@@ -167,7 +175,9 @@ def parametric_bootstrap(
 
 
 def wald_z(fr: fit.FitResult, j: int) -> float:
-    """beta_j / SE_j from the fitted covariance matrix."""
+    """beta_j / SE_j from the fitted covariance matrix; j = len(fr.beta) is nu."""
+    if not 0 <= j <= len(fr.beta):
+        raise ValueError(f"j must lie in 0..{len(fr.beta)}, got {j}")
     if not fr.converged:
         raise ValueError("wald_z requires a converged fit")
     if fr.boundary and j >= len(fr.beta):

@@ -20,6 +20,16 @@ def airfreight_path() -> Path:
 
 
 @pytest.fixture(scope="session")
+def geometric_data() -> Dataset:
+    # nu = 0 counts whose Poisson fit has lambda up to 2.35, where a
+    # geometric series needs every lambda < 1
+    rng = np.random.default_rng(0)
+    x = rng.uniform(0, 1, 40)
+    y = rng.geometric(0.6, 40) - 1
+    return Dataset(y=y, X=np.column_stack([np.ones(40), x]), names=("intercept", "x"))
+
+
+@pytest.fixture(scope="session")
 def sparse_dummy() -> Dataset:
     # n = 30 with a 3-row dummy level: under the fitted Poisson null about
     # one replicate in seven draws zeros on that level, whose Poisson fit

@@ -377,6 +377,18 @@ class TestNewtonLoop:
         assert list(stop) == ["no convergence in 0 iterations", "converged"]
         assert list(iterations) == [0, 0]
 
+    @pytest.mark.parametrize("fitter, name", [(fit_negbin, "negative binomial fit"),
+                                              (fit_rgpr, "RGPR fit")])
+    def test_baseline_stops_after_max_iter(self, monkeypatch, fitter, name):
+        # the Poisson start is fitted before the loop is cut to one step
+        ds = gamma_poisson_dataset(200, [1.0, 0.5], r=4.0, seed=3)
+        pois = fit_poisson(ds)
+        monkeypatch.setattr(baselines, "fit_poisson", lambda _: pois)
+        monkeypatch.setattr(baselines, "NEWTON_MAX_ITER", 1)
+        with pytest.raises(NonConvergenceError,
+                           match=rf"^{name} did not converge \(no convergence in 1 iterations\)$"):
+            fitter(ds)
+
     @pytest.mark.parametrize("derivatives", ["_negbin_derivatives", "_rgpr_derivatives"])
     def test_loglik_rises_monotonically(self, airfreight, derivatives):
         # airfreight takes both fits to a boundary, through infeasible or
@@ -451,6 +463,11 @@ class TestCompareModels:
                 2 * k * (k + 1) / (airfreight.n_obs - k - 1)
             )
             assert aicc >= aic
+
+    def test_unknown_model_row(self, airfreight):
+        comp = compare_models(airfreight, {"poisson": fit_poisson(airfreight)}, {})
+        with pytest.raises(KeyError, match="nope"):
+            comp.row("nope")
 
     def test_aicc_singularity(self):
         aic, aicc = information_criteria(-20.0, 9, 10)

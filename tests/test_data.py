@@ -61,6 +61,33 @@ class TestLoadCsv:
         with pytest.raises(DataError, match=f"column '{repeated}' appears more than once"):
             load_csv(path, response="y")
 
+    def test_byte_order_mark_skipped(self, tmp_path, airfreight):
+        # Excel's "CSV UTF-8" starts with a byte-order mark, which was read
+        # into the first column name: 'broken' was then not in the header
+        rows = "\n".join(f"{y},{x}" for y, x in zip(airfreight.y, airfreight.X[:, 1]))
+        path = tmp_path / "bom.csv"
+        path.write_text(f"\ufeffbroken,transfers\n{rows}\n", encoding="utf-8")
+        ds = load_csv(path, response="broken")
+        assert ds.names == airfreight.names
+        assert np.array_equal(ds.y, airfreight.y) and np.array_equal(ds.X, airfreight.X)
+
+    @pytest.mark.parametrize("text, match", [
+        ("", r"data\.csv: empty file"),
+        ("x,y\n", r"data\.csv: no data rows"),
+        ("x,y\n1,2\n3\n", r"data\.csv:3: expected 2 fields, got 1"),
+    ], ids=["empty file", "header only", "short row"])
+    def test_malformed_file_rejected(self, tmp_path, text, match):
+        with pytest.raises(DataError, match=match):
+            load_csv(write(tmp_path, text), response="y")
+
+    def test_blank_rows_skipped(self, tmp_path):
+        rows = [f"{i},{i % 3}" for i in range(8)]
+        plain = load_csv(write(tmp_path, "x,y\n" + "\n".join(rows) + "\n", "plain.csv"),
+                         response="y")
+        text = "x,y\n" + "\n".join(rows[:3] + ["", " , "] + rows[3:]) + "\n"
+        ds = load_csv(write(tmp_path, text), response="y")
+        assert np.array_equal(ds.X, plain.X) and np.array_equal(ds.y, plain.y)
+
     def test_missing_value_rejected(self, tmp_path):
         path = write(tmp_path, "x,y\n1,2\n,3\n2,4\n3,5\n")
         with pytest.raises(DataError, match="missing value"):
@@ -102,6 +129,12 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="unknown transform"):
             load_csv(path, response="y", transforms={"flow": "sqrt"})
 
+    def test_transform_of_an_unknown_column(self, tmp_path):
+        rows = "\n".join(f"{i + 1},{i}" for i in range(8))
+        path = write(tmp_path, f"flow,y\n{rows}\n")
+        with pytest.raises(DataError, match=r"transforms refer to unknown columns \['z'\]"):
+            load_csv(path, response="y", transforms={"z": "log"})
+
 
 class TestDatasetInvariants:
     def test_rank_check_on_construction(self):
@@ -113,6 +146,18 @@ class TestDatasetInvariants:
         X = np.column_stack([np.arange(1.0, 9.0), np.ones(8)])
         with pytest.raises(DataError, match="intercept"):
             Dataset(y=np.arange(8), X=X, names=("a", "intercept"))
+
+    @pytest.mark.parametrize("y, X, names, match", [
+        (np.arange(5), np.column_stack([np.ones(4), np.arange(4.0)]), ("intercept", "x"),
+         "y has 5 rows but X has 4"),
+        (np.arange(4), np.column_stack([np.ones(4), [0.0, np.nan, 2.0, 3.0]]), ("intercept", "x"),
+         "X contains non-finite entries"),
+        (np.arange(4), np.column_stack([np.ones(4), np.arange(4.0)]), ("intercept",),
+         "names length must match X column count"),
+    ], ids=["row mismatch", "non-finite X", "names length"])
+    def test_malformed_dataset_rejected(self, y, X, names, match):
+        with pytest.raises(DataError, match=match):
+            Dataset(y=y, X=X, names=names)
 
     def test_nonfinite_response_rejected(self):
         X = np.column_stack([np.ones(4), np.arange(4.0)])

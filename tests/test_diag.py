@@ -310,14 +310,10 @@ class TestGeometricFit:
     approximation is undefined."""
 
     @pytest.fixture(scope="class")
-    def geometric(self):
-        rng = np.random.default_rng(0)
-        x = rng.uniform(0, 1, 40)
-        y = rng.geometric(0.6, 40) - 1
-        ds = Dataset(y=y, X=np.column_stack([np.ones(40), x]), names=("intercept", "x"))
-        fr = fit_com(ds, beta0=[np.log(0.4), 0.0], fix_nu=0.0)
+    def geometric(self, geometric_data):
+        fr = fit_com(geometric_data, beta0=[np.log(0.4), 0.0], fix_nu=0.0)
         assert fr.converged and fr.nu == 0.0
-        return ds, fr
+        return geometric_data, fr
 
     def test_saturated_closed_form(self):
         y = np.array([0.0, 1.0, 4.0, 1.0])

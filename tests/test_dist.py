@@ -135,6 +135,10 @@ class TestStackedTable:
         with pytest.raises(TruncationError, match="nu=0.01"):
             dist.log_term_table([[2.0], [0.999]], [1.0, 0.01])
 
+    def test_negative_nu_rejected(self):
+        with pytest.raises(ValueError, match="nu must be nonnegative"):
+            dist.log_term_table([[1.0, 2.0], [1.0, 2.0]], [1.0, -0.5])
+
     def test_mode_overflow_is_typed(self):
         with pytest.raises(OverflowError):
             dist.log_term_table([[2.0], [50.0]], [1.0, 1e-3])
@@ -310,6 +314,11 @@ class TestConsecutiveRatio:
             3**2.2 / 1.7
         )
 
+    @pytest.mark.parametrize("y", [0, -1, 1.5])
+    def test_rejects_y_not_a_positive_integer(self, y):
+        with pytest.raises(ValueError, match=f"y must be a positive integer, got {y}"):
+            consecutive_ratio(y, ComParams(2.0, 1.0))
+
     @pytest.mark.parametrize("lam,nu", GRID)
     def test_matches_pmf_ratio_on_grid(self, lam, nu):
         p = ComParams(lam, nu)
@@ -456,6 +465,15 @@ class TestCdfQuantile:
         values = [cdf(y, p) for y in range(30)]
         assert all(b >= a for a, b in zip(values, values[1:]))
 
+    def test_cdf_rejects_negative_y(self):
+        with pytest.raises(ValueError, match="y must be a nonnegative integer, got -1"):
+            cdf(-1, ComParams(1.0, 1.0))
+
+    @pytest.mark.parametrize("q", [0.0, 1.0, -0.1, 1.5])
+    def test_quantile_rejects_q_outside_the_unit_interval(self, q):
+        with pytest.raises(ValueError, match=rf"q must lie in \(0, 1\), got {q}"):
+            quantile(q, ComParams(1.0, 1.0))
+
     def test_poisson_median(self):
         assert quantile(0.5, ComParams(1.0, 1.0)) == 1
 
@@ -483,6 +501,12 @@ class TestSample:
         a = sample(p, np.random.default_rng(42), size=100)
         b = sample(p, np.random.default_rng(42), size=100)
         assert np.array_equal(a, b)
+
+    def test_scalar_draw_is_an_int(self):
+        p = ComParams(2.0, 1.5)
+        draw = sample(p, np.random.default_rng(42))
+        assert type(draw) is int
+        assert draw == sample(p, np.random.default_rng(42), size=1)[0]
 
     def test_geometric_empirical_mean(self):
         p = ComParams(0.5, 0.0)

@@ -179,6 +179,15 @@ class TestEvaluate:
         rows = y * (airfreight.X @ beta) - nu * gammaln(y + 1.0) - ev.log_z
         assert rows.sum() == pytest.approx(ev.loglik, rel=1e-13)
 
+    @pytest.mark.parametrize("func, nu, match", [
+        (evaluate, -0.5, "nu must be nonnegative, got -0.5"),
+        (score, 0.0, "score requires nu > 0, got 0.0"),
+        (fisher_information, 0.0, "fisher_information requires nu > 0, got 0.0"),
+    ], ids=["evaluate", "score", "fisher_information"])
+    def test_nu_outside_the_domain_refused(self, airfreight, func, nu, match):
+        with pytest.raises(ValueError, match=match):
+            func(airfreight, np.array([1.0, 0.1]), nu)
+
     def test_lambda_overflow_is_typed(self, airfreight):
         with pytest.raises(OverflowError):
             evaluate(airfreight, np.array([800.0, 0.0]), 2.0)
@@ -236,6 +245,19 @@ class TestFitCom:
         p1 = len(fr.beta)
         assert np.allclose(fr.se[:p1], fit_poisson(ds).se, rtol=1e-10, atol=0)
         assert not fr.cov[p1].any() and not fr.cov[:, p1].any()
+
+    def test_geometric_fit_from_the_default_start(self, geometric_data):
+        # the Poisson start's intercept is lowered until every lambda <= 1/2
+        ds = geometric_data
+        fr = fit_com(ds, fix_nu=0.0)
+        assert fr.converged and fr.nu == 0.0 and fr.n_params == 2
+        assert fr.beta == pytest.approx([-2.53264342, 2.25422591], rel=0, abs=1e-8)
+        assert fr.loglik == pytest.approx(-38.4284607, rel=0, abs=1e-7)
+        given = fit_com(ds, beta0=[np.log(0.4), 0.0], fix_nu=0.0)
+        assert np.allclose(fr.beta, given.beta, rtol=0, atol=1e-8)
+        # a caller's start is used as given
+        with pytest.raises(dist.DivergentSeriesError, match="nu=0 requires lambda < 1"):
+            fit_com(ds, beta0=fit_poisson(ds).beta, fix_nu=0.0)
 
     def test_fixed_nu_counts_beta_alone(self, airfreight):
         # the Poisson slice has Poisson's parameter count, so its AIC and AICc

@@ -18,6 +18,15 @@ def airfreight_fit(airfreight):
     return fit_com(airfreight)
 
 
+# fits that are not fit_com(ds) with nu estimated
+WRONG_FITS = pytest.mark.parametrize("wrong_fit", [
+    lambda ds: fit_com(ds, fix_nu=1.0),
+    lambda ds: fit_com(ds, fix_nu=3.0),
+    lambda ds: fit_com(simulate(30, [0.5, 0.4], 1.5, seed=3)),
+    lambda ds: fit_com(simulate(10, [0.5, 0.4, 0.1], 1.5, seed=3)),
+], ids=["nu fixed at 1", "nu fixed at 3", "other rows", "other columns"])
+
+
 class TestDispersionTest:
     def test_airfreight_statistic(self, airfreight):
         res = dispersion_test(airfreight)
@@ -56,17 +65,12 @@ class TestDispersionTest:
         monkeypatch.setattr(fit, "fit_replicates", lambda *a, **k: pytest.fail("refitted"))
         assert dispersion_test(ds, fr=fr) == refitted
 
-    @pytest.mark.parametrize("alternative", [
-        lambda ds: fit_com(ds, fix_nu=1.0),
-        lambda ds: fit_com(ds, fix_nu=3.0),
-        lambda ds: fit_com(simulate(30, [0.5, 0.4], 1.5, seed=3)),
-        lambda ds: fit_com(simulate(10, [0.5, 0.4, 0.1], 1.5, seed=3)),
-    ], ids=["nu fixed at 1", "nu fixed at 3", "other rows", "other columns"])
-    def test_caller_fit_must_be_the_alternative(self, airfreight, alternative):
+    @WRONG_FITS
+    def test_caller_fit_must_be_the_alternative(self, airfreight, wrong_fit):
         # a fixed nu gave C = 0, p = 1 (or a p from the fixed nu), and a fit
         # to other data a statistic against the wrong likelihood
         with pytest.raises(ValueError, match=r"fr must be fit_com\(ds\) with nu estimated"):
-            dispersion_test(airfreight, fr=alternative(airfreight))
+            dispersion_test(airfreight, fr=wrong_fit(airfreight))
 
     def test_bootstrap_calibration_requires_seed(self, airfreight):
         with pytest.raises(ValueError, match="seed"):
@@ -243,6 +247,16 @@ class TestParametricBootstrap:
             parametric_bootstrap(
                 airfreight, airfreight_fit, n_boot=100, ci_level=1.5, seed=1
             )
+        with pytest.raises(ValueError, match="parametric_bootstrap requires a converged fit"):
+            parametric_bootstrap(airfreight, replace(airfreight_fit, converged=False),
+                                 n_boot=100, seed=1)
+
+    @WRONG_FITS
+    def test_fit_must_estimate_nu_on_the_data(self, airfreight, wrong_fit):
+        # a fixed-nu fit was resampled at that nu and refitted with nu free,
+        # and a fit to other data resampled from the wrong model
+        with pytest.raises(ValueError, match=r"fr must be fit_com\(ds\) with nu estimated"):
+            parametric_bootstrap(airfreight, wrong_fit(airfreight), n_boot=100, seed=1)
 
 
 class TestWaldZ:
@@ -283,6 +297,24 @@ class TestWaldZ:
         )
         with pytest.raises(ValueError, match="boundary"):
             wald_z(fr_b, len(fr.beta))
+
+    def test_every_parameter(self, airfreight_fit):
+        expected = [2.21659950904047, 2.1542424650947813, 2.226576275146169]
+        assert [wald_z(airfreight_fit, j) for j in range(3)] == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("j", [-1, -3, 3])
+    def test_index_outside_the_parameters_refused(self, airfreight_fit, j):
+        # j = -1 divided beta_transfers by nu's SE; 3 and -3 raised IndexError
+        with pytest.raises(ValueError, match=f"j must lie in 0..2, got {j}"):
+            wald_z(airfreight_fit, j)
+
+    def test_unconverged_fit_refused(self, airfreight_fit):
+        with pytest.raises(ValueError, match="wald_z requires a converged fit"):
+            wald_z(replace(airfreight_fit, converged=False), 1)
+
+    def test_fixed_nu_has_no_z(self, airfreight):
+        with pytest.raises(ValueError, match="covariance diagonal entry 2 is not positive"):
+            wald_z(fit_com(airfreight, fix_nu=1.0), 2)
 
 
 def test_series_cap_reaches_every_path(monkeypatch):
