@@ -7,9 +7,10 @@ with success probability lambda/(1+lambda)).
 
 The one series kernel, log_term_table, sums the terms until the largest
 lambda's fall 2^-64 below their peak at floor(lambda^(1/nu)), forming each
-term once in a cache-sized block, and gives log Z and the raw moments of
-(Y, log Y!); pmf, moments and likelihood are views of it.  Its cap,
-MAX_TERMS, is read where a table is built, so it holds on every path.
+cache-sized block of log terms as one k = 3 matrix product per replicate
+(_columns), and gives log Z and the raw moments of (Y, log Y!); pmf,
+moments and likelihood are views of it.  Its cap, MAX_TERMS, is read
+where a table is built, so it holds on every path.
 """
 
 from __future__ import annotations
@@ -98,13 +99,19 @@ class SeriesTable:
     s: np.ndarray
     log_z: np.ndarray
     raw: np.ndarray
-    log_lam: np.ndarray    # B x n x 1
-    nu_lf: np.ndarray      # B x len(s): nu * log(s!) per replicate
+    lead: np.ndarray    # B x max(n, 2) x 3: [log lam_i, -1, -log Z_i] per row, see _columns
+    nu: np.ndarray      # B x 1
+
+    def _rows(self, lead) -> np.ndarray:
+        """lead times each replicate's columns, one row per lambda."""
+        t = np.matmul(lead, _columns(self.s, _support(len(self.s) - 1)[1], self.nu))
+        return t[:, : len(self.log_z) // len(self.nu)].reshape(-1, len(self.s))
 
     @property
     def log_terms(self) -> np.ndarray:
-        t = self.log_lam * self.s
-        return np.subtract(t, self.nu_lf[:, None, :], out=t).reshape(-1, len(self.s))
+        lead = self.lead.copy()
+        lead[..., 2] = 0.0
+        return self._rows(lead)
 
     def __iter__(self):
         return iter((self.s, self.log_terms, self.log_z))
@@ -124,20 +131,38 @@ def _support(n_terms: int):
     return s, lf, np.stack([np.ones_like(s), s, lf, s * s, s * lf, lf * lf], axis=1)
 
 
+def _columns(s, lf, nu):
+    """The right factor of the log terms: B x 3 x len(s), rows s, nu*log(s!), 1.
+
+    A left factor with rows [log lam_i, -1, -c_i] per replicate (B x rows x 3)
+    times it gives (s*log lam_i - nu*log s!) - c_i.  dgemm sums k in order,
+    so each cell is round(round(round(s*log lam_i) - nu*log s!) - c_i), the
+    bits of three elementwise passes, with 1 or 2 BLAS threads; a one-row
+    product goes through gemv, which may sum in another order, so the left
+    factor has at least two rows.
+    """
+    cols = np.empty((len(nu), 3, len(s)))
+    cols[:, 0], cols[:, 2] = s, 1.0
+    np.multiply(nu, lf, out=cols[:, 1])
+    return cols
+
+
 def log_term_table(lam, nu) -> SeriesTable:
     """The series kernel: log Z and raw moments for an array of lambdas.
 
     With a B x n lam and nu of length B (one per replicate, i.e. per row
-    of lam), the rows run replicate by replicate and nu*log(s!) is formed
-    once per replicate.  Each EXP_BLOCK-column block of log terms is formed
-    in one buffer, shifted by each row's term at its mode (the row maximum)
-    and exponentiated; the sums of t_s times 1, s, log s!, s^2, s log s! and
-    (log s!)^2 come from a stack of per-replicate matrix products, never one
-    across replicates, whose rounding can depend on how many rows it gets.
-    The support is series_terms' length, built once; the truncation rule
-    guards it: the last term must be past the mode, decreasing, below
-    REL_TOL of the sum, and so must the geometric tail bound implied by the
-    last two terms.  Otherwise TruncationError is raised.
+    of lam), the rows run replicate by replicate.  Each EXP_BLOCK-column
+    block of log terms, shifted by each row's term at its mode (the row
+    maximum), is one B x n x columns product per replicate of the rows
+    [log lam_i, -1, -top_i] and the block's _columns (padded to two rows
+    when n = 1), exponentiated in place; the sums of t_s times 1, s,
+    log s!, s^2, s log s! and (log s!)^2 come from a stack of
+    per-replicate matrix products, never one across replicates, whose
+    rounding can depend on how many rows it gets.  The support is
+    series_terms' length, built once; the truncation rule guards it: the
+    last term must be past the mode, decreasing, below REL_TOL of the sum,
+    and so must the geometric tail bound implied by the last two terms.
+    Otherwise TruncationError is raised.
     """
     nu = np.asarray(nu, dtype=float)
     lam = np.asarray(lam, dtype=float).reshape(nu.size, -1)
@@ -154,21 +179,26 @@ def log_term_table(lam, nu) -> SeriesTable:
         raise OverflowError("series mode lambda^(1/nu) overflows")
     n_terms, (n_rep, n) = int(terms.max()), lam.shape
     s, lf, basis = _support(n_terms)
-    log_lam, log_rel, nu_lf = np.log(lam), np.log(REL_TOL), nu * lf
+    rows = max(n, 2)    # a one-row product sums in another order (_columns); pads go unsummed
+    lead = np.zeros((n_rep, rows, 3))
+    log_lam, log_rel = np.log(lam, out=lead[:, :n, 0]), np.log(REL_TOL)
+    lead[:, :n, 1] = -1.0
     with np.errstate(divide="ignore"):    # nu = 0 (a mode of 0), a ratio r of 1 (tail inf)
         peak = np.minimum(np.floor(lam ** (1.0 / nu)), n_terms)
         top = log_lam * peak - nu * lf[peak.astype(int)]
-        sums, block = np.zeros((n_rep, n, 6)), np.empty(lam.size * EXP_BLOCK)
+        np.negative(top, out=lead[:, :n, 2])
+        sums, block = np.zeros((n_rep, n, 6)), np.empty(n_rep * rows * EXP_BLOCK)
         for a in range(0, len(s), EXP_BLOCK):
-            # contiguous B x columns x n: passes run along rows, matmul reads it transposed
-            t = block[: lam.size * min(EXP_BLOCK, len(s) - a)].reshape(n_rep, -1, n)
-            np.multiply(log_lam[:, None, :], s[a:a + EXP_BLOCK, None], out=t)
-            t -= nu_lf[:, a:a + EXP_BLOCK, None]
-            t -= top[:, None, :]
-            sums += np.matmul(np.exp(t, out=t).transpose(0, 2, 1), basis[a:a + EXP_BLOCK])
+            cols = _columns(s[a:a + EXP_BLOCK], lf[a:a + EXP_BLOCK], nu)
+            # contiguous B x rows x columns: exp and the basis product read it in order
+            t = block[: n_rep * rows * cols.shape[2]].reshape(n_rep, rows, -1)
+            np.matmul(lead, cols, out=t)
+            sums += np.exp(t, out=t)[:, :n] @ basis[a:a + EXP_BLOCK]
         log_z = top + np.log(sums[..., 0])
+        np.negative(log_z, out=lead[:, :n, 2])
         # the last two terms over Z; geometric tail t_S r/(1-r), r = t_S/t_{S-1}
-        last, prev = (log_lam * s[k] - nu_lf[:, k, None] - log_z for k in (-1, -2))
+        ends = (lead @ _columns(s[-2:], lf[-2:], nu))[:, :n]
+        prev, last = ends[..., 0], ends[..., 1]
         step = np.minimum(last - prev, 0.0)
         tail = last + step - np.log1p(-np.exp(step))
     done = (step < 0) & (last < log_rel) & (tail < log_rel) & (s[-1] > mode)
@@ -179,13 +209,14 @@ def log_term_table(lam, nu) -> SeriesTable:
             f"(lambda_max={lam[bad].max():g}, nu={nu[bad, 0]:g}, rel_tol={REL_TOL:g})"
         )
     raw = (sums[..., 1:] / sums[..., :1]).reshape(-1, 5)
-    return SeriesTable(s, log_z.ravel(), raw, log_lam[..., None], nu_lf)
+    return SeriesTable(s, log_z.ravel(), raw, lead, nu)
 
 
 def pmf_table(lam, nu: float):
     """Support points and normalized pmf rows for an array of lambdas."""
-    s, log_terms, log_z = log_term_table(lam, nu)
-    return s, np.exp(np.subtract(log_terms, log_z[:, None], out=log_terms), out=log_terms)
+    tab = log_term_table(lam, nu)
+    t = tab._rows(tab.lead)
+    return tab.s, np.exp(t, out=t)
 
 
 def log_normalizer(p: ComParams) -> float:
@@ -237,8 +268,9 @@ def mean_approx(lam, nu: float):
 
 def approx_mean_valid(lam, nu: float) -> bool:
     """Validity region of the mean approximation: 0 < nu <= 1 or lambda >
-    10^nu (for every entry when lam is an array)."""
-    return bool(0.0 < nu <= 1.0 or np.all(np.asarray(lam) > 10.0**nu))
+    10^nu (for every entry when lam is an array), compared as log10(lambda)
+    > nu, which does not overflow where 10^nu would."""
+    return bool(0.0 < nu <= 1.0 or np.all(np.log10(lam) > nu))
 
 
 def cdf(y: int, p: ComParams) -> float:
@@ -251,14 +283,24 @@ def cdf(y: int, p: ComParams) -> float:
 def inverse_cdf(pmf: np.ndarray, u) -> np.ndarray:
     """Smallest support index whose cumulative mass reaches u, per pmf row.
 
-    u broadcasts against the rows of pmf (a single row may be 1-D); the
-    result is clipped to the last support point.  Each cumulative row is
-    non-decreasing, so counting its entries below u is a left-sided
-    binary search, done for all rows at once.
+    u broadcasts against the rows of pmf (a single row may be 1-D) and may
+    add leading axes, one draw per pmf row on each; the result is clipped
+    to the last support point.  Each row is cumulated once.  A cumulative
+    row is non-decreasing, so its entries below u are a prefix, whose
+    length a binary search finds for all draws at once: adding the powers
+    of two from the largest down, each step moves a draw on while the
+    entry it would pass is below u, so no draw x support array is formed.
     """
     cum = np.cumsum(pmf, axis=-1)
-    idx = (cum < np.asarray(u, dtype=float)[..., None]).sum(axis=-1)
-    return np.minimum(idx, pmf.shape[-1] - 1)
+    width = cum.shape[-1]
+    u = np.asarray(u, dtype=float)
+    start = np.arange(0, cum.size, width).reshape(cum.shape[:-1])    # each row in cum.ravel()
+    pos = np.broadcast_to(start, np.broadcast_shapes(u.shape, start.shape)).copy()
+    flat, last = cum.ravel(), start + (width - 1)
+    for k in reversed(range(width.bit_length())):
+        # a probe past the row reads its last entry: below u, every entry is, and the clip holds
+        np.add(pos, 1 << k, out=pos, where=flat[np.minimum(pos + ((1 << k) - 1), last)] < u)
+    return np.minimum(pos - start, width - 1)
 
 
 def quantile(q: float, p: ComParams) -> int:

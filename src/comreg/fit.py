@@ -34,7 +34,8 @@ MAX_ITER = 500           # Newton steps before a fit is reported not converged
 NU_FLOOR = 1e-6          # nu's clamp: a fit pinned at either end is flagged boundary
 NU_CEILING = 1e3
 CHUNK_CELLS = 1 << 16    # row x term cells one stacked evaluation computes; streamed in
-                         # dist.EXP_BLOCK-column blocks, so EXP_BLOCK/length of them are held
+                         # dist.EXP_BLOCK-column blocks (one small product per replicate
+                         # each), so EXP_BLOCK/length of them are held
 
 
 @dataclass

@@ -41,18 +41,17 @@ class BootstrapResult:
 
 
 def _refit(ds: Dataset, draw, n_boot: int, seed: int):
-    """fit_com on n_boot responses draw(rng), each from its own substream
-    of seed (so results do not depend on execution order), with the
-    design of ds: one stacked Poisson warm start (poisson_newton) and one
-    stacked COM-Poisson fit (fit.fit_replicates).  A replicate whose fit
-    returns an error or does not converge is dropped and counted by
-    cause, the exception class name or "nonconverged"; an error raised
-    propagates, and fit.FitError is raised when every replicate fails.
-    Returns the kept FitResults and their Poisson logliks in replicate
-    order, and the counts by cause.
+    """fit_com on the n_boot responses draw(rngs) stacks, row b drawn from
+    rngs[b], its own substream of seed (so results do not depend on
+    execution order), with the design of ds: one stacked Poisson warm
+    start (poisson_newton) and one stacked COM-Poisson fit
+    (fit.fit_replicates).  A replicate whose fit returns an error or does
+    not converge is dropped and counted by cause, the exception class
+    name or "nonconverged"; an error raised propagates, and fit.FitError
+    is raised when every replicate fails.  Returns the kept FitResults and
+    their Poisson logliks in replicate order, and the counts by cause.
     """
-    children = np.random.SeedSequence(seed).spawn(n_boot)
-    y_star = np.stack([draw(np.random.default_rng(c)) for c in children])
+    y_star = draw([np.random.default_rng(c) for c in np.random.SeedSequence(seed).spawn(n_boot)])
     beta0, _, null_loglik, fits = poisson_newton(ds.X, y_star)
     started = np.array([f is None for f in fits])
     for b, f in zip(np.flatnonzero(started),
@@ -112,7 +111,7 @@ def dispersion_test(
             raise ValueError(f"n_boot must be >= 1, got {n_boot}")
         lam0 = np.exp(linear_predictor(ds, null.beta))
         fits, null_loglik, result.bootstrap_failures = _refit(
-            ds, lambda rng: rng.poisson(lam0), n_boot, seed)
+            ds, lambda rngs: np.stack([rng.poisson(lam0) for rng in rngs]), n_boot, seed)
         stats = np.maximum(0.0, -2.0 * (null_loglik - [f.loglik for f in fits]))
         result.bootstrap_p_value = float(np.mean(stats >= stat))
     return result
@@ -127,7 +126,8 @@ def parametric_bootstrap(
 ) -> BootstrapResult:
     """Resample y* ~ COM-Poisson(lambda_hat_i, nu_hat), refit, collect (beta*, nu*).
 
-    The draws share one pmf table and are refitted by _refit, which
+    The draws share one pmf table, cumulated once by one inverse_cdf call
+    over every replicate's uniforms, and are refitted by _refit, which
     drops failed replicates, counts them by cause in failures and raises
     fit.FitError when every replicate fails.  Percentile intervals are
     computed over the kept replicates; a >20% failure rate marks the
@@ -145,8 +145,8 @@ def parametric_bootstrap(
 
     lam_hat = np.exp(linear_predictor(ds, fr.beta))
     _, pmf = dist.pmf_table(lam_hat, fr.nu)
-    fits, _, failures = _refit(
-        ds, lambda rng: dist.inverse_cdf(pmf, rng.uniform(size=ds.n_obs)), n_boot, seed)
+    fits, _, failures = _refit(ds, lambda rngs: dist.inverse_cdf(
+        pmf, np.stack([rng.uniform(size=ds.n_obs) for rng in rngs])), n_boot, seed)
     good = np.array([[*f.beta, f.nu] for f in fits])
     n_failed = n_boot - len(fits)
     lo = 100.0 * (1.0 - ci_level) / 2.0

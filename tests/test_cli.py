@@ -368,6 +368,17 @@ class TestCompare:
         prob = expit(ds.X @ fit_logistic(ds).beta)
         assert rows["logistic"]["mse"] == pytest.approx(np.mean((y - prob) ** 2), rel=1e-12)
 
+    def test_mean_fitted_values_past_the_float_range_fall_back_to_medians(self, capsys, tmp_path):
+        # a constant response gives nu-hat past 308, where 10^nu overflows: the
+        # com row is fitted with medians (all 5, so an MSE of 0), not a traceback
+        path = write_xy(tmp_path / "constant.csv", np.arange(1.0, 13.0), np.full(12, 5))
+        code, out = run_cli(capsys, "compare", "--data", path, "--response", "y",
+                            "--models", "com,poisson", "--fitted", "mean", "--format", "json")
+        assert code == EXIT_OK
+        rows = {r["model"]: r for r in json.loads(out)["rows"]}
+        assert rows["com-poisson"]["status"] == "ok"
+        assert rows["com-poisson"]["mse"] == 0.0
+
     def test_unknown_model_exit_two(self, capsys, airfreight_path):
         code = main(["compare", "--data", str(airfreight_path), "--response", "broken",
                      "--models", "com,gamma", "--format", "text"])

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from comreg import dist
+from comreg._special import log_factorials
 from comreg.dist import (
     ComParams,
     DivergentSeriesError,
@@ -142,6 +143,26 @@ class TestStackedTable:
     def test_mode_overflow_is_typed(self):
         with pytest.raises(OverflowError):
             dist.log_term_table([[2.0], [50.0]], [1.0, 1e-3])
+
+
+class TestLogTermBits:
+    """The log terms are one small matrix product per replicate; they must
+    equal the elementwise passes (s*log(lam) - nu*log(s!)) - c bit for bit,
+    so a BLAS that sums the product in another order fails here."""
+
+    @pytest.mark.parametrize("lam,nu", [
+        ([[2220.202747141367]], [1.3949507939624215]),
+        ([[2220.202747141367, 35.0]], [1.3949507939624215]),
+        (TestStackedTable.LAM, TestStackedTable.NU),
+    ], ids=["one row", "two rows", "one nu per replicate"])
+    def test_terms_and_pmf_equal_the_elementwise_passes(self, lam, nu):
+        lam, nu = np.asarray(lam, dtype=float), np.asarray(nu, dtype=float)
+        tab = dist.log_term_table(lam, nu)
+        nu_lf = nu[:, None] * log_factorials(len(tab.s) - 1)[: len(tab.s)]
+        terms = (tab.s * np.log(lam)[..., None] - nu_lf[:, None, :]).reshape(-1, len(tab.s))
+        assert np.array_equal(tab.log_terms, terms)
+        _, pmf = dist.pmf_table(lam, nu)
+        assert np.array_equal(pmf, np.exp(terms - tab.log_z[:, None]))
 
 
 class TestSeriesSizing:
@@ -360,7 +381,8 @@ class TestMoments:
         assert np.allclose(mean_approx(lam, 2.0), expected, rtol=1e-15, atol=0)
 
     @pytest.mark.parametrize("lam,nu,valid", [
-        (0.5, 0.0, False), (0.5, 1e-6, True), (0.5, 1.0, True), (50.0, 1.5, True), (5.0, 1.5, False)])
+        (0.5, 0.0, False), (0.5, 1e-6, True), (0.5, 1.0, True), (50.0, 1.5, True), (5.0, 1.5, False),
+        (1e300, 400.0, False)])    # 10^400 overflows a double
     def test_approx_mean_valid(self, lam, nu, valid):
         assert dist.approx_mean_valid(lam, nu) is valid
 

@@ -526,6 +526,16 @@ class TestFittedValues:
         with pytest.raises(ValueError, match="median"):
             fitted_values(ds, fr, "mean_approx")
 
+    def test_mean_approx_refused_where_ten_to_the_nu_overflows(self):
+        # a constant response: nu-hat runs to the boundary, past 308, where 10^nu overflows
+        ds = Dataset(y=np.full(12, 5), X=np.column_stack([np.ones(12), np.arange(1.0, 13.0)]),
+                     names=("intercept", "x"))
+        fr = fit_com(ds)
+        assert fr.nu > 310
+        with pytest.raises(ValueError, match="median"):
+            fitted_values(ds, fr, "mean_approx")
+        assert np.array_equal(fitted_values(ds, fr, "median"), np.full(12, 5.0))
+
     def test_unknown_kind(self, airfreight, airfreight_fit):
         with pytest.raises(ValueError):
             fitted_values(airfreight, airfreight_fit, "mode")
