@@ -66,6 +66,22 @@ class BaselineFit:
         return np.sqrt(np.diag(self.cov))
 
 
+def _solve_each(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x with A[i] x[i] = b[i] for each matrix of the stack A (m, k, k); x[i]
+    is NaN where A[i] is singular, and the others are solved as in a stack
+    without it."""
+    try:
+        return np.linalg.solve(A, b[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        x = np.full(b.shape, np.nan)
+        for i in range(len(A)):
+            try:
+                x[i] = np.linalg.solve(A[i:i + 1], b[i:i + 1, :, None])[0, :, 0]
+            except np.linalg.LinAlgError:
+                pass
+        return x
+
+
 def newton(model, z, at, lower, upper, max_iter):
     """Maximize the loglik of every replicate in a stack by damped Newton steps.
 
@@ -76,9 +92,10 @@ def newton(model, z, at, lower, upper, max_iter):
     b's start and at is model's output there; a replicate whose start is
     unusable does not move.  Each step solves I step = g, or |I| step = g
     (|I| has the absolute values of I's eigenvalues) where the Newton
-    step is not an ascent direction, holds a coordinate at lower or upper
-    whose score points outward (lower = upper fixes it), and is halved,
-    each trial clipped to [lower, upper], until the loglik does not fall.
+    step is not an ascent direction or I is singular, holds a coordinate
+    at lower or upper whose score points outward (lower = upper fixes
+    it), and is halved, each trial clipped to [lower, upper], until the
+    loglik does not fall.
     A replicate converges when a step, full or halved, moves no
     coordinate by more than NEWTON_RTOL * max(1, max|z|), or when its
     Newton decrement g' step is at most NEWTON_DECREMENT * max(1,
@@ -107,10 +124,7 @@ def newton(model, z, at, lower, upper, max_iter):
                     system[held[:, :, None] | held[:, None, :]] = 0.0
                     rows, cols = np.nonzero(held)
                     system[rows, cols, cols] = 1.0
-            try:
-                step = np.linalg.solve(system, g[..., None])[..., 0]
-            except np.linalg.LinAlgError:
-                step = np.full_like(g, np.nan)
+            step = _solve_each(system, g)
             decrement = (g * step).sum(axis=1)
             if not (decrement > 0.0).all():
                 uphill = ~(decrement > 0.0)
@@ -188,13 +202,11 @@ def _fit_glm(X: np.ndarray, Y: np.ndarray, beta0, mean_fn, var_fn, cumulant_fn, 
 def ran_off(X: np.ndarray, stop: np.ndarray, H: np.ndarray, g: np.ndarray) -> np.ndarray:
     """newton's stop array, with a converged fit marked in place as run off (no
     finite estimate) where its next Newton step in beta (H step = g) moves
-    some x'beta by more than RUNOFF_STEP."""
+    some x'beta by more than RUNOFF_STEP, or where its H is singular (its
+    weights underflowed: only a fit that ran off gets there)."""
     done = np.flatnonzero(stop == "converged")
-    try:
-        step = np.linalg.solve(H[done], g[done, :, None])[..., 0]
-    except np.linalg.LinAlgError:   # weights underflowed: only a fit that ran off gets there
-        step = np.full((len(done), X.shape[1]), np.inf)
-    stop[done[np.abs(step @ X.T).max(axis=1) > RUNOFF_STEP]] = (
+    step = _solve_each(H[done], g[done])
+    stop[done[~(np.abs(step @ X.T).max(axis=1) <= RUNOFF_STEP)]] = (
         "ran off towards an estimate at infinity")
     return stop
 

@@ -2,8 +2,11 @@
 
 The model: Y_i ~ COM-Poisson(lambda_i, nu) with log lambda_i = x_i' beta
 and a shared dispersion nu.  Estimation maximizes the log-likelihood
-over (beta, nu) by Fisher scoring from the Poisson fit: the model
-handed to baselines.newton, the loop behind every fit in the package.
+over (beta, nu) by Fisher scoring (the model handed to baselines.newton,
+the loop behind every fit in the package) from the paper's moment
+estimate on the Poisson fit: since E Y ~ lambda^(1/nu) and var Y ~
+E Y / nu, nu starts at 1 / (the Poisson fit's Pearson dispersion) and
+beta at nu times the Poisson beta.
 The score and the expected (Fisher) information are covariances of the
 sufficient statistics (Y, log Y!), so the six sums of one series table
 per (beta, nu) (dist.log_term_table) give the loglik, both of them and
@@ -236,18 +239,24 @@ def fit_replicates(
 ) -> list:
     """fit_com on every response Y[b] (one per row of Y) with the shared design X.
 
-    Each replicate starts from (beta0[b], nu = 1) and has its own step,
-    step halving, nu clamp, stop rule, boundary flag and covariance in
-    one baselines.newton loop (under fix_nu, cov inverts the beta block
-    alone) of at most MAX_ITER steps, with nu clamped to [NU_FLOOR,
-    NU_CEILING], all three read at call time.  Only the evaluations are
-    shared: each step, and each round of halving, evaluates the
-    replicates still trying as one stack (see _evaluate_each).  A
-    replicate whose trial point is unusable has that trial rejected, and
-    no other.  Returns one entry per replicate: its FitResult, or the
-    error that ended it (one of SERIES_ERRORS at the start, or
-    SingularInformationError away from a boundary).  X is not validated
-    here: pass the design of a Dataset.
+    With nu free, replicate b starts from nu0 (beta0[b], 1): nu0 = (n - p) /
+    sum((y - mu)^2 / mu) at mu = exp(X beta0[b]), the inverse Pearson
+    dispersion of the Poisson-scale start, clamped to [NU_FLOOR,
+    NU_CEILING].  A 0/1 or constant response, which has no finite nu-hat,
+    and a replicate whose loglik at nu0 (beta0[b], 1) is not finite or
+    raises one of SERIES_ERRORS (evaluated again together, in one stack)
+    start from (beta0[b], 1) instead; under fix_nu every replicate starts
+    from (beta0[b], fix_nu).  Each replicate has its own step, step halving,
+    nu clamp, stop rule, boundary flag and covariance in one
+    baselines.newton loop (under fix_nu, cov inverts the beta block alone)
+    of at most MAX_ITER steps, with nu clamped to [NU_FLOOR, NU_CEILING],
+    all three read at call time.  Only the evaluations are shared: each
+    step, and each round of halving, evaluates the replicates still trying
+    as one stack (see _evaluate_each).  A replicate whose trial point is
+    unusable has that trial rejected, and no other.  Returns one entry per
+    replicate: its FitResult, or the error that ended it (one of
+    SERIES_ERRORS at the start, or SingularInformationError away from a
+    boundary).  X is not validated here: pass the design of a Dataset.
     """
     Y = np.asarray(Y)
     n_rep, n = Y.shape
@@ -255,17 +264,32 @@ def fit_replicates(
     free_nu = fix_nu is None
     lo, hi = (NU_FLOOR, NU_CEILING) if free_nu else (fix_nu, fix_nu)
     lower, upper = np.append(np.full(p1, -np.inf), lo), np.append(np.full(p1, np.inf), hi)
-    z = np.column_stack([beta0, np.full(n_rep, 1.0 if free_nu else fix_nu)])
-    *at, errors = _evaluate_each(X, Y, z)
-    z, (loglik, score, info), iterations, stop = baselines.newton(
-        lambda rows, z: _evaluate_each(X, Y[rows], z)[:3],
-        z, at, lower, upper, MAX_ITER)
-    stop = baselines.ran_off(X, stop, info[:, :p1, :p1], score[:, :p1])
-
     # a 0/1 or constant response has no finite nu-hat: the loglik rises
     # towards the Bernoulli limit or a point mass as nu grows, so its
     # nu-hat is wherever the stop fired
     unidentified = np.all(Y <= 1, axis=1) | np.all(Y == Y[:, :1], axis=1)
+    z = np.column_stack([beta0, np.full(n_rep, 1.0 if free_nu else fix_nu)])
+    moved = free_nu & ~unidentified
+    if free_nu:
+        # the moment start: var Y ~ E Y / nu and log lambda ~ nu log E Y, so
+        # nu0 = 1 / (beta0's Pearson dispersion), and z = nu0 (beta0, 1)
+        with np.errstate(all="ignore"):
+            mu = np.exp((beta0[:, None, :] @ X.T)[:, 0])
+            nu0 = np.clip((n - p1) / ((Y - mu) ** 2 / mu).sum(axis=1), lo, hi)
+        z[moved] *= nu0[moved, None]
+    loglik, score, info, errors = _evaluate_each(X, Y, z)
+    # an unusable moment start falls back to (beta0[b], 1), all in one stack
+    redo = np.flatnonzero(moved & ~np.isfinite(loglik))
+    if redo.size:
+        z[redo] = np.column_stack([beta0[redo], np.ones(redo.size)])
+        loglik[redo], score[redo], info[redo], fallback = _evaluate_each(X, Y[redo], z[redo])
+        for b, exc in zip(redo, fallback):
+            errors[b] = exc
+    z, (loglik, score, info), iterations, stop = baselines.newton(
+        lambda rows, z: _evaluate_each(X, Y[rows], z)[:3],
+        z, (loglik, score, info), lower, upper, MAX_ITER)
+    stop = baselines.ran_off(X, stop, info[:, :p1, :p1], score[:, :p1])
+
     k = p1 + 1 if free_nu else p1    # a fixed nu is no parameter
     usable = np.flatnonzero([e is None for e in errors])
     cov = np.full((n_rep, p1 + 1, p1 + 1), np.nan if free_nu else 0.0)
@@ -298,25 +322,26 @@ def fit_com(
 ) -> FitResult:
     """Maximize the COM-Poisson log-likelihood over (beta, nu) by Fisher scoring.
 
-    In (beta, nu) the model is a canonical exponential family: the loglik
-    is concave and the expected information is its negative Hessian, so
-    each scoring step I step = g is a Newton step.  The step is halved
-    until the loglik does not fall.  nu starts at 1 and is clamped to
-    [NU_FLOOR, NU_CEILING]; at a bound whose gradient points outward only
-    beta moves, and the result is flagged boundary, as is a 0/1 response
-    (the Bernoulli limit, where no finite nu maximizes the loglik) or a
-    constant one (a point mass).  fix_nu pins the dispersion (e.g. fix_nu=1
-    gives the Poisson slice of the likelihood surface) and solves the beta
-    block only: cov inverts the beta block of the information, with 0 in
-    nu's row and column, and n_params counts beta alone.  converged means
-    one of baselines.newton's relative stop rules fired within MAX_ITER
-    steps and the fit did not run off (baselines.ran_off).  beta0 (by
-    default the Poisson fit's beta) is a Poisson-scale start paired with
-    nu = 1, so a COM-Poisson beta-hat, scaled for its nu-hat, is not a
-    valid start.  At fix_nu=0 (geometric) the series needs every
-    lambda < 1, so the default start's intercept is lowered until every
-    start lambda is at most 1/2; a caller's beta0 is used as given.  This
-    is fit_replicates with one replicate.
+    In (beta, nu) the model is a canonical exponential family: the loglik is
+    concave and the expected information is its negative Hessian, so each
+    scoring step I step = g is a Newton step.  The step is halved until the
+    loglik does not fall.  The start is fit_replicates' moment estimate, and
+    nu is clamped to [NU_FLOOR, NU_CEILING]; at a bound whose gradient
+    points outward only beta moves, and the result is flagged boundary, as
+    is a 0/1 response (the Bernoulli limit, where no finite nu maximizes the
+    loglik) or a constant one (a point mass).  fix_nu pins the dispersion
+    (e.g. fix_nu=1 gives the Poisson slice of the likelihood surface) and
+    solves the beta block only: cov inverts the beta block of the
+    information, with 0 in nu's row and column, and n_params counts beta
+    alone.  converged means one of baselines.newton's relative stop rules
+    fired within MAX_ITER steps and the fit did not run off
+    (baselines.ran_off).  beta0 (by default the Poisson fit's beta) is a
+    Poisson-scale start, scaled by nu0 (or paired with nu = 1 or fix_nu), so
+    a COM-Poisson beta-hat, scaled for its nu-hat, is not a valid start.  At
+    fix_nu=0 (geometric) the series needs every lambda < 1, so the default
+    start's intercept is lowered until every start lambda is at most 1/2; a
+    caller's beta0 is used as given.  This is fit_replicates with one
+    replicate.
     """
     if beta0 is None:
         beta0 = fit_poisson_start(ds)

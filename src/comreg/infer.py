@@ -43,13 +43,14 @@ class BootstrapResult:
 def _refit(ds: Dataset, draw, n_boot: int, seed: int):
     """fit_com on the n_boot responses draw(rngs) stacks, row b drawn from
     rngs[b], its own substream of seed (so results do not depend on
-    execution order), with the design of ds: one stacked Poisson warm
-    start (poisson_newton) and one stacked COM-Poisson fit
-    (fit.fit_replicates).  A replicate whose fit returns an error or does
-    not converge is dropped and counted by cause, the exception class
-    name or "nonconverged"; an error raised propagates, and fit.FitError
-    is raised when every replicate fails.  Returns the kept FitResults and
-    their Poisson logliks in replicate order, and the counts by cause.
+    execution order), with the design of ds: one stacked Poisson fit
+    (poisson_newton) and one stacked COM-Poisson fit (fit.fit_replicates),
+    each replicate started at the moment estimate on its Poisson fit.  A
+    replicate whose fit returns an error or does not converge is dropped and
+    counted by cause, the exception class name or "nonconverged"; an error
+    raised propagates, and fit.FitError is raised when every replicate
+    fails.  Returns the kept FitResults and their Poisson logliks in
+    replicate order, and the counts by cause.
     """
     y_star = draw([np.random.default_rng(c) for c in np.random.SeedSequence(seed).spawn(n_boot)])
     beta0, _, null_loglik, fits = poisson_newton(ds.X, y_star)

@@ -368,6 +368,41 @@ class TestNewtonLoop:
                 alone, start[b:b + 1], alone(None, start[b:b + 1]), -np.inf, np.inf, 500)
             assert (z[b, 0], iterations[b], stop[b]) == (z_b[0], iterations_b, stop_b)
 
+    def test_singular_information_touches_no_other_replicate(self):
+        # k = 2: one replicate with zero information leaves the others'
+        # Newton steps as they are alone, bit for bit
+        A = np.array([[2.0, 0.7], [0.7, 1.3]])
+        start = np.array([[1.3, -0.7], [0.4, 0.2], [2.1, 0.9]])
+
+        def model_without(singular):
+            def model(rows, z):
+                rows = np.arange(len(z)) if rows is None else rows
+                info = np.tile(A, (len(z), 1, 1))
+                info[rows == singular] = 0.0
+                return -0.5 * np.einsum("ij,jk,ik->i", z, A, z), -z @ A, info
+            return model
+
+        stacked = model_without(1)
+        z, _, iterations, stop = baselines.newton(stacked, start, stacked(None, start),
+                                                  -np.inf, np.inf, 500)
+        assert stop[1] == "information not usable"
+        alone = model_without(None)
+        for b in (0, 2):
+            (z_b,), _, (iterations_b,), (stop_b,) = baselines.newton(
+                alone, start[b:b + 1], alone(None, start[b:b + 1]), -np.inf, np.inf, 500)
+            assert np.array_equal(z[b], z_b) and (iterations[b], stop[b]) == (iterations_b, stop_b)
+
+    def test_ran_off_marks_only_the_singular_row(self):
+        X = np.column_stack([np.ones(5), np.arange(1.0, 6.0)])
+        H = np.stack([X.T @ X, np.zeros((2, 2))])
+        g = np.array([[1e-9, 1e-9], [0.0, 0.0]])
+        stop = baselines.ran_off(X, np.array(["converged"] * 2, dtype=object), H, g)
+        assert list(stop) == ["converged", "ran off towards an estimate at infinity"]
+        # alone too, on a design with a covariate value of 0
+        X[0, 1] = 0.0
+        stop = baselines.ran_off(X, np.array(["converged"], dtype=object), H[1:], g[1:])
+        assert list(stop) == ["ran off towards an estimate at infinity"]
+
     def test_stop_after_max_iter(self):
         model = quadratic(1.0)
         start = np.array([[1.0], [1e-20]])

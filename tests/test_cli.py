@@ -128,7 +128,7 @@ class TestFit:
         assert "converge" in report["errors"][0]["message"].lower()
 
     def test_com_nonconvergence_exit_one(self, capsys, airfreight_path, monkeypatch):
-        # the airfreight fit needs 7 steps
+        # the airfreight fit needs 4 steps
         monkeypatch.setattr(fit, "MAX_ITER", 1)
         code, out = run_cli(capsys, "fit", "--data", str(airfreight_path),
                             "--response", "broken", "--format", "json")
@@ -214,7 +214,7 @@ class TestDispersionTest:
         assert json.loads(out)["errors"][0]["message"] == f"n_boot must be >= 1, got {n_boot}"
 
     def test_unconverged_alternative_exit_one(self, capsys, airfreight_path, monkeypatch):
-        monkeypatch.setattr(fit, "MAX_ITER", 5)    # the airfreight fit needs 7 steps
+        monkeypatch.setattr(fit, "MAX_ITER", 2)    # the airfreight fit needs 4 steps
         code, out = run_cli(capsys, "test", "--data", str(airfreight_path),
                             "--response", "broken", "--format", "json")
         assert code == EXIT_STAT
@@ -286,12 +286,12 @@ class TestBootstrap:
         assert sum(report["failures"].values()) == report["n_failed"]
 
     def test_every_replicate_failed_exit_one(self, capsys, airfreight_path, monkeypatch):
-        # no replicate converges in 5 steps; the airfreight fit itself needs
-        # 7, so the cap is lowered only around the bootstrap
+        # no replicate converges in 3 steps; the airfreight fit itself needs
+        # 4, so the cap is lowered only around the bootstrap
         bootstrap = infer.parametric_bootstrap
 
         def capped(*args, **kwargs):
-            monkeypatch.setattr(fit, "MAX_ITER", 5)
+            monkeypatch.setattr(fit, "MAX_ITER", 3)
             return bootstrap(*args, **kwargs)
 
         monkeypatch.setattr(infer, "parametric_bootstrap", capped)

@@ -436,14 +436,14 @@ class TestFitReplicates:
 
         # a max_iter that cuts off the slow replicates leaves the others'
         # results as they are
-        monkeypatch.setattr(fit, "MAX_ITER", 6)
+        monkeypatch.setattr(fit, "MAX_ITER", 4)
         short = fit_stack(airfreight.X, easy)
         assert 0 < sum(not f.converged for f in short) < len(easy)
         for f, ref in zip(short, alone):
             if f.converged:
                 assert_same_fits([f], [ref], rel=1e-12)
             else:
-                assert f.iterations == 6 and ref.iterations > 6
+                assert f.iterations == 4 and ref.iterations > 4
 
     @pytest.mark.parametrize("cells", [1, 2_000])
     def test_chunking_does_not_change_results(self, airfreight, monkeypatch, cells):
@@ -478,6 +478,52 @@ class TestFitReplicates:
         monkeypatch.setattr(dist, "log_term_table", counted)
         parametric_bootstrap(airfreight, fit_com(airfreight), n_boot=100, seed=5)
         assert sum(cells) <= 750_000
+
+
+class TestMomentStart:
+    """A free-nu fit starts at nu0 (beta0, 1), nu0 = 1 / (Pearson dispersion of beta0)."""
+
+    @pytest.fixture
+    def starts(self, monkeypatch):
+        seen = []
+        evaluate_each = fit._evaluate_each
+        monkeypatch.setattr(fit, "_evaluate_each",
+                            lambda X, Y, z: seen.append(z.copy()) or evaluate_each(X, Y, z))
+        return seen
+
+    def test_start_is_the_moment_estimate(self, airfreight, starts):
+        beta0 = fit_poisson(airfreight).beta
+        mu = np.exp(airfreight.X @ beta0)
+        nu0 = (10 - 2) / np.sum((airfreight.y - mu) ** 2 / mu)
+        fit_com(airfreight)
+        assert np.allclose(starts[0], [np.append(nu0 * beta0, nu0)], rtol=1e-14)
+        starts.clear()
+        fit_com(airfreight, fix_nu=2.0)
+        assert np.array_equal(starts[0], [np.append(beta0, 2.0)])
+
+    def test_airfreight_in_four_steps(self, airfreight_fit):
+        assert airfreight_fit.converged and airfreight_fit.iterations <= 4
+
+    def test_criterion_08_in_three_steps(self):
+        fr = fit_com(simulate(868, [0.6, 0.5, -0.3], 0.35, seed=2024))
+        assert fr.converged and fr.iterations <= 3
+
+    def test_unidentified_response_keeps_the_poisson_start(self, starts):
+        # a 0/1 or constant response would start at nu0 = NU_CEILING and run off
+        ds = simulate(3, [2.8426595437210866, 0.20773931548150548], 10.835156452665558, seed=145)
+        assert list(ds.y) == [1, 1, 1]
+        fr = fit_com(ds)
+        assert starts[0][0, -1] == 1.0
+        assert fr.converged and fr.boundary and fr.nu == 88.39826946866569
+
+    def test_unusable_moment_start_falls_back(self, starts):
+        # phi-hat ~ 0, so nu0 = NU_CEILING and lambda overflows: the
+        # replicate is evaluated again at (beta0, 1)
+        ds = Dataset(y=np.array([1, 2, 4, 8]), X=np.column_stack([np.ones(4), np.arange(4.0)]),
+                     names=("intercept", "x"))
+        fr = fit_com(ds)
+        assert starts[0][0, -1] == fit.NU_CEILING and starts[1][0, -1] == 1.0
+        assert (fr.nu, fr.iterations, fr.converged) == (331.94900481636574, 34, False)
 
 
 class TestBernoulliLimit:

@@ -123,7 +123,7 @@ class TestDispersionTest:
     @pytest.mark.parametrize("given", [False, True])
     def test_unconverged_alternative_is_a_fit_error(self, airfreight, monkeypatch, given):
         fr = replace(fit_com(airfreight), converged=False) if given else None
-        monkeypatch.setattr(fit, "MAX_ITER", 5)    # the airfreight fit needs 7 steps
+        monkeypatch.setattr(fit, "MAX_ITER", 2)    # the airfreight fit needs 4 steps
         with pytest.raises(fit.FitError, match="COM-Poisson fit did not converge"):
             dispersion_test(airfreight, fr=fr)
 
@@ -184,17 +184,17 @@ class TestParametricBootstrap:
             return cov, errors
 
         monkeypatch.setattr(fit, "_invert_information", flaky)
-        monkeypatch.setattr(fit, "MAX_ITER", 7)
+        monkeypatch.setattr(fit, "MAX_ITER", 4)
         boot = parametric_bootstrap(airfreight, airfreight_fit, n_boot=100, seed=3)
         assert boot.failures["SingularInformationError"] == 14
-        assert boot.failures["nonconverged"] >= 17
+        assert boot.failures["nonconverged"] == 12
         assert sum(boot.failures.values()) == boot.n_failed
         assert boot.n_failed + len(boot.replicates) == 100
 
     def test_every_replicate_failed_is_a_fit_error(self, airfreight, airfreight_fit,
                                                    monkeypatch):
-        # no replicate converges in 5 steps
-        monkeypatch.setattr(fit, "MAX_ITER", 5)
+        # no replicate converges in 3 steps
+        monkeypatch.setattr(fit, "MAX_ITER", 3)
         with pytest.raises(fit.FitError, match="every bootstrap replicate failed") as err:
             parametric_bootstrap(airfreight, airfreight_fit, n_boot=100, seed=3)
         assert "'nonconverged': 100" in str(err.value)
@@ -299,7 +299,7 @@ class TestWaldZ:
             wald_z(fr_b, len(fr.beta))
 
     def test_every_parameter(self, airfreight_fit):
-        expected = [2.21659950904047, 2.1542424650947813, 2.226576275146169]
+        expected = [2.21659950887649, 2.1542424644934566, 2.226576275065696]
         assert [wald_z(airfreight_fit, j) for j in range(3)] == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.parametrize("j", [-1, -3, 3])
