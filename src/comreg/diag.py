@@ -70,13 +70,20 @@ def hat_diagonal(ds: Dataset, fr: FitResult) -> np.ndarray:
     return _evaluation_and_leverage(ds, fr)[1]
 
 
-def _pearson(ds: Dataset, ev: fit.Evaluation, h: np.ndarray) -> np.ndarray:
-    return (ds.y.astype(float) - ev.mean) / np.sqrt(ev.var * _one_minus_leverage(h))
+def _pearson(ds: Dataset, ev: fit.Evaluation, h: np.ndarray):
+    """The Pearson residuals, NaN on a row whose fitted variance is not
+    positive (its mass on one count, as near the Bernoulli limit), and
+    those rows."""
+    w = ev.var * _one_minus_leverage(h)
+    flat = ~(w > 0)
+    r = (ds.y.astype(float) - ev.mean) / np.sqrt(np.where(flat, 1.0, w))
+    r[flat] = np.nan
+    return r, np.flatnonzero(flat)
 
 
 def pearson_residuals(ds: Dataset, fr: FitResult) -> np.ndarray:
-    """(y_i - mu_hat_i) / sqrt(w_i (1 - h_i))."""
-    return _pearson(ds, *_evaluation_and_leverage(ds, fr))
+    """(y_i - mu_hat_i) / sqrt(w_i (1 - h_i)); NaN where w_i is 0."""
+    return _pearson(ds, *_evaluation_and_leverage(ds, fr))[0]
 
 
 def _saturated(y: np.ndarray, nu: float):
@@ -170,10 +177,17 @@ def deviance_residuals(ds: Dataset, fr: FitResult, kind: str = "exact"):
 
 def diagnostics_report(ds: Dataset, fr: FitResult,
                        deviance_kind: str = "exact") -> DiagnosticsReport:
-    """Leverage, Pearson and deviance residuals, and conventional flag lists."""
+    """Leverage, Pearson and deviance residuals, and conventional flag lists.
+
+    notes holds, per row, why a residual is approximate or missing: the
+    deviance notes of deviance_residuals, and a NaN Pearson residual where
+    the fitted variance is 0."""
     ev, h = _evaluation_and_leverage(ds, fr)
-    pearson = _pearson(ds, ev, h)
+    pearson, flat = _pearson(ds, ev, h)
     deviance, notes = _deviance(ds, fr, ev, h, deviance_kind)
+    note = "Pearson residual undefined: fitted variance 0"
+    for i in flat.tolist():
+        notes[i] = f"{notes[i]}; {note}" if i in notes else note
     h_cut = LEVERAGE_FLAG_FACTOR * fr.n_params / ds.n_obs
     flagged_h = np.flatnonzero(h > h_cut).tolist()
     flagged_r = np.flatnonzero(np.abs(deviance) > RESIDUAL_FLAG).tolist()

@@ -162,19 +162,29 @@ def log_term_table(lam, nu) -> SeriesTable:
     series_terms' length, built once; the truncation rule guards it: the
     last term must be past the mode, decreasing, below REL_TOL of the sum,
     and so must the geometric tail bound implied by the last two terms.
-    Otherwise TruncationError is raised.
+    Otherwise TruncationError is raised.  The table itself is _table's, on
+    the support series_terms gives each replicate's largest lambda.
     """
-    nu = np.asarray(nu, dtype=float)
+    nu = np.asarray(nu, dtype=float).reshape(-1)
     lam = np.asarray(lam, dtype=float).reshape(nu.size, -1)
     if not ((lam > 0) & (lam < np.inf)).all():
         raise ValueError("all lambda values must be positive finite reals")
-    nu = nu.reshape(-1, 1)
+    return _table(lam, nu, *series_terms(lam.max(axis=1), nu))
+
+
+def _table(lam, nu, terms, mode) -> SeriesTable:
+    """log_term_table's table for a B x n lam whose support is sized:
+    terms and mode, one per replicate, are series_terms on its largest
+    lambda and its nu (of length B).  A stacked evaluation that has sized
+    every replicate once, to group them by length, builds each group's
+    table here.  Raises as log_term_table does, but for a lambda that is
+    not a positive finite real, which the caller has refused.
+    """
+    nu, mode = nu.reshape(-1, 1), mode.reshape(-1, 1)
     if (nu < 0).any():
         raise ValueError("nu must be nonnegative")
     if ((nu == 0) & (lam >= 1)).any():
         raise DivergentSeriesError("nu=0 requires lambda < 1 for every lambda")
-
-    terms, mode = series_terms(lam.max(axis=1, keepdims=True), nu)
     if not np.isfinite(mode).all():
         raise OverflowError("series mode lambda^(1/nu) overflows")
     n_terms, (n_rep, n) = int(terms.max()), lam.shape

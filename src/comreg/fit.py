@@ -84,18 +84,18 @@ class Evaluation:
     log_z: np.ndarray    # log Z(lambda_i, nu); row i's loglik is y_i eta_i - nu log y_i! - log_z_i
 
 
-def _evaluate_stack(X: np.ndarray, Y: np.ndarray, eta: np.ndarray, nu: np.ndarray) -> Evaluation:
+def _evaluate_stack(X, Y, eta, nu, lam, support=None) -> Evaluation:
     """Stacked evaluation: replicate b has response Y[b], linear predictor
-    eta[b] and dispersion nu[b], all on the design X, and the replicates
-    share one series table.  Raises OverflowError when some lambda =
-    exp(eta) is not a positive finite double, and the series errors of
-    dist.log_term_table, for the whole stack.
+    eta[b], lambdas lam[b] = exp(eta[b]) and dispersion nu[b], all on the
+    design X, and the replicates share one series table: dist._table on
+    support, their (terms, mode) from dist.series_terms on each one's
+    largest lambda, or dist.log_term_table when support is None.  Raises
+    OverflowError when some lambda is not a positive finite double, and
+    the series errors of dist.log_term_table, for the whole stack.
     """
-    with np.errstate(over="ignore"):
-        lam = np.exp(eta)
     if not np.all((lam > 0) & np.isfinite(lam)):
         raise OverflowError("linear predictor out of range: lambda overflows or underflows")
-    tab = dist.log_term_table(lam, nu)
+    tab = dist.log_term_table(lam, nu) if support is None else dist._table(lam, nu, *support)
     mean, e_lf, var, cov_y_lf, var_lf, log_z = (
         a.reshape(eta.shape) for a in (*tab.moments(), tab.log_z))
 
@@ -129,8 +129,10 @@ def evaluate(ds: Dataset, beta: np.ndarray, nu: float) -> Evaluation:
     """
     if nu < 0:
         raise ValueError(f"nu must be nonnegative, got {nu}")
-    eta = linear_predictor(ds, beta)
-    ev = _evaluate_stack(ds.X, ds.y[None], eta[None], np.array([float(nu)]))
+    eta = linear_predictor(ds, beta)[None]
+    with np.errstate(over="ignore"):
+        lam = np.exp(eta)
+    ev = _evaluate_stack(ds.X, ds.y[None], eta, np.array([float(nu)]), lam)
     return Evaluation(float(ev.loglik[0]), ev.score[0], ev.info[0], ev.mean[0],
                       ev.var[0], ev.log_z[0])
 
@@ -188,17 +190,19 @@ SERIES_ERRORS = (dist.DivergentSeriesError, dist.TruncationError, OverflowError)
 def _evaluate_each(X: np.ndarray, Y: np.ndarray, z: np.ndarray):
     """Loglik, score and information at z[b] = (beta..., nu) for each replicate b.
 
-    Replicates share a table only with replicates whose series has the
-    same support length (dist.series_terms), in chunks of at most
-    CHUNK_CELLS table cells (or of one replicate), so none widens the
-    others' rows.  Every sum runs within one replicate (row-wise einsum,
-    or a stack of per-replicate matrix products, never one BLAS product
-    across replicates, whose rounding can depend on how many rows it
-    gets): a replicate's numbers do not depend on its chunk.  A chunk
-    that raises one of
-    SERIES_ERRORS is split in halves until the replicate that raises it
-    is alone.  Returns (loglik, score, info, errors): NaN for those
-    replicates, and per replicate None or the error it raised alone.
+    lambda = exp(eta) and each replicate's support (terms, mode) come
+    from one dist.series_terms pass per call: replicates share a table
+    only with replicates whose series has the same support length, in
+    chunks of at most CHUNK_CELLS table cells (or of one replicate), so
+    none widens the others' rows, and each chunk's table (dist._table) is
+    built on that support without sizing it again.  Every sum runs within
+    one replicate (row-wise einsum, or a stack of per-replicate matrix
+    products, never one BLAS product across replicates, whose rounding
+    can depend on how many rows it gets): a replicate's numbers do not
+    depend on its chunk.  A chunk that raises one of SERIES_ERRORS is
+    split in halves until the replicate that raises it is alone.  Returns
+    (loglik, score, info, errors): NaN for those replicates, and per
+    replicate None or the error it raised alone.
     """
     n_rep, n = Y.shape
     p1 = X.shape[1]
@@ -209,18 +213,18 @@ def _evaluate_each(X: np.ndarray, Y: np.ndarray, z: np.ndarray):
     info = np.full((n_rep, p1 + 1, p1 + 1), np.nan)
     errors = [None] * n_rep
 
-    chunks = [np.arange(n_rep)]
-    if n_rep > 1:
-        with np.errstate(over="ignore"):
-            terms = dist.series_terms(np.exp(eta.max(axis=1)), nu)[0]
-        chunks = []
-        for width in np.unique(terms):
-            idx, size = np.flatnonzero(terms == width), max(1, CHUNK_CELLS // (n * width))
-            chunks += [idx[i:i + size] for i in range(0, len(idx), size)]
+    with np.errstate(over="ignore"):
+        lam = np.exp(eta)
+    terms, mode = dist.series_terms(lam.max(axis=1), nu)
+    chunks = []
+    for width in np.unique(terms):
+        idx, size = np.flatnonzero(terms == width), max(1, CHUNK_CELLS // (n * width))
+        chunks += [idx[i:i + size] for i in range(0, len(idx), size)]
     while chunks:
         idx = chunks.pop()
         try:
-            part = _evaluate_stack(X, Y[idx], eta[idx], nu[idx])
+            part = _evaluate_stack(X, Y[idx], eta[idx], nu[idx], lam[idx],
+                                   (terms[idx], mode[idx]))
         except SERIES_ERRORS as exc:
             if len(idx) == 1:
                 errors[idx[0]] = exc

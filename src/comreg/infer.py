@@ -41,18 +41,20 @@ class BootstrapResult:
 
 
 def _refit(ds: Dataset, draw, n_boot: int, seed: int):
-    """fit_com on the n_boot responses draw(rngs) stacks, row b drawn from
-    rngs[b], its own substream of seed (so results do not depend on
-    execution order), with the design of ds: one stacked Poisson fit
-    (poisson_newton) and one stacked COM-Poisson fit (fit.fit_replicates),
-    each replicate started at the moment estimate on its Poisson fit.  A
-    replicate whose fit returns an error or does not converge is dropped and
-    counted by cause, the exception class name or "nonconverged"; an error
-    raised propagates, and fit.FitError is raised when every replicate
-    fails.  Returns the kept FitResults and their Poisson logliks in
-    replicate order, and the counts by cause.
+    """fit_com on the n_boot responses draw(rng, (n_boot, n)) gives, all
+    drawn from one np.random.default_rng(seed), with the design of ds: one
+    stacked Poisson fit (poisson_newton) and one stacked COM-Poisson fit
+    (fit.fit_replicates), each replicate started at the moment estimate on
+    its Poisson fit.  The draws fill the matrix in row order, so a run is
+    fixed by its seed, does not depend on execution order, and its first k
+    replicates are those of any run with the same seed and more
+    replicates.  A replicate whose fit returns an error or does not
+    converge is dropped and counted by cause, the exception class name or
+    "nonconverged"; an error raised propagates, and fit.FitError is raised
+    when every replicate fails.  Returns the kept FitResults and their
+    Poisson logliks in replicate order, and the counts by cause.
     """
-    y_star = draw([np.random.default_rng(c) for c in np.random.SeedSequence(seed).spawn(n_boot)])
+    y_star = draw(np.random.default_rng(seed), (n_boot, ds.n_obs))
     beta0, _, null_loglik, fits = poisson_newton(ds.X, y_star)
     started = np.array([f is None for f in fits])
     for b, f in zip(np.flatnonzero(started),
@@ -89,8 +91,14 @@ def dispersion_test(
     bootstrap_failures.  fr, the caller's fit_com(ds), is the alternative
     instead of a refit: ValueError is raised when its nu was fixed or its
     rows or columns are not those of ds, and fit.FitError when the
-    alternative is not converged.  Calibrating needs a seed and n_boot >= 1.
+    alternative is not converged.  Calibrating needs a seed and n_boot >= 1,
+    which are checked before anything is fitted.
     """
+    if bootstrap_calibrate:
+        if seed is None:
+            raise ValueError("bootstrap calibration requires a seed")
+        if n_boot < 1:
+            raise ValueError(f"n_boot must be >= 1, got {n_boot}")
     null = fit_poisson(ds)
     alt = fr if fr is not None else fit.fit_com(ds, beta0=null.beta)
     _check_fit_of(ds, alt)
@@ -106,13 +114,9 @@ def dispersion_test(
         boundary_warning=alt.boundary,
     )
     if bootstrap_calibrate:
-        if seed is None:
-            raise ValueError("bootstrap calibration requires a seed")
-        if n_boot < 1:
-            raise ValueError(f"n_boot must be >= 1, got {n_boot}")
         lam0 = np.exp(linear_predictor(ds, null.beta))
         fits, null_loglik, result.bootstrap_failures = _refit(
-            ds, lambda rngs: np.stack([rng.poisson(lam0) for rng in rngs]), n_boot, seed)
+            ds, lambda rng, shape: rng.poisson(lam0, size=shape), n_boot, seed)
         stats = np.maximum(0.0, -2.0 * (null_loglik - [f.loglik for f in fits]))
         result.bootstrap_p_value = float(np.mean(stats >= stat))
     return result
@@ -146,22 +150,16 @@ def parametric_bootstrap(
 
     lam_hat = np.exp(linear_predictor(ds, fr.beta))
     _, pmf = dist.pmf_table(lam_hat, fr.nu)
-    fits, _, failures = _refit(ds, lambda rngs: dist.inverse_cdf(
-        pmf, np.stack([rng.uniform(size=ds.n_obs) for rng in rngs])), n_boot, seed)
+    fits, _, failures = _refit(
+        ds, lambda rng, shape: dist.inverse_cdf(pmf, rng.uniform(size=shape)), n_boot, seed)
     good = np.array([[*f.beta, f.nu] for f in fits])
     n_failed = n_boot - len(fits)
     lo = 100.0 * (1.0 - ci_level) / 2.0
-    hi = 100.0 - lo
     names = tuple([*ds.names, "nu"])
     # order-statistic percentiles (no interpolation): equivariant under
     # monotone reparameterization of the recorded replicates
-    intervals = {
-        name: (
-            float(np.percentile(good[:, j], lo, method="inverted_cdf")),
-            float(np.percentile(good[:, j], hi, method="inverted_cdf")),
-        )
-        for j, name in enumerate(names)
-    }
+    lows, highs = np.percentile(good, [lo, 100.0 - lo], axis=0, method="inverted_cdf")
+    intervals = {name: (float(a), float(b)) for name, a, b in zip(names, lows, highs)}
     return BootstrapResult(
         replicates=good,
         n_boot=n_boot,

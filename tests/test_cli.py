@@ -229,12 +229,12 @@ class TestDispersionTest:
         assert code == EXIT_OK
         report = json.loads(out)
         jsonschema.validate(report, schema)
-        assert report["bootstrap_failures"] == {"NonConvergenceError": 30}
+        assert report["bootstrap_failures"] == {"NonConvergenceError": 26}
         code, out = run_cli(capsys, *argv, "--format", "text")
         assert code == EXIT_OK
         assert out.splitlines()[-1] == (
             f"  bootstrap-calibrated p = {report['bootstrap_p_value']:.6g} "
-            "(30 of 200 replicates dropped: NonConvergenceError 30)")
+            "(26 of 200 replicates dropped: NonConvergenceError 26)")
 
     def test_calibrated_text_on_airfreight(self, capsys, airfreight_path, schema):
         argv = ["test", "--data", str(airfreight_path), "--response", "broken",

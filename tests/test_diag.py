@@ -192,6 +192,24 @@ class TestDiagnosticsReport:
         assert rep.flagged_residual == []
 
 
+class TestZeroVarianceRows:
+    def test_nan_pearson_residual_with_a_note(self):
+        # fitted at nu = NU_CEILING: most rows hold all their mass on one
+        # count, so their fitted variance is 0; under warnings-as-errors the
+        # Pearson residual's 0/0 raised
+        ds = simulate(19, [1.672058780906997, 0.9840561651743411], 7.882771378759133, seed=181)
+        fr = fit_com(ds)
+        assert fr.converged and fr.nu == fit.NU_CEILING
+        flat = ~(fit.evaluate(ds, fr.beta, fr.nu).var > 0)
+        assert 0 < flat.sum() < ds.n_obs
+        rep = diagnostics_report(ds, fr)
+        assert np.array_equal(np.isnan(rep.pearson), flat)
+        assert np.isfinite(rep.deviance).all()
+        assert {i: v for i, v in rep.notes.items() if "Pearson" in v} == dict.fromkeys(
+            np.flatnonzero(flat).tolist(), "Pearson residual undefined: fitted variance 0")
+        assert np.array_equal(pearson_residuals(ds, fr), rep.pearson, equal_nan=True)
+
+
 def _brentq_deviance_residuals(ds, fr):
     """Reference: one scalar brentq per distinct y for the saturated lambda,
     bracketed around nu log y in steps of nu, and one log_pmf per row."""

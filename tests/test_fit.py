@@ -479,6 +479,46 @@ class TestFitReplicates:
         parametric_bootstrap(airfreight, fit_com(airfreight), n_boot=100, seed=5)
         assert sum(cells) <= 750_000
 
+    def test_one_support_pass_per_stacked_evaluation(self, airfreight, monkeypatch):
+        # one series_terms pass sizes the whole stack and groups it by
+        # length; each group's table is built on that support (dist._table).
+        # The points run along the fit's ray down to nu-hat / 50, where the
+        # series is 288 terms long.
+        fr = fit_com(airfreight)
+        Y = fitted_draws(airfreight, 100, seed=16)
+        z = np.outer(np.geomspace(0.02, 1.0, 100), [*fr.beta, fr.nu])
+        series_terms, table = dist.series_terms, dist._table
+        terms, _ = series_terms(np.exp(z[:, :-1] @ airfreight.X.T).max(axis=1), z[:, -1])
+        sized, built = [], []
+        monkeypatch.setattr(dist, "series_terms",
+                            lambda *a: sized.append(1) or series_terms(*a))
+        monkeypatch.setattr(dist, "_table",
+                            lambda lam, *a: built.append(len(lam)) or table(lam, *a))
+        loglik, _, _, errors = fit._evaluate_each(airfreight.X, Y, z)
+        assert len(sized) == 1
+        assert len(np.unique(terms)) > 1
+        assert sorted(built) == sorted(np.unique(terms, return_counts=True)[1])
+        assert errors == [None] * 100 and np.isfinite(loglik).all()
+
+    def test_bootstrap_tables_built_on_the_sized_support(self, airfreight, monkeypatch):
+        # the stacked evaluations build their tables through dist._table,
+        # as log_term_table does: a 100-replicate bootstrap builds a few
+        # dozen, of at most 0.75 M cells in all
+        from comreg.infer import parametric_bootstrap
+
+        cells = []
+        table = dist._table
+
+        def counted(lam, *args):
+            built = table(lam, *args)
+            cells.append(np.size(lam) * len(built.s))
+            return built
+
+        monkeypatch.setattr(dist, "_table", counted)
+        parametric_bootstrap(airfreight, fit_com(airfreight), n_boot=100, seed=5)
+        assert len(cells) < 100
+        assert sum(cells) <= 750_000
+
 
 class TestMomentStart:
     """A free-nu fit starts at nu0 (beta0, 1), nu0 = 1 / (Pearson dispersion of beta0)."""

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.stats import chi2, kstest
 
-from comreg import dist, fit
+from comreg import dist, fit, infer
 from comreg.baselines import BaselineError, fit_poisson
 from comreg.data import Dataset, simulate
 from comreg.diag import diagnostics_report
@@ -76,6 +76,20 @@ class TestDispersionTest:
         with pytest.raises(ValueError, match="seed"):
             dispersion_test(airfreight, bootstrap_calibrate=True)
 
+    @pytest.mark.parametrize("kwargs,match", [
+        ({}, "requires a seed"), ({"seed": 1, "n_boot": 0}, "n_boot must be >= 1, got 0"),
+    ], ids=["no seed", "no replicates"])
+    def test_calibration_arguments_checked_before_fitting(self, airfreight, monkeypatch,
+                                                           kwargs, match):
+        # an unconverged alternative reported a FitError, not the argument error
+        def unfit(*args, **kwargs):
+            raise fit.FitError("fitted before the arguments were checked")
+
+        monkeypatch.setattr(infer, "fit_poisson", unfit)
+        monkeypatch.setattr(fit, "fit_com", unfit)
+        with pytest.raises(ValueError, match=match):
+            dispersion_test(airfreight, bootstrap_calibrate=True, **kwargs)
+
     def test_bootstrap_calibrated_p_value(self, airfreight):
         res = dispersion_test(
             airfreight, bootstrap_calibrate=True, n_boot=100, seed=5
@@ -90,8 +104,7 @@ class TestDispersionTest:
         res = dispersion_test(airfreight, bootstrap_calibrate=True, n_boot=100, seed=seed)
         lam0 = np.exp(airfreight.X @ fit_poisson(airfreight).beta)
         stats = []
-        for child in np.random.SeedSequence(seed).spawn(100):
-            y = np.random.default_rng(child).poisson(lam0)
+        for y in np.random.default_rng(seed).poisson(lam0, size=(100, airfreight.n_obs)):
             ds = Dataset(y=y, X=airfreight.X, names=airfreight.names)
             null = fit_poisson(ds)
             alt = fit_com(ds, beta0=null.beta)
@@ -105,8 +118,8 @@ class TestDispersionTest:
         res = dispersion_test(ds, bootstrap_calibrate=True, n_boot=200, seed=1)
         lam0 = np.exp(ds.X @ fit_poisson(ds).beta)
         stats, failures = [], Counter()
-        for child in np.random.SeedSequence(1).spawn(200):
-            rep = Dataset(y=np.random.default_rng(child).poisson(lam0), X=ds.X, names=ds.names)
+        for y in np.random.default_rng(1).poisson(lam0, size=(200, ds.n_obs)):
+            rep = Dataset(y=y, X=ds.X, names=ds.names)
             try:
                 null = fit_poisson(rep)
                 alt = fit_com(rep, beta0=null.beta)
@@ -117,7 +130,7 @@ class TestDispersionTest:
                 failures["nonconverged"] += 1
                 continue
             stats.append(max(0.0, -2.0 * (null.loglik - alt.loglik)))
-        assert res.bootstrap_failures == dict(failures) == {"NonConvergenceError": 30}
+        assert res.bootstrap_failures == dict(failures) == {"NonConvergenceError": 26}
         assert res.bootstrap_p_value == float(np.mean(np.array(stats) >= res.statistic))
 
     @pytest.mark.parametrize("given", [False, True])
@@ -155,6 +168,23 @@ class TestParametricBootstrap:
         assert np.array_equal(boot_small.replicates, again.replicates)
         assert boot_small.intervals == again.intervals
 
+    def test_same_seed_same_result(self, airfreight, airfreight_fit, monkeypatch):
+        # MAX_ITER = 4 cuts off the slower replicates, so there are failures to tally
+        monkeypatch.setattr(fit, "MAX_ITER", 4)
+        a, b = (parametric_bootstrap(airfreight, airfreight_fit, n_boot=100, seed=8)
+                for _ in range(2))
+        assert a.failures and a.failures == b.failures and a.n_failed == b.n_failed
+        assert np.array_equal(a.replicates, b.replicates)
+        assert a.intervals == b.intervals
+
+    def test_first_replicates_are_those_of_a_longer_run(self, airfreight, airfreight_fit,
+                                                        boot_small):
+        # the draws fill one matrix in row order, and a replicate's fit does
+        # not depend on the stack it is fitted in
+        short = parametric_bootstrap(airfreight, airfreight_fit, n_boot=100, seed=99)
+        assert short.n_failed == boot_small.n_failed == 0
+        assert np.array_equal(short.replicates, boot_small.replicates[:100])
+
     def test_interval_structure(self, boot_small):
         assert set(boot_small.param_names) == {"intercept", "transfers", "nu"}
         lo, hi = boot_small.intervals["nu"]
@@ -187,7 +217,7 @@ class TestParametricBootstrap:
         monkeypatch.setattr(fit, "MAX_ITER", 4)
         boot = parametric_bootstrap(airfreight, airfreight_fit, n_boot=100, seed=3)
         assert boot.failures["SingularInformationError"] == 14
-        assert boot.failures["nonconverged"] == 12
+        assert boot.failures["nonconverged"] == 14
         assert sum(boot.failures.values()) == boot.n_failed
         assert boot.n_failed + len(boot.replicates) == 100
 
@@ -227,13 +257,13 @@ class TestParametricBootstrap:
         assert np.array_equal(boot.replicates, clean.replicates[kept])
 
     def test_matches_per_replicate_reference(self, airfreight, airfreight_fit, boot_small):
-        # the loop the stacked engine replaced: one substream, one draw and
-        # one fit_com per replicate
+        # the loop the stacked engine replaced: one draw and one fit_com per
+        # replicate, its uniforms a row of one matrix drawn from the seed
         fr = airfreight_fit
-        lam = np.exp(airfreight.X @ fr.beta)
+        _, pmf = dist.pmf_table(np.exp(airfreight.X @ fr.beta), fr.nu)
         rows = []
-        for child in np.random.SeedSequence(99).spawn(120):
-            y = dist.sample_many(lam, fr.nu, np.random.default_rng(child))
+        for u in np.random.default_rng(99).uniform(size=(120, airfreight.n_obs)):
+            y = dist.inverse_cdf(pmf, u)
             ref = fit_com(Dataset(y=y, X=airfreight.X, names=airfreight.names))
             assert ref.converged
             rows.append([*ref.beta, ref.nu])
@@ -334,3 +364,17 @@ def test_series_cap_reaches_every_path(monkeypatch):
         with pytest.raises(dist.TruncationError, match="after 100 terms"):
             call()
             pytest.fail(f"{name} ignored the cap")
+
+
+@pytest.mark.parametrize("run", [
+    lambda ds, n_boot: parametric_bootstrap(ds, fit_com(ds), n_boot=n_boot, seed=4),
+    lambda ds, n_boot: dispersion_test(ds, bootstrap_calibrate=True, n_boot=n_boot, seed=4),
+], ids=["bootstrap", "calibrated test"])
+def test_replicates_are_rows_of_one_stream(airfreight, monkeypatch, run):
+    # the responses of a 100-replicate run are the first 100 of a 120-replicate one
+    drawn = []
+    newton = infer.poisson_newton
+    monkeypatch.setattr(infer, "poisson_newton", lambda X, Y: drawn.append(Y) or newton(X, Y))
+    run(airfreight, 120)
+    run(airfreight, 100)
+    assert np.array_equal(drawn[1], drawn[0][:100])
