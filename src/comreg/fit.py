@@ -216,10 +216,12 @@ def _evaluate_each(X: np.ndarray, Y: np.ndarray, z: np.ndarray):
     with np.errstate(over="ignore"):
         lam = np.exp(eta)
     terms, mode = dist.series_terms(lam.max(axis=1), nu)
-    chunks = []
-    for width in np.unique(terms):
-        idx, size = np.flatnonzero(terms == width), max(1, CHUNK_CELLS // (n * width))
-        chunks += [idx[i:i + size] for i in range(0, len(idx), size)]
+    chunks = [np.arange(n_rep)]
+    if n_rep > 1:
+        chunks = []
+        for width in np.unique(terms):
+            idx, size = np.flatnonzero(terms == width), max(1, CHUNK_CELLS // (n * width))
+            chunks += [idx[i:i + size] for i in range(0, len(idx), size)]
     while chunks:
         idx = chunks.pop()
         try:
