@@ -84,7 +84,8 @@ class Evaluation:
     log_z: np.ndarray    # log Z(lambda_i, nu); row i's loglik is y_i eta_i - nu log y_i! - log_z_i
 
 
-def _evaluate_stack(X, Y, eta, nu, lam, support=None) -> Evaluation:
+def _evaluate_stack(X: np.ndarray, Y: np.ndarray, eta: np.ndarray, nu: np.ndarray,
+                    lam: np.ndarray, support=None) -> Evaluation:
     """Stacked evaluation: replicate b has response Y[b], linear predictor
     eta[b], lambdas lam[b] = exp(eta[b]) and dispersion nu[b], all on the
     design X, and the replicates share one series table: dist._table on
