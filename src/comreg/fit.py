@@ -3,10 +3,11 @@
 The model: Y_i ~ COM-Poisson(lambda_i, nu) with log lambda_i = x_i' beta
 and a shared dispersion nu.  Estimation maximizes the log-likelihood
 over (beta, nu) by Fisher scoring (the model handed to baselines.newton,
-the loop behind every fit in the package) from the paper's moment
-estimate on the Poisson fit: since E Y ~ lambda^(1/nu) and var Y ~
-E Y / nu, nu starts at 1 / (the Poisson fit's Pearson dispersion) and
-beta at nu times the Poisson beta.
+the loop behind every fit in the package) from the paper's second-order
+moment estimate on the Poisson fit mu: since E Y ~ lambda^(1/nu) - c
+and var Y ~ (E Y + c) / nu with c = (nu - 1) / (2 nu), nu starts at the
+inverse of the Pearson dispersion about that variance, and beta at the
+least-squares projection of nu log(mu + c) on the design.
 The score and the expected (Fisher) information are covariances of the
 sufficient statistics (Y, log Y!), so the six sums of one series table
 per (beta, nu) (dist.log_term_table) give the loglik, both of them and
@@ -241,19 +242,28 @@ def _evaluate_each(X: np.ndarray, Y: np.ndarray, z: np.ndarray):
 def fit_replicates(
     X: np.ndarray,
     Y: np.ndarray,
-    beta0: np.ndarray,
+    beta0: np.ndarray | None,
     fix_nu: float | None = None,
 ) -> list:
     """fit_com on every response Y[b] (one per row of Y) with the shared design X.
 
-    With nu free, replicate b starts from nu0 (beta0[b], 1): nu0 = (n - p) /
-    sum((y - mu)^2 / mu) at mu = exp(X beta0[b]), the inverse Pearson
-    dispersion of the Poisson-scale start, clamped to [NU_FLOOR,
-    NU_CEILING].  A 0/1 or constant response, which has no finite nu-hat,
-    and a replicate whose loglik at nu0 (beta0[b], 1) is not finite or
-    raises one of SERIES_ERRORS (evaluated again together, in one stack)
-    start from (beta0[b], 1) instead; under fix_nu every replicate starts
-    from (beta0[b], fix_nu).  Each replicate has its own step, step halving,
+    beta0[b] is replicate b's Poisson-scale start; beta0=None takes, for
+    each replicate, one Poisson Fisher-scoring step from the least-squares
+    fit of log(Y[b] + 1/2).  With nu free, replicate b starts at the
+    paper's second-order moment estimate.  At mu = exp(X beta0[b]), nu0 =
+    (n - p) / sum((y - mu)^2 / mu) is the inverse Pearson dispersion;
+    since E Y ~ lambda^(1/nu) - c(nu) and var Y ~ (E Y + c(nu)) / nu with
+    c(nu) = (nu - 1) / (2 nu), nu1 = (n - p) / sum((y - mu)^2 / (mu +
+    c(nu0))), and beta1 is the least-squares projection of nu1 log(mu +
+    c(nu1)) on X; both nus are clamped to [NU_FLOOR, NU_CEILING].  Where
+    some mu + c is not positive or (beta1, nu1) is not finite, the start
+    is the first-order nu0 (beta0[b], 1).  A 0/1 or constant response,
+    which has no finite nu-hat, and a replicate whose loglik at its start
+    is not finite or raises one of SERIES_ERRORS (evaluated again
+    together, in one stack) start from (beta0[b], 1) instead; under fix_nu
+    every replicate starts from (beta0[b], fix_nu).  Every product runs
+    within one replicate, so a replicate's fit does not depend on the
+    stack it is fitted in.  Each replicate has its own step, step halving,
     nu clamp, stop rule, boundary flag and covariance in one
     baselines.newton loop (under fix_nu, cov inverts the beta block alone)
     of at most MAX_ITER steps, with nu clamped to [NU_FLOOR, NU_CEILING],
@@ -271,6 +281,14 @@ def fit_replicates(
     free_nu = fix_nu is None
     lo, hi = (NU_FLOOR, NU_CEILING) if free_nu else (fix_nu, fix_nu)
     lower, upper = np.append(np.full(p1, -np.inf), lo), np.append(np.full(p1, np.inf), hi)
+    P = np.linalg.pinv(X)    # (t[:, None, :] @ P.T)[:, 0]: least squares of each row of t on X
+    if beta0 is None:
+        # one Poisson scoring step from the least-squares fit of log(y + 1/2)
+        beta0 = (np.log(Y + 0.5)[:, None, :] @ P.T)[:, 0]
+        with np.errstate(all="ignore"):
+            mu = np.exp((beta0[:, None, :] @ X.T)[:, 0])
+            beta0 = beta0 + baselines._solve_each((X.T * mu[:, None, :]) @ X,
+                                                  ((Y - mu)[:, None, :] @ X)[:, 0])
     # a 0/1 or constant response has no finite nu-hat: the loglik rises
     # towards the Bernoulli limit or a point mass as nu grows, so its
     # nu-hat is wherever the stop fired
@@ -278,12 +296,19 @@ def fit_replicates(
     z = np.column_stack([beta0, np.full(n_rep, 1.0 if free_nu else fix_nu)])
     moved = free_nu & ~unidentified
     if free_nu:
-        # the moment start: var Y ~ E Y / nu and log lambda ~ nu log E Y, so
-        # nu0 = 1 / (beta0's Pearson dispersion), and z = nu0 (beta0, 1)
+        # the first-order moment start nu0 (beta0, 1), and the second-order
+        # one (beta1, nu1) where it is usable
         with np.errstate(all="ignore"):
             mu = np.exp((beta0[:, None, :] @ X.T)[:, 0])
             nu0 = np.clip((n - p1) / ((Y - mu) ** 2 / mu).sum(axis=1), lo, hi)
-        z[moved] *= nu0[moved, None]
+            z[moved] *= nu0[moved, None]
+            m0 = mu + ((nu0 - 1.0) / (2.0 * nu0))[:, None]
+            nu1 = np.clip((n - p1) / ((Y - mu) ** 2 / m0).sum(axis=1), lo, hi)
+            m1 = mu + ((nu1 - 1.0) / (2.0 * nu1))[:, None]
+            z1 = np.column_stack([((nu1[:, None] * np.log(m1))[:, None, :] @ P.T)[:, 0], nu1])
+        second = (moved & (m0 > 0).all(axis=1) & (m1 > 0).all(axis=1)
+                  & np.isfinite(z1).all(axis=1))
+        z[second] = z1[second]
     loglik, score, info, errors = _evaluate_each(X, Y, z)
     # an unusable moment start falls back to (beta0[b], 1), all in one stack
     redo = np.flatnonzero(moved & ~np.isfinite(loglik))
@@ -332,7 +357,9 @@ def fit_com(
     In (beta, nu) the model is a canonical exponential family: the loglik is
     concave and the expected information is its negative Hessian, so each
     scoring step I step = g is a Newton step.  The step is halved until the
-    loglik does not fall.  The start is fit_replicates' moment estimate, and
+    loglik does not fall.  The start is fit_replicates' second-order moment
+    estimate on the Poisson fit, which refuses a response that runs off
+    (baselines.NonConvergenceError) before any COM-Poisson step, and
     nu is clamped to [NU_FLOOR, NU_CEILING]; at a bound whose gradient
     points outward only beta moves, and the result is flagged boundary, as
     is a 0/1 response (the Bernoulli limit, where no finite nu maximizes the
@@ -343,8 +370,9 @@ def fit_com(
     alone.  converged means one of baselines.newton's relative stop rules
     fired within MAX_ITER steps and the fit did not run off
     (baselines.ran_off).  beta0 (by default the Poisson fit's beta) is a
-    Poisson-scale start, scaled by nu0 (or paired with nu = 1 or fix_nu), so
-    a COM-Poisson beta-hat, scaled for its nu-hat, is not a valid start.  At
+    Poisson-scale start, the mean the moment estimate starts from (or
+    paired with nu = 1 or fix_nu), so a COM-Poisson beta-hat, scaled for
+    its nu-hat, is not a valid start.  At
     fix_nu=0 (geometric) the series needs every lambda < 1, so the default
     start's intercept is lowered until every start lambda is at most 1/2; a
     caller's beta0 is used as given.  This is fit_replicates with one

@@ -40,33 +40,21 @@ class BootstrapResult:
     failures: dict = field(default_factory=dict)   # cause -> count, summing to n_failed
 
 
-def _refit(ds: Dataset, draw, n_boot: int, seed: int):
-    """fit_com on the n_boot responses draw(rng, (n_boot, n)) gives, all
-    drawn from one np.random.default_rng(seed), with the design of ds: one
-    stacked Poisson fit (poisson_newton) and one stacked COM-Poisson fit
-    (fit.fit_replicates), each replicate started at the moment estimate on
-    its Poisson fit.  The draws fill the matrix in row order, so a run is
-    fixed by its seed, does not depend on execution order, and its first k
-    replicates are those of any run with the same seed and more
-    replicates.  A replicate whose fit returns an error or does not
-    converge is dropped and counted by cause, the exception class name or
-    "nonconverged"; an error raised propagates, and fit.FitError is raised
-    when every replicate fails.  Returns the kept FitResults and their
-    Poisson logliks in replicate order, and the counts by cause.
+def _keep_converged(fits: list):
+    """The replicate fits (fit.fit_replicates' entries, or a failure in
+    their place) that converged.  A replicate whose fit is an error or
+    did not converge is dropped and counted by cause, the exception class
+    name or "nonconverged"; fit.FitError is raised when every replicate
+    fails.  Returns the kept FitResults, which replicates were kept, and
+    the counts by cause.
     """
-    y_star = draw(np.random.default_rng(seed), (n_boot, ds.n_obs))
-    beta0, _, null_loglik, fits = poisson_newton(ds.X, y_star)
-    started = np.array([f is None for f in fits])
-    for b, f in zip(np.flatnonzero(started),
-                    fit.fit_replicates(ds.X, y_star[started], beta0[started])):
-        fits[b] = f
-    kept = [isinstance(f, fit.FitResult) and f.converged for f in fits]
+    kept = np.array([isinstance(f, fit.FitResult) and f.converged for f in fits])
     failures = dict(sorted(Counter(
         "nonconverged" if isinstance(f, fit.FitResult) else type(f).__name__
         for f, ok in zip(fits, kept) if not ok).items()))
-    if not any(kept):
+    if not kept.any():
         raise fit.FitError(f"every bootstrap replicate failed: {failures}")
-    return [f for f, ok in zip(fits, kept) if ok], null_loglik[kept], failures
+    return [f for f, ok in zip(fits, kept) if ok], kept, failures
 
 
 def _check_fit_of(ds: Dataset, fr: fit.FitResult) -> None:
@@ -86,12 +74,18 @@ def dispersion_test(
     """C = -2 [logL(beta0, nu=1) - logL(beta, nu)], chi^2_1 under the null.
 
     bootstrap_calibrate simulates C under the fitted Poisson null and
-    reports the empirical tail fraction as well (small-sample guidance),
-    over the replicates _refit keeps; the dropped ones are counted in
-    bootstrap_failures.  fr, the caller's fit_com(ds), is the alternative
-    instead of a refit: ValueError is raised when its nu was fixed or its
-    rows or columns are not those of ds, and fit.FitError when the
-    alternative is not converged.  Calibrating needs a seed and n_boot >= 1,
+    reports the empirical tail fraction as well (small-sample guidance):
+    the n_boot responses are the rows of one matrix drawn from
+    np.random.default_rng(seed), in row order as in parametric_bootstrap;
+    one stacked Poisson fit (poisson_newton) gives their null logliks, and
+    one stacked COM-Poisson fit (fit.fit_replicates) starts each replicate
+    at the moment estimate on its Poisson fit.  The tail fraction is over
+    the replicates _keep_converged keeps; the dropped ones, a failed
+    Poisson fit among them, are counted in bootstrap_failures.  fr, the
+    caller's fit_com(ds), is the alternative instead of a refit:
+    ValueError is raised when its nu was fixed or its rows or columns are
+    not those of ds, and fit.FitError when the alternative is not
+    converged.  Calibrating needs a seed and n_boot >= 1,
     which are checked before anything is fitted.
     """
     if bootstrap_calibrate:
@@ -115,9 +109,13 @@ def dispersion_test(
     )
     if bootstrap_calibrate:
         lam0 = np.exp(linear_predictor(ds, null.beta))
-        fits, null_loglik, result.bootstrap_failures = _refit(
-            ds, lambda rng, shape: rng.poisson(lam0, size=shape), n_boot, seed)
-        stats = np.maximum(0.0, -2.0 * (null_loglik - [f.loglik for f in fits]))
+        y_star = np.random.default_rng(seed).poisson(lam0, size=(n_boot, ds.n_obs))
+        beta0, _, null_loglik, fits = poisson_newton(ds.X, y_star)
+        started = np.flatnonzero([f is None for f in fits])
+        for b, f in zip(started, fit.fit_replicates(ds.X, y_star[started], beta0[started])):
+            fits[b] = f
+        fits, kept, result.bootstrap_failures = _keep_converged(fits)
+        stats = np.maximum(0.0, -2.0 * (null_loglik[kept] - [f.loglik for f in fits]))
         result.bootstrap_p_value = float(np.mean(stats >= stat))
     return result
 
@@ -132,11 +130,16 @@ def parametric_bootstrap(
     """Resample y* ~ COM-Poisson(lambda_hat_i, nu_hat), refit, collect (beta*, nu*).
 
     The draws share one pmf table, cumulated once by one inverse_cdf call
-    over every replicate's uniforms, and are refitted by _refit, which
-    drops failed replicates, counts them by cause in failures and raises
-    fit.FitError when every replicate fails.  Percentile intervals are
-    computed over the kept replicates; a >20% failure rate marks the
-    result unreliable.  fr must be fit_com(ds) with nu estimated:
+    over an (n_boot, n) matrix of uniforms from np.random.default_rng(seed),
+    filled in row order: a run is fixed by its seed, does not depend on
+    execution order, and its first k replicates are those of any run with
+    the same seed and more replicates.  One stacked COM-Poisson fit
+    (fit.fit_replicates) fits them all, each replicate started from its own
+    response with no Poisson fit, and _keep_converged drops failed
+    replicates, counts them by cause in failures and raises fit.FitError
+    when every replicate fails.  Percentile intervals are computed over
+    the kept replicates; a >20% failure rate marks the result
+    unreliable.  fr must be fit_com(ds) with nu estimated:
     ValueError is raised when its nu was fixed, its rows or columns are
     not those of ds, or it did not converge.
     """
@@ -150,8 +153,9 @@ def parametric_bootstrap(
 
     lam_hat = np.exp(linear_predictor(ds, fr.beta))
     _, pmf = dist.pmf_table(lam_hat, fr.nu)
-    fits, _, failures = _refit(
-        ds, lambda rng, shape: dist.inverse_cdf(pmf, rng.uniform(size=shape)), n_boot, seed)
+    u = np.random.default_rng(seed).uniform(size=(n_boot, ds.n_obs))
+    fits, _, failures = _keep_converged(
+        fit.fit_replicates(ds.X, dist.inverse_cdf(pmf, u), None))
     good = np.array([[*f.beta, f.nu] for f in fits])
     n_failed = n_boot - len(fits)
     lo = 100.0 * (1.0 - ci_level) / 2.0

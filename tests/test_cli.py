@@ -286,12 +286,12 @@ class TestBootstrap:
         assert sum(report["failures"].values()) == report["n_failed"]
 
     def test_every_replicate_failed_exit_one(self, capsys, airfreight_path, monkeypatch):
-        # no replicate converges in 3 steps; the airfreight fit itself needs
+        # no replicate converges in 2 steps; the airfreight fit itself needs
         # 4, so the cap is lowered only around the bootstrap
         bootstrap = infer.parametric_bootstrap
 
         def capped(*args, **kwargs):
-            monkeypatch.setattr(fit, "MAX_ITER", 3)
+            monkeypatch.setattr(fit, "MAX_ITER", 2)
             return bootstrap(*args, **kwargs)
 
         monkeypatch.setattr(infer, "parametric_bootstrap", capped)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import gammaln
 
-from comreg import dist, fit
+from comreg import baselines, dist, fit
 from comreg.baselines import fit_logistic, fit_poisson, information_criteria, poisson_newton
 from comreg.data import Dataset, simulate
 from comreg.fit import (
@@ -436,14 +436,14 @@ class TestFitReplicates:
 
         # a max_iter that cuts off the slow replicates leaves the others'
         # results as they are
-        monkeypatch.setattr(fit, "MAX_ITER", 4)
+        monkeypatch.setattr(fit, "MAX_ITER", 3)
         short = fit_stack(airfreight.X, easy)
         assert 0 < sum(not f.converged for f in short) < len(easy)
         for f, ref in zip(short, alone):
             if f.converged:
                 assert_same_fits([f], [ref], rel=1e-12)
             else:
-                assert f.iterations == 4 and ref.iterations > 4
+                assert f.iterations == 3 and ref.iterations > 3
 
     @pytest.mark.parametrize("cells", [1, 2_000])
     def test_chunking_does_not_change_results(self, airfreight, monkeypatch, cells):
@@ -454,30 +454,70 @@ class TestFitReplicates:
 
     def test_one_table_per_chunk(self, airfreight, monkeypatch):
         # the scoring loop's evaluations share tables: a 50-replicate fit
-        # builds about as many as one fit does, not 50 times as many
+        # builds about as many as one fit does (7), not 50 times as many
         calls = []
-        build = dist.log_term_table
-        monkeypatch.setattr(dist, "log_term_table",
-                            lambda *a, **k: calls.append(1) or build(*a, **k))
+        table = dist._table
+        monkeypatch.setattr(dist, "_table", lambda *a: calls.append(1) or table(*a))
         fit_stack(airfreight.X, fitted_draws(airfreight, 50, seed=15))
         assert len(calls) < 50
 
     def test_bootstrap_table_cells(self, airfreight, monkeypatch):
         # tables sized where their terms stop mattering: a 100-replicate
-        # bootstrap builds about 0.61 M cells (1.20 M with the sd padding)
+        # bootstrap builds its pmf table and one table per stacked
+        # evaluation, 325 650 cells in all (369 200 from the first-order
+        # start on a converged Poisson fit, in 7 tables)
         from comreg.infer import parametric_bootstrap
 
+        fr = fit_com(airfreight)
         cells = []
-        build = dist.log_term_table
+        table = dist._table
 
         def counted(lam, *args):
-            table = build(lam, *args)
-            cells.append(np.size(lam) * len(table.s))
-            return table
+            built = table(lam, *args)
+            cells.append(np.size(lam) * len(built.s))
+            return built
 
-        monkeypatch.setattr(dist, "log_term_table", counted)
-        parametric_bootstrap(airfreight, fit_com(airfreight), n_boot=100, seed=5)
-        assert sum(cells) <= 750_000
+        monkeypatch.setattr(dist, "_table", counted)
+        parametric_bootstrap(airfreight, fr, n_boot=100, seed=5)
+        assert len(cells) <= 6
+        assert sum(cells) <= 400_000
+
+    def test_bootstrap_fits_without_a_poisson_fit(self, airfreight, monkeypatch):
+        # the replicates start from their responses: no stacked Poisson fit,
+        # and 5 stacked evaluations (6 from a converged Poisson fit)
+        from comreg import infer
+
+        fr = fit_com(airfreight)
+        newton, evaluate_each = poisson_newton, fit._evaluate_each
+        fitted, evaluated = [], []
+        for module in (baselines, infer):
+            monkeypatch.setattr(module, "poisson_newton",
+                                lambda *a: fitted.append(1) or newton(*a))
+        monkeypatch.setattr(fit, "_evaluate_each",
+                            lambda *a: evaluated.append(1) or evaluate_each(*a))
+        boot = infer.parametric_bootstrap(airfreight, fr, n_boot=100, seed=5)
+        assert boot.n_failed == 0
+        assert len(fitted) == 0
+        assert len(evaluated) <= 5
+
+    @pytest.mark.parametrize("data", ["airfreight", "n868"])
+    def test_starts_from_the_responses_stack_independently(self, airfreight, data):
+        # with beta0=None each replicate's start, and so its fit, is that of
+        # the replicate fitted alone, bit for bit
+        if data == "airfreight":
+            ds, n_rep = airfreight, 60
+        else:
+            ds, n_rep = simulate(868, [0.6, 0.5, -0.3], 0.35, seed=2024), 4
+        Y = fitted_draws(ds, n_rep, seed=17)
+        stacked = fit_replicates(ds.X, Y, None)
+        for y, got in zip(Y, stacked):
+            (alone,) = fit_replicates(ds.X, y[None], None)
+            assert (got.converged, got.boundary, got.iterations) == (
+                alone.converged, alone.boundary, alone.iterations)
+            assert np.array_equal([*got.beta, got.nu, got.loglik],
+                                  [*alone.beta, alone.nu, alone.loglik])
+            assert np.array_equal(got.cov, alone.cov)
+        assert all(f.converged for f in stacked)
 
     def test_one_support_pass_per_stacked_evaluation(self, airfreight, monkeypatch):
         # one series_terms pass sizes the whole stack and groups it by
@@ -521,7 +561,8 @@ class TestFitReplicates:
 
 
 class TestMomentStart:
-    """A free-nu fit starts at nu0 (beta0, 1), nu0 = 1 / (Pearson dispersion of beta0)."""
+    """A free-nu fit starts at the second-order moment estimate (beta1, nu1) on
+    beta0, or at nu0 (beta0, 1), nu0 = 1 / (Pearson dispersion of beta0)."""
 
     @pytest.fixture
     def starts(self, monkeypatch):
@@ -532,14 +573,32 @@ class TestMomentStart:
         return seen
 
     def test_start_is_the_moment_estimate(self, airfreight, starts):
+        # E Y ~ lambda^(1/nu) - c(nu) and var Y ~ (E Y + c(nu)) / nu
+        def c(nu):
+            return (nu - 1) / (2 * nu)
+
         beta0 = fit_poisson(airfreight).beta
         mu = np.exp(airfreight.X @ beta0)
         nu0 = (10 - 2) / np.sum((airfreight.y - mu) ** 2 / mu)
+        nu1 = (10 - 2) / np.sum((airfreight.y - mu) ** 2 / (mu + c(nu0)))
+        beta1 = np.linalg.lstsq(airfreight.X, nu1 * np.log(mu + c(nu1)), rcond=None)[0]
         fit_com(airfreight)
-        assert np.allclose(starts[0], [np.append(nu0 * beta0, nu0)], rtol=1e-14)
+        assert nu1 > nu0 > 1
+        assert np.allclose(starts[0], [np.append(beta1, nu1)], rtol=1e-14)
         starts.clear()
         fit_com(airfreight, fix_nu=2.0)
         assert np.array_equal(starts[0], [np.append(beta0, 2.0)])
+
+    def test_first_order_start_where_the_second_is_undefined(self, starts):
+        # sparse over-dispersed counts: c(nu0) = (nu0 - 1) / (2 nu0) < -mu on some rows
+        ds = Dataset(y=np.array([0, 0, 0, 1, 0, 0, 9, 0, 14, 0]),
+                     X=np.column_stack([np.ones(10), np.arange(10.0)]), names=("intercept", "x"))
+        beta0 = fit_poisson(ds).beta
+        mu = np.exp(ds.X @ beta0)
+        nu0 = (10 - 2) / np.sum((ds.y - mu) ** 2 / mu)
+        assert mu.min() + (nu0 - 1) / (2 * nu0) < 0
+        fit_com(ds)
+        assert np.allclose(starts[0], [np.append(nu0 * beta0, nu0)], rtol=1e-14)
 
     def test_airfreight_in_four_steps(self, airfreight_fit):
         assert airfreight_fit.converged and airfreight_fit.iterations <= 4
