@@ -1,13 +1,14 @@
-"""Comparison regressions, model-comparison statistics and the one Newton loop.
+"""Comparison regressions, model-comparison statistics, the one Newton loop
+and the one fit result.
 
 newton maximizes a stack of logliks by damped Newton steps, and every
 fit in the package is a model of it: COM-Poisson (comreg.fit) on its
 expected information, the Poisson and logistic GLMs on their canonical
 links, and negative binomial over (beta, log r) and restricted
 generalized Poisson (RGPR) over (beta, alpha) on their analytic score
-and observed information, whose inverse at the optimum is the
-covariance.  A boundary is read from the score: negative binomial is
-the Poisson limit when log r reaches log NEGBIN_BOUNDARY_R with a
+and observed information.  Each returns a FitResult whose covariance is
+its information at the optimum inverted by _invert_information.  A
+boundary is read from the score: negative binomial is the Poisson limit when log r reaches log NEGBIN_BOUNDARY_R with a
 non-negative score in log r; RGPR fails when alpha runs into the
 feasibility bound 1 + alpha*y_max > 0.
 """
@@ -31,7 +32,15 @@ NEWTON_RTOL = 1e-8        # or when a step moves no coordinate by more than this
 RUNOFF_STEP = 0.5         # a GLM fit whose Newton step at the end moves some x'beta this far
 
 
-class BaselineError(RuntimeError):
+class FitError(RuntimeError):
+    """Estimation failed in a way that leaves no usable result."""
+
+
+class SingularInformationError(FitError):
+    """The information matrix is not invertible to tolerance."""
+
+
+class BaselineError(FitError):
     """A baseline fit failed in a way that leaves no usable result."""
 
 
@@ -48,22 +57,66 @@ class NonConvergenceError(BaselineError):
 
 
 @dataclass
-class BaselineFit:
+class FitResult:
+    """One fitted model: coefficients, the parameter beyond them, covariance."""
+
     beta: np.ndarray
-    cov: np.ndarray
+    cov: np.ndarray          # order (beta..., extra); a fixed nu's row and column are 0
     loglik: float
+    n_obs: int
+    n_params: int
     converged: bool
-    extra: float | None = None       # r for negbin, alpha for rgpr: cov's last row
-    boundary: bool = False
-    n_obs: int = 0
+    iterations: int          # newton steps
+    boundary: bool = False   # extra at a clamp, a limit or unidentified: its SE unreliable
+    extra: float | None = None       # nu (COM-Poisson), r (negbin) or alpha (rgpr)
+    extra_name: str | None = None    # "nu", "r", "alpha", or None for a GLM
 
     @property
-    def n_params(self) -> int:
-        return len(self.beta) + (0 if self.extra is None else 1)
+    def nu(self) -> float:
+        """The COM-Poisson dispersion; no other model has one."""
+        if self.extra_name != "nu":
+            raise AttributeError(f"a fit whose extra parameter is {self.extra_name} has no nu")
+        return self.extra
+
+    @property
+    def scaled_beta(self) -> np.ndarray:
+        """beta / nu, the crude-comparison scale against Poisson-style fits."""
+        return self.beta / self.nu
 
     @property
     def se(self) -> np.ndarray:
+        """Standard errors for (beta..., extra)."""
         return np.sqrt(np.diag(self.cov))
+
+
+def _invert_information(info: np.ndarray):
+    """Invert each matrix of the stack info (m, k, k) with one condition-number
+    pass and one inversion.  Returns (cov, errors): cov holds NaN where
+    errors[b] is the SingularInformationError that refused matrix b (not
+    finite, condition number above 1e14, or an inverse with a
+    non-positive diagonal), and errors[b] is None elsewhere."""
+    cond = np.full(len(info), np.nan)
+    finite = np.isfinite(info).all(axis=(1, 2))
+    cond[finite] = np.linalg.cond(info[finite])
+    ok = cond <= 1e14
+    cov = np.full_like(info, np.nan)
+    cov[ok] = np.linalg.inv(info[ok])
+    errors = [None if usable else SingularInformationError(
+        f"information matrix not invertible (condition number {c:.3g})")
+        for usable, c in zip(ok, cond)]
+    for b in np.flatnonzero(ok & ~(np.diagonal(cov, axis1=1, axis2=2) > 0).all(axis=1)):
+        cov[b] = np.nan
+        errors[b] = SingularInformationError(
+            "information matrix not invertible (inverse has a non-positive diagonal)")
+    return cov, errors
+
+
+def _covariance(info: np.ndarray) -> np.ndarray:
+    """The inverse of one information matrix, or the error _invert_information refuses it with."""
+    (cov,), (error,) = _invert_information(info[None])
+    if error is not None:
+        raise error
+    return cov
 
 
 def _solve_each(A: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -182,8 +235,8 @@ def _fit_glm(X: np.ndarray, Y: np.ndarray, beta0, mean_fn, var_fn, cumulant_fn, 
     + log_c[b], with mu = mean_fn(eta) and var Y = var_fn(mu).  The
     products with X run one row at a time (a stack of matrix products,
     never one across rows), so a row's fit does not depend on the others.
-    Returns (beta, H, loglik, failure) per row: H is X'WX, and failure
-    None or the NonConvergenceError that ended it (see ran_off).
+    Returns (beta, H, loglik, iterations, failure) per row: H is X'WX,
+    and failure None or the NonConvergenceError that ended it (see ran_off).
     """
     def model(rows, z):
         eta = (z[:, None, :] @ X.T)[:, 0]
@@ -192,11 +245,11 @@ def _fit_glm(X: np.ndarray, Y: np.ndarray, beta0, mean_fn, var_fn, cumulant_fn, 
         return (np.sum(y * eta - cumulant_fn(eta, mu), axis=-1) + log_c[rows],
                 ((y - mu)[:, None, :] @ X)[:, 0], (X.T * var_fn(mu)[:, None, :]) @ X)
 
-    beta, (loglik, g, H), _, stop = newton(model, beta0, model(np.arange(len(Y)), beta0),
-                                           -np.inf, np.inf, NEWTON_MAX_ITER)
+    beta, (loglik, g, H), iterations, stop = newton(
+        model, beta0, model(np.arange(len(Y)), beta0), -np.inf, np.inf, NEWTON_MAX_ITER)
     failure = [None if r == "converged" else NonConvergenceError(
         f"Newton iterations did not converge ({r})") for r in ran_off(X, stop, H, g)]
-    return beta, H, loglik, failure
+    return beta, H, loglik, iterations, failure
 
 
 def ran_off(X: np.ndarray, stop: np.ndarray, H: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -213,7 +266,7 @@ def ran_off(X: np.ndarray, stop: np.ndarray, H: np.ndarray, g: np.ndarray) -> np
 
 def poisson_newton(X: np.ndarray, Y: np.ndarray):
     """Poisson GLM fits of responses Y (one per row) sharing X, as one
-    stacked Newton loop: (beta, H, loglik, failure) per row, as in
+    stacked Newton loop: (beta, H, loglik, iterations, failure) per row, as in
     _fit_glm, each started from the log of its mean count."""
     beta0 = np.zeros((len(Y), X.shape[1]))
     beta0[:, 0] = np.log(np.maximum(Y.mean(axis=1), 0.1))
@@ -221,36 +274,39 @@ def poisson_newton(X: np.ndarray, Y: np.ndarray):
                     -log_factorial(Y).sum(axis=1))
 
 
-def fit_poisson(ds: Dataset) -> BaselineFit:
+def fit_poisson(ds: Dataset) -> FitResult:
     """Poisson GLM with log link."""
-    beta, H, ll, (failure,) = poisson_newton(ds.X, ds.y[None])
+    beta, H, ll, iterations, (failure,) = poisson_newton(ds.X, ds.y[None])
     if failure is not None:
         raise failure
-    return BaselineFit(beta[0], np.linalg.inv(H[0]), float(ll[0]), True, n_obs=ds.n_obs)
+    return FitResult(beta[0], _covariance(H[0]), float(ll[0]), ds.n_obs, ds.n_cols, True,
+                     int(iterations[0]))
 
 
-def fit_logistic(ds: Dataset) -> BaselineFit:
+def fit_logistic(ds: Dataset) -> FitResult:
     """Logistic regression; response must be 0/1."""
     y = ds.y
     if not np.all((y == 0) | (y == 1)):
         raise BaselineError("logistic regression requires a 0/1 response")
-    beta, H, ll, (failure,) = _fit_glm(ds.X, y[None], np.zeros((1, ds.n_cols)), expit,
-                                       lambda mu: mu * (1.0 - mu),
-                                       lambda eta, mu: np.logaddexp(0.0, eta), np.zeros(1))
+    beta, H, ll, iterations, (failure,) = _fit_glm(
+        ds.X, y[None], np.zeros((1, ds.n_cols)), expit, lambda mu: mu * (1.0 - mu),
+        lambda eta, mu: np.logaddexp(0.0, eta), np.zeros(1))
     if failure is not None:
         raise SeparationError(f"logistic fit failed: {failure}") from failure
-    return BaselineFit(beta[0], np.linalg.inv(H[0]), float(ll[0]), True, n_obs=ds.n_obs)
+    return FitResult(beta[0], _covariance(H[0]), float(ll[0]), ds.n_obs, ds.n_cols, True,
+                     int(iterations[0]))
 
 
 def _one_response(derivatives, X: np.ndarray, y: np.ndarray, z0: np.ndarray, lower, upper):
     """newton on one response whose derivatives(X, y, z) give its loglik,
-    score and information at z: (z, (loglik, score, info), stop) at the end."""
+    score and information at z: (z, (loglik, score, info), iterations, stop)
+    at the end."""
     def model(rows, z):
         return tuple(np.asarray(a)[None] for a in derivatives(X, y, z[0]))
 
-    (z,), ((ll,), (g,), (info,)), _, (stop,) = newton(
+    (z,), ((ll,), (g,), (info,)), (iterations,), (stop,) = newton(
         model, z0[None], model(None, z0[None]), lower, upper, NEWTON_MAX_ITER)
-    return z, (float(ll), g, info), stop
+    return z, (float(ll), g, info), int(iterations), stop
 
 
 def _negbin_ladder(y: np.ndarray) -> np.ndarray:
@@ -299,7 +355,7 @@ def _negbin_derivatives(X: np.ndarray, y: np.ndarray, z: np.ndarray):
     return ll, np.append(X.T @ (r * (y - mu) / rm), r * s_r.sum()), info
 
 
-def fit_negbin(ds: Dataset) -> BaselineFit:
+def fit_negbin(ds: Dataset) -> FitResult:
     """Negative binomial (gamma-Poisson mixture) MLE over (beta, log r).
 
     Newton from the Poisson fit and r = NEGBIN_R0.  As r -> infinity the
@@ -311,24 +367,24 @@ def fit_negbin(ds: Dataset) -> BaselineFit:
     p1 = ds.n_cols
     y = ds.y.astype(float)
     upper = np.append(np.full(p1, np.inf), np.log(NEGBIN_BOUNDARY_R))
-    z, (ll, g, info), stop = _one_response(_negbin_derivatives, ds.X, y,
-                                           np.append(pois.beta, np.log(NEGBIN_R0)),
-                                           -np.inf, upper)
+    z, (ll, g, info), iterations, stop = _one_response(
+        _negbin_derivatives, ds.X, y, np.append(pois.beta, np.log(NEGBIN_R0)), -np.inf, upper)
 
     if z[p1] >= upper[p1] and g[p1] >= 0:
         # Poisson limit: report the Poisson solution, flagged.
         cov = np.full((p1 + 1, p1 + 1), np.nan)
         cov[:p1, :p1] = pois.cov
         mu = np.exp(linear_predictor(ds, pois.beta))
-        return BaselineFit(pois.beta.copy(), cov, negbin_loglik(y, mu, NEGBIN_LIMIT_R),
-                           True, extra=NEGBIN_LIMIT_R, boundary=True, n_obs=ds.n_obs)
+        return FitResult(pois.beta.copy(), cov, negbin_loglik(y, mu, NEGBIN_LIMIT_R), ds.n_obs,
+                         p1 + 1, True, iterations, boundary=True, extra=NEGBIN_LIMIT_R,
+                         extra_name="r")
     if stop != "converged":
         raise NonConvergenceError(f"negative binomial fit did not converge ({stop})")
     r_hat = float(np.exp(z[p1]))
     J = np.eye(p1 + 1)
     J[p1, p1] = r_hat      # delta method log r -> r
-    cov = J @ np.linalg.inv(info) @ J.T
-    return BaselineFit(z[:p1], cov, ll, True, extra=r_hat, n_obs=ds.n_obs)
+    return FitResult(z[:p1], J @ _covariance(info) @ J.T, ll, ds.n_obs, p1 + 1, True,
+                     iterations, extra=r_hat, extra_name="r")
 
 
 def rgpr_loglik(y: np.ndarray, mu: np.ndarray, alpha: float) -> float:
@@ -385,7 +441,7 @@ def _rgpr_mass_deficiency(mu: np.ndarray, alpha: float):
     return worst
 
 
-def fit_rgpr(ds: Dataset) -> BaselineFit:
+def fit_rgpr(ds: Dataset) -> FitResult:
     """Restricted generalized Poisson MLE over (beta, alpha).
 
     Newton from the Poisson fit and alpha = 0.  Raises
@@ -397,8 +453,8 @@ def fit_rgpr(ds: Dataset) -> BaselineFit:
     p1 = ds.n_cols
     y = ds.y.astype(float)
     y_max = float(y.max())
-    z, (ll, _, info), stop = _one_response(_rgpr_derivatives, ds.X, y,
-                                           np.append(pois.beta, 0.0), -np.inf, np.inf)
+    z, (ll, _, info), iterations, stop = _one_response(
+        _rgpr_derivatives, ds.X, y, np.append(pois.beta, 0.0), -np.inf, np.inf)
     beta_hat, alpha_hat = z[:p1], float(z[p1])
     mu_hat = np.exp(linear_predictor(ds, beta_hat))
 
@@ -422,11 +478,8 @@ def fit_rgpr(ds: Dataset) -> BaselineFit:
             )
     if stop != "converged":
         raise NonConvergenceError(f"RGPR fit did not converge ({stop})", diagnostics)
-    try:
-        cov = np.linalg.inv(info)
-    except np.linalg.LinAlgError as exc:
-        raise NonConvergenceError("RGPR observed information singular", diagnostics) from exc
-    return BaselineFit(beta_hat, cov, ll, True, extra=alpha_hat, n_obs=ds.n_obs)
+    return FitResult(beta_hat, _covariance(info), ll, ds.n_obs, p1 + 1, True, iterations,
+                     extra=alpha_hat, extra_name="alpha")
 
 
 @dataclass
@@ -453,7 +506,7 @@ class ModelComparison:
 
 
 def information_criteria(loglik: float, k: int, n: int):
-    """(AIC, AICc); AICc = AIC + 2k(k+1)/(n-k-1), +inf at n = k+1."""
+    """(AIC, AICc); AICc = AIC + 2k(k+1)/(n-k-1), +inf at n <= k+1."""
     aic = -2.0 * loglik + 2.0 * k
     if n - k - 1 <= 0:
         return aic, np.inf
@@ -463,9 +516,9 @@ def information_criteria(loglik: float, k: int, n: int):
 def compare_models(ds: Dataset, fits: dict, fitted: dict) -> ModelComparison:
     """Assemble per-model loglik/AIC/AICc/MSE rows.
 
-    fits maps model name -> fit object (BaselineFit or FitResult) or an
-    exception recorded for a failed model; fitted maps model name -> the
-    fitted-value vector used for MSE.
+    fits maps model name -> its FitResult or the exception recorded for a
+    failed model; fitted maps model name -> the fitted-value vector used
+    for MSE.  A row whose AICc is infinite (n <= k+1) carries a note.
     """
     y = ds.y.astype(float)
     comp = ModelComparison()
@@ -477,7 +530,7 @@ def compare_models(ds: Dataset, fits: dict, fitted: dict) -> ModelComparison:
         aic, aicc = information_criteria(f.loglik, k, ds.n_obs)
         yhat = fitted.get(name)
         mse = None if yhat is None else float(np.mean((y - np.asarray(yhat)) ** 2))
-        note = "AICc infinite: n = k+1" if np.isinf(aicc) else None
+        note = "AICc infinite: n <= k+1" if np.isinf(aicc) else None
         comp.rows.append(
             ComparisonRow(
                 model=name, status="ok", loglik=f.loglik, k=k,

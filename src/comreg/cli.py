@@ -29,8 +29,7 @@ EXIT_IO = 2
 # Exit code of each failure a subcommand may raise; the first matching
 # class wins.  LinAlgError and DataError are ValueErrors, so order matters.
 ERROR_EXIT = (
-    (fit.FitError, EXIT_STAT),           # includes a non-converged COM-Poisson fit
-    (baselines.BaselineError, EXIT_STAT),
+    (fit.FitError, EXIT_STAT),           # a non-converged or refused fit of any model
     (dist.TruncationError, EXIT_STAT),
     (diag.LeverageError, EXIT_STAT),     # residuals undefined at leverage 1
     (np.linalg.LinAlgError, EXIT_STAT),
@@ -55,12 +54,12 @@ def _com_fitted(ds: Dataset, fr: fit.FitResult, kind: str) -> np.ndarray:
     return fit.fitted_values(ds, fr, kind="mean_approx" if use_mean else "median")
 
 
-def _mean_fitted(ds: Dataset, bf: baselines.BaselineFit, kind: str) -> np.ndarray:
-    return np.exp(linear_predictor(ds, bf.beta))
+def _mean_fitted(ds: Dataset, f: fit.FitResult, kind: str) -> np.ndarray:
+    return np.exp(linear_predictor(ds, f.beta))
 
 
-def _probability_fitted(ds: Dataset, bf: baselines.BaselineFit, kind: str) -> np.ndarray:
-    return expit(linear_predictor(ds, bf.beta))
+def _probability_fitted(ds: Dataset, f: fit.FitResult, kind: str) -> np.ndarray:
+    return expit(linear_predictor(ds, f.beta))
 
 
 @dataclass(frozen=True)
@@ -68,17 +67,16 @@ class Model:
     """How the CLI fits, predicts and reports one model."""
 
     report_name: str
-    fit: Callable          # Dataset -> FitResult | BaselineFit
+    fit: Callable          # Dataset -> FitResult
     fitted: Callable       # (Dataset, fit, --fitted kind) -> values for the MSE
-    extra: str | None = None   # report key of the parameter beyond beta
 
 
 MODELS = {
-    "com": Model("com-poisson", _fit_com, _com_fitted, extra="nu"),
+    "com": Model("com-poisson", _fit_com, _com_fitted),
     "poisson": Model("poisson", baselines.fit_poisson, _mean_fitted),
-    "negbin": Model("negbin", baselines.fit_negbin, _mean_fitted, extra="r"),
+    "negbin": Model("negbin", baselines.fit_negbin, _mean_fitted),
     "logistic": Model("logistic", baselines.fit_logistic, _probability_fitted),
-    "rgpr": Model("rgpr", baselines.fit_rgpr, _mean_fitted, extra="alpha"),
+    "rgpr": Model("rgpr", baselines.fit_rgpr, _mean_fitted),
 }
 
 
@@ -117,8 +115,8 @@ def _finite_or_none(value) -> float | None:
     return float(value) if value is not None and np.isfinite(value) else None
 
 
-def _fit_report(ds: Dataset, model: Model, f) -> dict:
-    """JSON report of one fitted model, COM-Poisson or baseline."""
+def _fit_report(ds: Dataset, model: Model, f: fit.FitResult) -> dict:
+    """JSON report of one fitted model, its extra parameter under f.extra_name."""
     aic, aicc = baselines.information_criteria(f.loglik, f.n_params, ds.n_obs)
     se = f.se
     report = {
@@ -132,16 +130,15 @@ def _fit_report(ds: Dataset, model: Model, f) -> dict:
         "aicc": _aicc_json(aicc),
         "converged": bool(f.converged),
     }
-    extra = f.extra if isinstance(f, baselines.BaselineFit) else f.nu
-    if isinstance(f, fit.FitResult):
+    if f.extra_name == "nu":
         for c in report["coefficients"]:
             c["scaled_estimate"] = c["estimate"] / f.nu
         report["scaled_note"] = ("scaled_estimate = estimate / nu, for crude comparison "
                                  "with Poisson-scale coefficients")
         report["iterations"] = int(f.iterations)
-    if extra is not None:
-        report[model.extra] = {
-            "estimate": float(extra),
+    if f.extra_name is not None:
+        report[f.extra_name] = {
+            "estimate": float(f.extra),
             "se": None if f.boundary else _finite_or_none(se[-1]),
             "boundary": bool(f.boundary),
         }

@@ -12,7 +12,8 @@ The score and the expected (Fisher) information are covariances of the
 sufficient statistics (Y, log Y!), so the six sums of one series table
 per (beta, nu) (dist.log_term_table) give the loglik, both of them and
 the per-row moments; the standard errors come from the information at
-the optimum.
+the optimum.  A fit is a baselines.FitResult whose extra parameter is
+nu, and fit_replicates looks _invert_information up in this module.
 """
 
 from __future__ import annotations
@@ -23,16 +24,8 @@ import numpy as np
 
 from . import baselines, dist
 from ._special import log_factorial
+from .baselines import FitError, FitResult, SingularInformationError, _invert_information
 from .data import Dataset, linear_predictor
-
-
-class FitError(RuntimeError):
-    """Estimation failed in a way that leaves no usable result."""
-
-
-class SingularInformationError(FitError):
-    """The information matrix is not invertible to tolerance."""
-
 
 MAX_ITER = 500           # Newton steps before a fit is reported not converged
 NU_FLOOR = 1e-6          # nu's clamp: a fit pinned at either end is flagged boundary
@@ -40,33 +33,6 @@ NU_CEILING = 1e3
 CHUNK_CELLS = 1 << 16    # row x term cells one stacked evaluation computes; streamed in
                          # dist.EXP_BLOCK-column blocks (one small product per replicate
                          # each), so EXP_BLOCK/length of them are held
-
-
-@dataclass
-class FitResult:
-    """Estimated COM-Poisson regression: coefficients, dispersion, covariance."""
-
-    beta: np.ndarray
-    nu: float
-    cov: np.ndarray          # (p+2) x (p+2), parameter order (beta..., nu); a fixed
-                             # nu was not estimated: its row and column are 0
-    loglik: float
-    n_obs: int
-    n_params: int
-    converged: bool
-    iterations: int
-    boundary: bool = False   # nu pinned at NU_FLOOR/NU_CEILING, or a 0/1 or constant
-                             # response (no finite nu-hat); nu covariance unreliable
-
-    @property
-    def scaled_beta(self) -> np.ndarray:
-        """beta / nu, the crude-comparison scale against Poisson-style fits."""
-        return self.beta / self.nu
-
-    @property
-    def se(self) -> np.ndarray:
-        """Standard errors for (beta..., nu)."""
-        return np.sqrt(np.diag(self.cov))
 
 
 @dataclass(frozen=True)
@@ -156,28 +122,6 @@ def fisher_information(ds: Dataset, beta: np.ndarray, nu: float) -> np.ndarray:
     if nu <= 0:
         raise ValueError(f"fisher_information requires nu > 0, got {nu}")
     return evaluate(ds, beta, nu).info
-
-
-def _invert_information(info: np.ndarray):
-    """Invert each matrix of the stack info (m, k, k) with one condition-number
-    pass and one inversion.  Returns (cov, errors): cov holds NaN where
-    errors[b] is the SingularInformationError that refused matrix b (not
-    finite, condition number above 1e14, or an inverse with a
-    non-positive diagonal), and errors[b] is None elsewhere."""
-    cond = np.full(len(info), np.nan)
-    finite = np.isfinite(info).all(axis=(1, 2))
-    cond[finite] = np.linalg.cond(info[finite])
-    ok = cond <= 1e14
-    cov = np.full_like(info, np.nan)
-    cov[ok] = np.linalg.inv(info[ok])
-    errors = [None if usable else SingularInformationError(
-        f"information matrix not invertible (condition number {c:.3g})")
-        for usable, c in zip(ok, cond)]
-    for b in np.flatnonzero(ok & ~(np.diagonal(cov, axis1=1, axis2=2) > 0).all(axis=1)):
-        cov[b] = np.nan
-        errors[b] = SingularInformationError(
-            "information matrix not invertible (inverse has a non-positive diagonal)")
-    return cov, errors
 
 
 def fit_poisson_start(ds: Dataset) -> np.ndarray:
@@ -335,7 +279,6 @@ def fit_replicates(
             continue
         out[b] = FitResult(
             beta=z[b, :p1].copy(),
-            nu=nu,
             cov=cov[b],
             loglik=float(loglik[b]),
             n_obs=n,
@@ -343,6 +286,8 @@ def fit_replicates(
             converged=stop[b] == "converged",
             iterations=int(iterations[b]),
             boundary=bool(boundary),
+            extra=nu,
+            extra_name="nu",
         )
     return out
 
@@ -359,8 +304,9 @@ def fit_com(
     scoring step I step = g is a Newton step.  The step is halved until the
     loglik does not fall.  The start is fit_replicates' second-order moment
     estimate on the Poisson fit, which refuses a response that runs off
-    (baselines.NonConvergenceError) before any COM-Poisson step, and
-    nu is clamped to [NU_FLOOR, NU_CEILING]; at a bound whose gradient
+    (baselines.NonConvergenceError) or an ill-conditioned design
+    (SingularInformationError) before any COM-Poisson step, and nu is
+    clamped to [NU_FLOOR, NU_CEILING]; at a bound whose gradient
     points outward only beta moves, and the result is flagged boundary, as
     is a 0/1 response (the Bernoulli limit, where no finite nu maximizes the
     loglik) or a constant one (a point mass).  fix_nu pins the dispersion

@@ -59,6 +59,9 @@ def _keep_converged(fits: list):
 
 def _check_fit_of(ds: Dataset, fr: fit.FitResult) -> None:
     # a caller's fit_com(ds) must estimate nu on the rows and columns of ds
+    if fr.extra_name != "nu":
+        raise ValueError(f"fr must be fit_com(ds) with nu estimated, not a fit with "
+                         f"extra_name={fr.extra_name!r}")
     if (fr.n_obs, len(fr.beta), fr.n_params) != (ds.n_obs, ds.n_cols, ds.n_cols + 1):
         raise ValueError(f"fr must be fit_com(ds) with nu estimated, not a fit of {fr.n_obs} rows "
                          f"with {len(fr.beta)} coefficients and {fr.n_params} parameters")
@@ -83,10 +86,10 @@ def dispersion_test(
     the replicates _keep_converged keeps; the dropped ones, a failed
     Poisson fit among them, are counted in bootstrap_failures.  fr, the
     caller's fit_com(ds), is the alternative instead of a refit:
-    ValueError is raised when its nu was fixed or its rows or columns are
-    not those of ds, and fit.FitError when the alternative is not
-    converged.  Calibrating needs a seed and n_boot >= 1,
-    which are checked before anything is fitted.
+    ValueError is raised when it is not a COM-Poisson fit, its nu was
+    fixed or its rows or columns are not those of ds, and fit.FitError
+    when the alternative is not converged.  Calibrating needs a seed and
+    n_boot >= 1, which are checked before anything is fitted.
     """
     if bootstrap_calibrate:
         if seed is None:
@@ -110,7 +113,7 @@ def dispersion_test(
     if bootstrap_calibrate:
         lam0 = np.exp(linear_predictor(ds, null.beta))
         y_star = np.random.default_rng(seed).poisson(lam0, size=(n_boot, ds.n_obs))
-        beta0, _, null_loglik, fits = poisson_newton(ds.X, y_star)
+        beta0, _, null_loglik, _, fits = poisson_newton(ds.X, y_star)
         started = np.flatnonzero([f is None for f in fits])
         for b, f in zip(started, fit.fit_replicates(ds.X, y_star[started], beta0[started])):
             fits[b] = f
@@ -140,8 +143,8 @@ def parametric_bootstrap(
     when every replicate fails.  Percentile intervals are computed over
     the kept replicates; a >20% failure rate marks the result
     unreliable.  fr must be fit_com(ds) with nu estimated:
-    ValueError is raised when its nu was fixed, its rows or columns are
-    not those of ds, or it did not converge.
+    ValueError is raised when it is not a COM-Poisson fit, its nu was
+    fixed, its rows or columns are not those of ds, or it did not converge.
     """
     if n_boot < 100:
         raise ValueError(f"n_boot must be >= 100, got {n_boot}")

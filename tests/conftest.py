@@ -30,6 +30,17 @@ def geometric_data() -> Dataset:
 
 
 @pytest.fixture(scope="session")
+def collinear() -> Dataset:
+    # x2 = x + 1e-9 N(0, 1): a natural design whose information at any fit
+    # has a condition number above 1e14
+    rng = np.random.default_rng(0)
+    x = rng.normal(size=40)
+    x2 = x + 1e-9 * rng.normal(size=40)
+    y = rng.poisson(np.exp(1.0 + x))
+    return Dataset(y=y, X=np.column_stack([np.ones(40), x, x2]), names=("intercept", "x", "x2"))
+
+
+@pytest.fixture(scope="session")
 def sparse_dummy() -> Dataset:
     # n = 30 with a 3-row dummy level: under the fitted Poisson null about
     # one replicate in seven draws zeros on that level, whose Poisson fit

@@ -3,11 +3,12 @@ import pytest
 from scipy.special import expit
 from scipy.stats import poisson
 
-from comreg import baselines
+from comreg import baselines, diag, fit
 from comreg.baselines import (
     BaselineError,
     NonConvergenceError,
     SeparationError,
+    SingularInformationError,
     compare_models,
     fit_logistic,
     fit_negbin,
@@ -107,7 +108,7 @@ class TestNewtonStopRule:
         rng = np.random.default_rng(4)
         Y = rng.poisson(np.exp(airfreight.X @ [2.35, 0.26]), size=(25, airfreight.n_obs))
         Y[3] = 0    # no finite estimate: the log-mean start runs off
-        beta, _, loglik, failure = poisson_newton(airfreight.X, Y)
+        beta, _, loglik, _, failure = poisson_newton(airfreight.X, Y)
         for b, y in enumerate(Y):
             ds = Dataset(y=y, X=airfreight.X, names=airfreight.names)
             if b == 3:
@@ -439,7 +440,8 @@ class TestNewtonLoop:
 
         upper = np.array([np.inf, np.inf, np.log(baselines.NEGBIN_BOUNDARY_R)])
         z0 = np.append(fit_poisson(airfreight).beta, 0.0)
-        _, (ll, _, _), _ = baselines._one_response(recording, airfreight.X, y, z0, -np.inf, upper)
+        _, (ll, _, _), _, _ = baselines._one_response(recording, airfreight.X, y, z0, -np.inf,
+                                                      upper)
         assert len(seen) > 10 and ll == max(seen)
 
     def test_every_fitter_runs_through_it(self, airfreight, monkeypatch):
@@ -458,6 +460,53 @@ class TestNewtonLoop:
             before = len(calls)
             run()
             assert len(calls) > before
+
+
+class TestFitResult:
+    FITTERS = {"com": (fit_com, "nu"), "poisson": (fit_poisson, None),
+               "negbin": (fit_negbin, "r"), "rgpr": (fit_rgpr, "alpha"),
+               "logistic": (fit_logistic, None)}
+
+    @pytest.mark.parametrize("model", list(FITTERS))
+    def test_every_fitter_returns_it(self, model, monkeypatch):
+        # one result type, with newton's own iteration count (the fitter's
+        # newton runs last: negbin, rgpr and COM-Poisson start from a Poisson fit)
+        ds = simulate(40, [1.0, 0.8], 0.4, seed=7)
+        if model == "logistic":
+            ds = Dataset(y=ds.y % 2, X=ds.X, names=ds.names)
+        runs = []
+        loop = baselines.newton
+        monkeypatch.setattr(baselines, "newton", lambda *a: runs.append(loop(*a)) or runs[-1])
+        fitter, extra_name = self.FITTERS[model]
+        fr = fitter(ds)
+        assert type(fr) is fit.FitResult is baselines.FitResult
+        assert fr.extra_name == extra_name
+        assert fr.n_params == ds.n_cols + (extra_name is not None) == len(fr.se)
+        assert fr.iterations == runs[-1][2][0] > 0
+
+    def test_nu_is_com_poisson_only(self, airfreight):
+        nb = fit_negbin(airfreight)
+        assert nb.extra_name == "r" and nb.extra > 0
+        with pytest.raises(AttributeError, match="no nu"):
+            nb.nu
+        # so a baseline fit passed where a COM-Poisson fit belongs still fails
+        with pytest.raises(AttributeError):
+            fitted_values(airfreight, nb)
+        with pytest.raises(AttributeError):
+            diag.diagnostics_report(airfreight, fit_poisson(airfreight))
+
+    @pytest.mark.parametrize("fitter", [fit_poisson, fit_negbin, fit_rgpr, fit_com])
+    def test_collinear_design_refused(self, collinear, fitter):
+        # the baselines returned covariances with negative diagonals (NaN SEs
+        # with a RuntimeWarning, and an RGPR alpha SE of 0); every fitter now
+        # refuses the design as COM-Poisson did
+        with pytest.raises(SingularInformationError, match="not invertible"):
+            fitter(collinear)
+
+    def test_one_error_root(self):
+        assert issubclass(BaselineError, fit.FitError)
+        assert issubclass(SingularInformationError, fit.FitError)
+        assert fit.SingularInformationError is SingularInformationError
 
 
 class TestCompareModels:
@@ -507,6 +556,7 @@ class TestCompareModels:
     def test_aicc_singularity(self):
         aic, aicc = information_criteria(-20.0, 9, 10)
         assert np.isinf(aicc)
+        assert np.isinf(information_criteria(-20.0, 3, 3)[1])    # n < k+1 as well
 
 
 class TestNesting:

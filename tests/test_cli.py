@@ -443,6 +443,27 @@ class TestFitErrors:
         assert rows["poisson"]["status"] == "ok"
 
 
+class TestOneCovarianceRule:
+    def test_collinear_design_exit_one(self, capsys, tmp_path, collinear):
+        # the Poisson fit reported NaN SEs and exited 0
+        path = tmp_path / "collinear.csv"
+        write_csv(collinear, path)
+        code, out = run_cli(capsys, "fit", "--data", str(path), "--response", "y",
+                            "--model", "poisson", "--format", "json")
+        assert code == EXIT_STAT
+        assert "not invertible" in json.loads(out)["errors"][0]["message"]
+
+    def test_aicc_note_below_the_singularity(self, capsys, tmp_path):
+        # n = 3 rows and k = 3 COM-Poisson parameters: the note said n = k+1
+        path = write_xy(tmp_path / "three.csv", np.array([0.0, 0.5, 1.0]), np.array([1, 3, 2]))
+        code, out = run_cli(capsys, "compare", "--data", path, "--response", "y",
+                            "--models", "com", "--format", "json")
+        assert code == EXIT_OK
+        (row,) = json.loads(out)["rows"]
+        assert (row["k"], row["aicc"]) == (3, "inf")
+        assert row["note"] == "AICc infinite: n <= k+1"
+
+
 class TestSimulate:
     def test_roundtrip_fit(self, capsys, tmp_path):
         dest = tmp_path / "sim.csv"

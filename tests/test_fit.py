@@ -371,7 +371,7 @@ def fitted_draws(ds, n_rep, seed):
 
 
 def fit_stack(X, Y, **kwargs):
-    beta0, _, _, failure = poisson_newton(X, Y)
+    beta0, _, _, _, failure = poisson_newton(X, Y)
     assert failure == [None] * len(Y)
     return fit_replicates(X, Y, beta0, **kwargs)
 

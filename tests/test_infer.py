@@ -6,7 +6,7 @@ import pytest
 from scipy.stats import chi2, kstest
 
 from comreg import dist, fit, infer
-from comreg.baselines import BaselineError, fit_poisson
+from comreg.baselines import BaselineError, fit_negbin, fit_poisson, fit_rgpr
 from comreg.data import Dataset, simulate
 from comreg.diag import diagnostics_report
 from comreg.fit import fit_com
@@ -25,6 +25,15 @@ WRONG_FITS = pytest.mark.parametrize("wrong_fit", [
     lambda ds: fit_com(simulate(30, [0.5, 0.4], 1.5, seed=3)),
     lambda ds: fit_com(simulate(10, [0.5, 0.4, 0.1], 1.5, seed=3)),
 ], ids=["nu fixed at 1", "nu fixed at 3", "other rows", "other columns"])
+# fits of the same rows and columns by another model; RGPR converges on
+# these over-dispersed data (not on airfreight)
+NON_COM_FITS = pytest.mark.parametrize("baseline", [fit_negbin, fit_rgpr, fit_poisson],
+                                       ids=["negbin", "rgpr", "poisson"])
+
+
+@pytest.fixture(scope="module")
+def overdispersed():
+    return simulate(40, [1.0, 0.8], 0.4, seed=7)
 
 
 class TestDispersionTest:
@@ -71,6 +80,13 @@ class TestDispersionTest:
         # to other data a statistic against the wrong likelihood
         with pytest.raises(ValueError, match=r"fr must be fit_com\(ds\) with nu estimated"):
             dispersion_test(airfreight, fr=wrong_fit(airfreight))
+
+    @NON_COM_FITS
+    def test_caller_fit_must_be_com_poisson(self, overdispersed, baseline):
+        # a negbin fit has nu's shape: it gave C = 0, p = 1 on airfreight, and
+        # an RGPR fit a C against its own loglik
+        with pytest.raises(ValueError, match=r"fr must be fit_com\(ds\) with nu estimated"):
+            dispersion_test(overdispersed, fr=baseline(overdispersed))
 
     def test_bootstrap_calibration_requires_seed(self, airfreight):
         with pytest.raises(ValueError, match="seed"):
@@ -308,6 +324,12 @@ class TestParametricBootstrap:
         with pytest.raises(ValueError, match=r"fr must be fit_com\(ds\) with nu estimated"):
             parametric_bootstrap(airfreight, wrong_fit(airfreight), n_boot=100, seed=1)
 
+    @NON_COM_FITS
+    def test_fit_must_be_com_poisson(self, overdispersed, baseline):
+        # a negbin fit died on .nu with a bare AttributeError
+        with pytest.raises(ValueError, match=r"fr must be fit_com\(ds\) with nu estimated"):
+            parametric_bootstrap(overdispersed, baseline(overdispersed), n_boot=100, seed=1)
+
 
 class TestWaldZ:
     def test_airfreight_com_slope(self, airfreight_fit):
@@ -322,7 +344,8 @@ class TestWaldZ:
         fr = airfreight_fit
         fr2 = type(fr)(
             beta=np.array([0.0, 0.0]),
-            nu=fr.nu,
+            extra=fr.nu,
+            extra_name="nu",
             cov=fr.cov,
             loglik=fr.loglik,
             n_obs=fr.n_obs,
@@ -336,7 +359,8 @@ class TestWaldZ:
         fr = airfreight_fit
         fr_b = type(fr)(
             beta=fr.beta,
-            nu=fr.nu,
+            extra=fr.nu,
+            extra_name="nu",
             cov=fr.cov,
             loglik=fr.loglik,
             n_obs=fr.n_obs,
