@@ -341,8 +341,6 @@ def _negbin_derivatives(X: np.ndarray, y: np.ndarray, z: np.ndarray):
     r = float(np.exp(z[p1]))
     mu = np.exp(X @ z[:p1])
     ll = negbin_loglik(y, mu, r)
-    if not np.isfinite(ll):
-        return -np.inf, np.full(p1 + 1, np.nan), np.full((p1 + 1, p1 + 1), np.nan)
     rm = r + mu
     v = r + _negbin_ladder(y)
     # psi(r+y) - psi(r) and psi_1(r+y) - psi_1(r) at integer y, as sums over k < y
@@ -411,8 +409,6 @@ def _rgpr_derivatives(X: np.ndarray, y: np.ndarray, z: np.ndarray):
     alpha = float(z[p1])
     mu = np.exp(X @ z[:p1])
     ll = rgpr_loglik(y, mu, alpha)
-    if not np.isfinite(ll):
-        return -np.inf, np.full(p1 + 1, np.nan), np.full((p1 + 1, p1 + 1), np.nan)
     one_am = 1.0 + alpha * mu
     one_ay = 1.0 + alpha * y
     c = mu * (y - mu) / one_am**3

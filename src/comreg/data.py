@@ -202,6 +202,8 @@ def simulate(
     beta = np.asarray(beta, dtype=float)
     if n < 1:
         raise DataError(f"n must be a positive integer, got {n}")
+    if beta.size == 0:
+        raise DataError("beta must hold at least the intercept")
     if not (np.isfinite(nu) and nu >= 0):
         raise DataError(f"nu must be a nonnegative finite real, got {nu}")
     if not (np.isfinite(x_min) and np.isfinite(x_max) and x_min <= x_max):

@@ -41,7 +41,8 @@ class DiagnosticsReport:
     notes: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        out = {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in vars(self).items()}
+        out = {k: np.where(np.isnan(v), None, v).tolist() if isinstance(v, np.ndarray) else v
+               for k, v in vars(self).items()}
         out["notes"] = {str(k): v for k, v in self.notes.items()}
         return out
 

@@ -10,8 +10,9 @@ inverse of the Pearson dispersion about that variance, and beta at the
 least-squares projection of nu log(mu + c) on the design.
 The score and the expected (Fisher) information are covariances of the
 sufficient statistics (Y, log Y!), so the six sums of one series table
-per (beta, nu) (dist.log_term_table) give the loglik, both of them and
-the per-row moments; the standard errors come from the information at
+per (beta, nu) give the loglik, both of them and the per-row moments,
+and every evaluation, evaluate's included, is a replicate of one stacked
+path (_evaluate_each).  The standard errors come from the information at
 the optimum.  A fit is a baselines.FitResult whose extra parameter is
 nu, and fit_replicates looks _invert_information up in this module.
 """
@@ -51,37 +52,6 @@ class Evaluation:
     log_z: np.ndarray    # log Z(lambda_i, nu); row i's loglik is y_i eta_i - nu log y_i! - log_z_i
 
 
-def _evaluate_stack(X: np.ndarray, Y: np.ndarray, eta: np.ndarray, nu: np.ndarray,
-                    lam: np.ndarray, support=None) -> Evaluation:
-    """Stacked evaluation: replicate b has response Y[b], linear predictor
-    eta[b], lambdas lam[b] = exp(eta[b]) and dispersion nu[b], all on the
-    design X, and the replicates share one series table: dist._table on
-    support, their (terms, mode) from dist.series_terms on each one's
-    largest lambda, or dist.log_term_table when support is None.  Raises
-    OverflowError when some lambda is not a positive finite double, and
-    the series errors of dist.log_term_table, for the whole stack.
-    """
-    if not np.all((lam > 0) & np.isfinite(lam)):
-        raise OverflowError("linear predictor out of range: lambda overflows or underflows")
-    tab = dist.log_term_table(lam, nu) if support is None else dist._table(lam, nu, *support)
-    mean, e_lf, var, cov_y_lf, var_lf, log_z = (
-        a.reshape(eta.shape) for a in (*tab.moments(), tab.log_z))
-
-    y = Y.astype(float)
-    lf_y = log_factorial(y)
-    p1 = X.shape[1]
-    info = np.empty((len(y), p1 + 1, p1 + 1))
-    info[:, :p1, :p1] = (X.T * var[:, None, :]) @ X
-    info[:, :p1, p1] = -(cov_y_lf[:, None, :] @ X)[:, 0]
-    info[:, p1, :p1] = info[:, :p1, p1]
-    info[:, p1, p1] = var_lf.sum(axis=1)
-    score = np.empty((len(y), p1 + 1))
-    score[:, :p1] = ((y - mean)[:, None, :] @ X)[:, 0]
-    score[:, p1] = (e_lf - lf_y).sum(axis=1)
-    loglik = np.einsum("ij,ij->i", y, eta) - nu * lf_y.sum(axis=1) - log_z.sum(axis=1)
-    return Evaluation(loglik, score, info, mean, var, log_z)
-
-
 def evaluate(ds: Dataset, beta: np.ndarray, nu: float) -> Evaluation:
     """Loglik, score, expected information and per-row moments and log Z at (beta, nu).
 
@@ -93,14 +63,16 @@ def evaluate(ds: Dataset, beta: np.ndarray, nu: float) -> Evaluation:
     to 41, but a row whose mass sits almost wholly on one count can lose
     its variance to cancellation.  Raises OverflowError when some
     lambda_i = exp(eta_i) is not a positive finite double.  This is the
-    one-replicate view of the stacked evaluation that fit_replicates runs.
+    one-replicate case of _evaluate_each, the evaluation of every stacked
+    fit, and raises the error its replicate gets there.
     """
     if nu < 0:
         raise ValueError(f"nu must be nonnegative, got {nu}")
-    eta = linear_predictor(ds, beta)[None]
-    with np.errstate(over="ignore"):
-        lam = np.exp(eta)
-    ev = _evaluate_stack(ds.X, ds.y[None], eta, np.array([float(nu)]), lam)
+    if np.shape(beta) != (ds.n_cols,):
+        raise ValueError(f"beta must have length {ds.n_cols}, got shape {np.shape(beta)}")
+    ev, (error,) = _evaluate_each(ds.X, ds.y[None], np.append(beta, float(nu))[None])
+    if error is not None:
+        raise error
     return Evaluation(float(ev.loglik[0]), ev.score[0], ev.info[0], ev.mean[0],
                       ev.var[0], ev.log_z[0])
 
@@ -134,33 +106,33 @@ SERIES_ERRORS = (dist.DivergentSeriesError, dist.TruncationError, OverflowError)
 
 
 def _evaluate_each(X: np.ndarray, Y: np.ndarray, z: np.ndarray):
-    """Loglik, score and information at z[b] = (beta..., nu) for each replicate b.
+    """The stacked Evaluation (see evaluate) of each response Y[b] on X at z[b] = (beta..., nu).
 
     lambda = exp(eta) and each replicate's support (terms, mode) come
     from one dist.series_terms pass per call: replicates share a table
     only with replicates whose series has the same support length, in
     chunks of at most CHUNK_CELLS table cells (or of one replicate), so
     none widens the others' rows, and each chunk's table (dist._table) is
-    built on that support without sizing it again.  Every sum runs within
-    one replicate (row-wise einsum, or a stack of per-replicate matrix
-    products, never one BLAS product across replicates, whose rounding
-    can depend on how many rows it gets): a replicate's numbers do not
-    depend on its chunk.  A chunk that raises one of SERIES_ERRORS is
-    split in halves until the replicate that raises it is alone.  Returns
-    (loglik, score, info, errors): NaN for those replicates, and per
-    replicate None or the error it raised alone.
+    built on that support without sizing it again; a lone replicate skips
+    the grouping.  Every sum runs within one replicate (row-wise einsum,
+    or a stack of per-replicate matrix products, never one BLAS product
+    across replicates, whose rounding can depend on how many rows it
+    gets): a replicate's numbers do not depend on its chunk.  A chunk
+    that raises one of SERIES_ERRORS (OverflowError where a lambda is not
+    a positive finite double) is split in halves until the replicate that
+    raises it is alone.  Returns (Evaluation, errors): replicate b's rows
+    are NaN where errors[b] is the error it raised alone, not None; a
+    stack that is one chunk gets that chunk's own arrays.
     """
     n_rep, n = Y.shape
     p1 = X.shape[1]
     eta = (z[:, None, :p1] @ X.T)[:, 0]
     nu = z[:, p1]
-    loglik = np.full(n_rep, np.nan)
-    score = np.full((n_rep, p1 + 1), np.nan)
-    info = np.full((n_rep, p1 + 1, p1 + 1), np.nan)
     errors = [None] * n_rep
 
     with np.errstate(over="ignore"):
         lam = np.exp(eta)
+    in_range = ((lam > 0) & np.isfinite(lam)).all(axis=1)
     terms, mode = dist.series_terms(lam.max(axis=1), nu)
     chunks = [np.arange(n_rep)]
     if n_rep > 1:
@@ -168,19 +140,42 @@ def _evaluate_each(X: np.ndarray, Y: np.ndarray, z: np.ndarray):
         for width in np.unique(terms):
             idx, size = np.flatnonzero(terms == width), max(1, CHUNK_CELLS // (n * width))
             chunks += [idx[i:i + size] for i in range(0, len(idx), size)]
+    parts = []
     while chunks:
         idx = chunks.pop()
         try:
-            part = _evaluate_stack(X, Y[idx], eta[idx], nu[idx], lam[idx],
-                                   (terms[idx], mode[idx]))
+            if not in_range[idx].all():
+                raise OverflowError("linear predictor out of range: lambda overflows or underflows")
+            tab = dist._table(lam[idx], nu[idx], terms[idx], mode[idx])
         except SERIES_ERRORS as exc:
             if len(idx) == 1:
                 errors[idx[0]] = exc
             else:
                 chunks += [idx[: len(idx) // 2], idx[len(idx) // 2:]]
             continue
-        loglik[idx], score[idx], info[idx] = part.loglik, part.score, part.info
-    return loglik, score, info, errors
+        mean, e_lf, var, cov_y_lf, var_lf, log_z = (
+            a.reshape(len(idx), n) for a in (*tab.moments(), tab.log_z))
+        y = Y[idx].astype(float)
+        lf_y = log_factorial(y)
+        info = np.empty((len(idx), p1 + 1, p1 + 1))
+        info[:, :p1, :p1] = (X.T * var[:, None, :]) @ X
+        info[:, :p1, p1] = -(cov_y_lf[:, None, :] @ X)[:, 0]
+        info[:, p1, :p1] = info[:, :p1, p1]
+        info[:, p1, p1] = var_lf.sum(axis=1)
+        score = np.empty((len(idx), p1 + 1))
+        score[:, :p1] = ((y - mean)[:, None, :] @ X)[:, 0]
+        score[:, p1] = (e_lf - lf_y).sum(axis=1)
+        loglik = (np.einsum("ij,ij->i", y, eta[idx]) - nu[idx] * lf_y.sum(axis=1)
+                  - log_z.sum(axis=1))
+        parts.append((idx, Evaluation(loglik, score, info, mean, var, log_z)))
+    if len(parts) == 1 and len(parts[0][0]) == n_rep:
+        return parts[0][1], errors
+    ev = Evaluation(np.full(n_rep, np.nan), np.full((n_rep, p1 + 1), np.nan),
+                    np.full((n_rep, p1 + 1, p1 + 1), np.nan), *np.full((3, n_rep, n), np.nan))
+    for idx, part in parts:
+        for whole, rows in zip(vars(ev).values(), vars(part).values()):
+            whole[idx] = rows
+    return ev, errors
 
 
 def fit_replicates(
@@ -253,16 +248,20 @@ def fit_replicates(
         second = (moved & (m0 > 0).all(axis=1) & (m1 > 0).all(axis=1)
                   & np.isfinite(z1).all(axis=1))
         z[second] = z1[second]
-    loglik, score, info, errors = _evaluate_each(X, Y, z)
+    def derivatives(responses, z):
+        ev, errors = _evaluate_each(X, responses, z)
+        return (ev.loglik, ev.score, ev.info), errors
+
+    (loglik, score, info), errors = derivatives(Y, z)
     # an unusable moment start falls back to (beta0[b], 1), all in one stack
     redo = np.flatnonzero(moved & ~np.isfinite(loglik))
     if redo.size:
         z[redo] = np.column_stack([beta0[redo], np.ones(redo.size)])
-        loglik[redo], score[redo], info[redo], fallback = _evaluate_each(X, Y[redo], z[redo])
+        (loglik[redo], score[redo], info[redo]), fallback = derivatives(Y[redo], z[redo])
         for b, exc in zip(redo, fallback):
             errors[b] = exc
     z, (loglik, score, info), iterations, stop = baselines.newton(
-        lambda rows, z: _evaluate_each(X, Y[rows], z)[:3],
+        lambda rows, z: derivatives(Y[rows], z)[0],
         z, (loglik, score, info), lower, upper, MAX_ITER)
     stop = baselines.ran_off(X, stop, info[:, :p1, :p1], score[:, :p1])
 

@@ -181,15 +181,16 @@ def parametric_bootstrap(
 
 
 def wald_z(fr: fit.FitResult, j: int) -> float:
-    """beta_j / SE_j from the fitted covariance matrix; j = len(fr.beta) is nu."""
-    if not 0 <= j <= len(fr.beta):
-        raise ValueError(f"j must lie in 0..{len(fr.beta)}, got {j}")
+    """Estimate / SE of beta_j, or at j = len(fr.beta) of the extra parameter (nu, r or alpha)."""
+    last = len(fr.beta) - (fr.extra_name is None)
+    if not 0 <= j <= last:
+        raise ValueError(f"j must lie in 0..{last}, got {j}")
     if not fr.converged:
         raise ValueError("wald_z requires a converged fit")
     if fr.boundary and j >= len(fr.beta):
-        raise ValueError("SE for nu is unreliable at a boundary fit")
+        raise ValueError(f"SE for {fr.extra_name} is unreliable at a boundary fit")
     se2 = fr.cov[j, j]
     if not (se2 > 0):
         raise ValueError(f"covariance diagonal entry {j} is not positive")
-    value = fr.beta[j] if j < len(fr.beta) else fr.nu
+    value = fr.beta[j] if j < len(fr.beta) else fr.extra
     return float(value / np.sqrt(se2))

@@ -13,14 +13,22 @@ from scipy.special import expit
 import comreg
 from comreg import fit, infer
 from comreg.baselines import fit_logistic
-from comreg.cli import EXIT_IO, EXIT_OK, EXIT_STAT, main
-from comreg.data import Dataset, load_csv, write_csv
+from comreg.cli import EXIT_IO, EXIT_OK, EXIT_STAT, MODELS, main
+from comreg.data import Dataset, load_csv, simulate, write_csv
 
 
 @pytest.fixture(scope="module")
 def schema():
     text = resources.files("comreg").joinpath("schemas/report-v1.json").read_text()
     return json.loads(text)
+
+
+def strict_json(text):
+    """json.loads refusing NaN and Infinity, which are not JSON."""
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
 
 
 def run_cli(capsys, *argv):
@@ -70,7 +78,7 @@ class TestFit:
             "--response", "broken", "--model", "com", "--format", "json",
         )
         assert code == EXIT_OK
-        report = json.loads(out)
+        report = strict_json(out)
         jsonschema.validate(report, schema)
         assert report["model"] == "com-poisson"
         by_name = {c["name"]: c for c in report["coefficients"]}
@@ -85,7 +93,7 @@ class TestFit:
             "--response", "broken", "--model", "poisson", "--format", "json",
         )
         assert code == EXIT_OK
-        report = json.loads(out)
+        report = strict_json(out)
         jsonschema.validate(report, schema)
         by_name = {c["name"]: c for c in report["coefficients"]}
         assert by_name["intercept"]["estimate"] == pytest.approx(2.3529, abs=1e-3)
@@ -109,7 +117,7 @@ class TestFit:
         code, out = run_cli(capsys, "fit", "--data", path, "--response", "y",
                             "--format", "json")
         assert code == EXIT_OK
-        report = json.loads(out)
+        report = strict_json(out)
         jsonschema.validate(report, schema)
         assert report["nu"]["boundary"] and report["nu"]["se"] is None
         code, out = run_cli(capsys, "fit", "--data", path, "--response", "y",
@@ -123,7 +131,7 @@ class TestFit:
             "--response", "broken", "--model", "rgpr", "--format", "json",
         )
         assert code == 1
-        report = json.loads(out)
+        report = strict_json(out)
         assert report["errors"]
         assert "converge" in report["errors"][0]["message"].lower()
 
@@ -133,7 +141,7 @@ class TestFit:
         code, out = run_cli(capsys, "fit", "--data", str(airfreight_path),
                             "--response", "broken", "--format", "json")
         assert code == EXIT_STAT
-        assert json.loads(out)["errors"][0]["message"] == "COM-Poisson fit did not converge"
+        assert strict_json(out)["errors"][0]["message"] == "COM-Poisson fit did not converge"
 
     def test_log_transform(self, capsys, tmp_path):
         rng = np.random.default_rng(2)
@@ -142,7 +150,7 @@ class TestFit:
         code, out = run_cli(capsys, "fit", "--data", path, "--response", "y",
                             "--model", "poisson", "--transform", "x=log", "--format", "json")
         assert code == EXIT_OK
-        coef = json.loads(out)["coefficients"]
+        coef = strict_json(out)["coefficients"]
         assert [c["name"] for c in coef] == ["intercept", "log_x"]
         assert coef[1]["estimate"] == pytest.approx(1.0, abs=0.3)
 
@@ -165,7 +173,7 @@ class TestFit:
             "--response", "y", "--format", "json",
         )
         assert code == EXIT_IO
-        report = json.loads(out)
+        report = strict_json(out)
         assert report["errors"] and "message" in report["errors"][0]
 
     def test_bad_response_column_exit_two(self, capsys, airfreight_path):
@@ -174,7 +182,7 @@ class TestFit:
             "--response", "nope", "--format", "json",
         )
         assert code == EXIT_IO
-        assert "nope" in json.loads(out)["errors"][0]["message"]
+        assert "nope" in strict_json(out)["errors"][0]["message"]
 
     def test_duplicate_column_exit_two(self, capsys, tmp_path):
         path = tmp_path / "dup.csv"
@@ -182,7 +190,7 @@ class TestFit:
         code, out = run_cli(capsys, "fit", "--data", str(path), "--response", "y",
                             "--model", "poisson", "--format", "json")
         assert code == EXIT_IO
-        assert "'y' appears more than once" in json.loads(out)["errors"][0]["message"]
+        assert "'y' appears more than once" in strict_json(out)["errors"][0]["message"]
 
     def test_output_file(self, capsys, airfreight_path, tmp_path):
         dest = tmp_path / "report.json"
@@ -191,7 +199,7 @@ class TestFit:
             "--response", "broken", "--format", "json", "--output", str(dest),
         )
         assert code == EXIT_OK
-        assert json.loads(dest.read_text())["model"] == "com-poisson"
+        assert strict_json(dest.read_text())["model"] == "com-poisson"
 
 
 class TestDispersionTest:
@@ -201,7 +209,7 @@ class TestDispersionTest:
             "--response", "broken", "--format", "json",
         )
         assert code == EXIT_OK
-        report = json.loads(out)
+        report = strict_json(out)
         assert report["statistic"] == pytest.approx(9.1, abs=0.5)
         assert report["p_value"] < 0.01
 
@@ -211,14 +219,14 @@ class TestDispersionTest:
                             "--response", "broken", "--bootstrap-calibrate", "--seed", "1",
                             "--n-boot", n_boot, "--format", "json")
         assert code == EXIT_IO
-        assert json.loads(out)["errors"][0]["message"] == f"n_boot must be >= 1, got {n_boot}"
+        assert strict_json(out)["errors"][0]["message"] == f"n_boot must be >= 1, got {n_boot}"
 
     def test_unconverged_alternative_exit_one(self, capsys, airfreight_path, monkeypatch):
         monkeypatch.setattr(fit, "MAX_ITER", 2)    # the airfreight fit needs 4 steps
         code, out = run_cli(capsys, "test", "--data", str(airfreight_path),
                             "--response", "broken", "--format", "json")
         assert code == EXIT_STAT
-        assert json.loads(out)["errors"][0]["message"] == "COM-Poisson fit did not converge"
+        assert strict_json(out)["errors"][0]["message"] == "COM-Poisson fit did not converge"
 
     def test_calibration_drops_failed_replicates(self, capsys, tmp_path, sparse_dummy, schema):
         path = tmp_path / "sparse.csv"
@@ -227,7 +235,7 @@ class TestDispersionTest:
                 "--n-boot", "200", "--seed", "1"]
         code, out = run_cli(capsys, *argv, "--format", "json")
         assert code == EXIT_OK
-        report = json.loads(out)
+        report = strict_json(out)
         jsonschema.validate(report, schema)
         assert report["bootstrap_failures"] == {"NonConvergenceError": 26}
         code, out = run_cli(capsys, *argv, "--format", "text")
@@ -241,7 +249,7 @@ class TestDispersionTest:
                 "--bootstrap-calibrate", "--n-boot", "100", "--seed", "5"]
         code, out = run_cli(capsys, *argv, "--format", "json")
         assert code == EXIT_OK
-        report = json.loads(out)
+        report = strict_json(out)
         jsonschema.validate(report, schema)
         assert report["bootstrap_failures"] == {}
         code, out = run_cli(capsys, *argv, "--format", "text")
@@ -258,7 +266,7 @@ class TestDispersionTest:
         argv = ["test", "--data", path, "--response", "y"]
         code, out = run_cli(capsys, *argv, "--format", "json")
         assert code == EXIT_OK
-        report = json.loads(out)
+        report = strict_json(out)
         jsonschema.validate(report, schema)
         assert report["boundary_warning"] is True
         assert report["bootstrap_failures"] is None
@@ -279,7 +287,7 @@ class TestBootstrap:
         code2, out2 = run_cli(capsys, *argv)
         assert code1 == code2 == EXIT_OK
         assert out1 == out2
-        report = json.loads(out1)
+        report = strict_json(out1)
         lo, hi = report["intervals"]["nu"]
         assert lo < hi
         jsonschema.validate(report, schema)
@@ -299,7 +307,7 @@ class TestBootstrap:
                             "--response", "broken", "--n-boot", "100", "--seed", "3",
                             "--format", "json")
         assert code == EXIT_STAT
-        assert "every bootstrap replicate failed" in json.loads(out)["errors"][0]["message"]
+        assert "every bootstrap replicate failed" in strict_json(out)["errors"][0]["message"]
 
 
 class TestDiagnose:
@@ -309,7 +317,7 @@ class TestDiagnose:
             "--response", "broken", "--format", "json",
         )
         assert code == EXIT_OK
-        report = json.loads(out)
+        report = strict_json(out)
         diag = report["diagnostics"]
         # observation numbers are 1-based in the report
         assert 7 in diag["flagged_residual"]
@@ -334,7 +342,7 @@ class TestDiagnose:
         code, out = run_cli(capsys, "diagnose", "--data", str(path),
                             "--response", "broken", "--format", "json")
         assert code == EXIT_STAT
-        assert json.loads(out)["errors"][0]["message"] == (
+        assert strict_json(out)["errors"][0]["message"] == (
             "leverage 1 at data row 3: residuals undefined")
 
 
@@ -346,7 +354,7 @@ class TestCompare:
             "--format", "json",
         )
         assert code == EXIT_OK
-        rows = {r["model"]: r for r in json.loads(out)["rows"]}
+        rows = {r["model"]: r for r in strict_json(out)["rows"]}
         assert rows["com-poisson"]["status"] == "ok"
         assert rows["poisson"]["status"] == "ok"
         assert rows["rgpr"]["status"].startswith("failed")
@@ -361,7 +369,7 @@ class TestCompare:
         code, out = run_cli(capsys, "compare", "--data", path, "--response", "y",
                             "--models", "logistic,poisson", "--format", "json")
         assert code == EXIT_OK
-        rows = {r["model"]: r for r in json.loads(out)["rows"]}
+        rows = {r["model"]: r for r in strict_json(out)["rows"]}
         assert rows["logistic"]["status"] == "ok"
         # the MSE of the fitted probabilities
         ds = load_csv(path, response="y")
@@ -375,7 +383,7 @@ class TestCompare:
         code, out = run_cli(capsys, "compare", "--data", path, "--response", "y",
                             "--models", "com,poisson", "--fitted", "mean", "--format", "json")
         assert code == EXIT_OK
-        rows = {r["model"]: r for r in json.loads(out)["rows"]}
+        rows = {r["model"]: r for r in strict_json(out)["rows"]}
         assert rows["com-poisson"]["status"] == "ok"
         assert rows["com-poisson"]["mse"] == 0.0
 
@@ -393,7 +401,7 @@ class TestReportKeys:
         code, out = run_cli(capsys, *argv, "--data", str(airfreight_path),
                             "--response", "broken", "--format", "json")
         assert code == EXIT_OK
-        return json.loads(out)
+        return strict_json(out)
 
     def test_dispersion_test(self, capsys, airfreight_path):
         assert set(self.keys(capsys, airfreight_path, "test")) == {
@@ -421,13 +429,13 @@ class TestFitErrors:
         code, out = run_cli(capsys, sub, "--data", huge_counts_path,
                             "--response", "y", "--format", "json", *extra)
         assert code == EXIT_STAT
-        assert "not converged" in json.loads(out)["errors"][0]["message"]
+        assert "not converged" in strict_json(out)["errors"][0]["message"]
 
     def test_singular_information_exit_one(self, capsys, singular_path):
         code, out = run_cli(capsys, "diagnose", "--data", singular_path,
                             "--response", "y", "--format", "json")
         assert code == EXIT_STAT
-        assert "not invertible" in json.loads(out)["errors"][0]["message"]
+        assert "not invertible" in strict_json(out)["errors"][0]["message"]
 
     @pytest.mark.parametrize("which, reason", [
         ("singular_path", "not invertible"),
@@ -437,7 +445,7 @@ class TestFitErrors:
         code, out = run_cli(capsys, "compare", "--data", request.getfixturevalue(which),
                             "--response", "y", "--format", "json")
         assert code == EXIT_OK
-        rows = {r["model"]: r for r in json.loads(out)["rows"]}
+        rows = {r["model"]: r for r in strict_json(out)["rows"]}
         assert rows["com-poisson"]["status"].startswith("failed")
         assert reason in rows["com-poisson"]["status"]
         assert rows["poisson"]["status"] == "ok"
@@ -451,7 +459,7 @@ class TestOneCovarianceRule:
         code, out = run_cli(capsys, "fit", "--data", str(path), "--response", "y",
                             "--model", "poisson", "--format", "json")
         assert code == EXIT_STAT
-        assert "not invertible" in json.loads(out)["errors"][0]["message"]
+        assert "not invertible" in strict_json(out)["errors"][0]["message"]
 
     def test_aicc_note_below_the_singularity(self, capsys, tmp_path):
         # n = 3 rows and k = 3 COM-Poisson parameters: the note said n = k+1
@@ -459,9 +467,43 @@ class TestOneCovarianceRule:
         code, out = run_cli(capsys, "compare", "--data", path, "--response", "y",
                             "--models", "com", "--format", "json")
         assert code == EXIT_OK
-        (row,) = json.loads(out)["rows"]
+        (row,) = strict_json(out)["rows"]
         assert (row["k"], row["aicc"]) == (3, "inf")
         assert row["note"] == "AICc infinite: n <= k+1"
+
+
+class TestStrictJson:
+    @pytest.mark.parametrize("argv", [
+        *(["fit", "--model", name] for name in MODELS),
+        ["test"],
+        ["test", "--bootstrap-calibrate", "--n-boot", "50", "--seed", "1"],
+        ["bootstrap", "--n-boot", "100", "--seed", "3"],
+        ["diagnose"],
+        ["diagnose", "--deviance", "approx"],
+        ["compare"],
+        ["compare", "--fitted", "mean"],
+        ["compare", "--models", ",".join(MODELS)],
+    ], ids=lambda argv: "_".join(a.lstrip("-") for a in argv))
+    def test_airfreight_reports(self, capsys, airfreight_path, argv):
+        code, out = run_cli(capsys, *argv, "--data", str(airfreight_path),
+                            "--response", "broken", "--format", "json")
+        assert code in (EXIT_OK, EXIT_STAT)
+        strict_json(out)
+
+    def test_undefined_residual_is_null(self, capsys, tmp_path):
+        # nu-hat at NU_CEILING leaves 15 rows with fitted variance 0, whose
+        # Pearson residuals were written as bare NaN tokens
+        path = tmp_path / "flat.csv"
+        write_csv(simulate(19, [1.672058780906997, 0.9840561651743411], 7.882771378759133,
+                           seed=181), path)
+        code, out = run_cli(capsys, "diagnose", "--data", str(path), "--response", "y",
+                            "--format", "json")
+        assert code == EXIT_OK
+        body = strict_json(out)["diagnostics"]
+        undefined = [i for i, r in enumerate(body["pearson"]) if r is None]
+        assert len(undefined) == 15
+        assert all("Pearson residual undefined" in body["notes"][str(i)] for i in undefined)
+        assert all(isinstance(r, float) for r in body["deviance"])
 
 
 class TestSimulate:
@@ -477,7 +519,7 @@ class TestSimulate:
             "--model", "com", "--format", "json",
         )
         assert code == EXIT_OK
-        report = json.loads(out)
+        report = strict_json(out)
         assert report["nu"]["estimate"] == pytest.approx(1.0, abs=0.35)
 
     def test_deterministic_csv(self, capsys, tmp_path):

@@ -188,6 +188,11 @@ class TestSimulate:
         with pytest.raises(DataError, match=match):
             simulate(n, [0.5, 0.3], nu, seed=1)
 
+    def test_empty_beta_rejected(self):
+        # numpy's matmul ValueError came out of the design product
+        with pytest.raises(DataError, match="beta must hold at least the intercept"):
+            simulate(10, [], 1.0, seed=1)
+
     @pytest.mark.parametrize("x_min, x_max", [(2.0, 1.0), (0.0, np.inf), (np.nan, 1.0)])
     def test_unusable_covariate_range_rejected(self, x_min, x_max):
         with pytest.raises(DataError, match="x_min must be finite and at most x_max"):

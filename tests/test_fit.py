@@ -147,9 +147,8 @@ class TestFisherInformation:
 class TestEvaluate:
     def test_one_table_per_evaluation(self, airfreight, monkeypatch):
         calls = []
-        build = dist.log_term_table
-        monkeypatch.setattr(dist, "log_term_table",
-                            lambda *a, **k: calls.append(1) or build(*a, **k))
+        build = dist._table
+        monkeypatch.setattr(dist, "_table", lambda *a: calls.append(1) or build(*a))
         ev = evaluate(airfreight, np.array([2.3, 0.26]), 2.0)
         assert len(calls) == 1
         assert ev.mean.shape == ev.var.shape == (airfreight.n_obs,)
@@ -191,6 +190,29 @@ class TestEvaluate:
     def test_lambda_overflow_is_typed(self, airfreight):
         with pytest.raises(OverflowError):
             evaluate(airfreight, np.array([800.0, 0.0]), 2.0)
+
+    @pytest.mark.parametrize("cells", [fit.CHUNK_CELLS, 1])
+    def test_is_a_row_of_the_stack(self, airfreight, airfreight_fit, monkeypatch, cells):
+        # evaluate is the one-replicate stack: each of its fields is that
+        # replicate's row of any stack, bit for bit, and a replicate whose
+        # lambda overflows leaves the other rows as they are
+        fr = airfreight_fit
+        monkeypatch.setattr(fit, "CHUNK_CELLS", cells)
+        Y = fitted_draws(airfreight, 20, seed=18)
+        z = np.outer(np.geomspace(0.05, 1.0, 20), [*fr.beta, fr.nu])
+        z[7] = [800.0, 0.0, 2.0]
+        ev, errors = fit._evaluate_each(airfreight.X, Y, z)
+        assert isinstance(errors[7], OverflowError)
+        assert errors[:7] + errors[8:] == [None] * 19
+        for name, stacked in vars(ev).items():
+            assert np.isnan(stacked[7]).all(), name
+        for b in [*range(7), *range(8, 20)]:
+            ds = Dataset(y=Y[b], X=airfreight.X, names=airfreight.names)
+            alone = evaluate(ds, z[b, :2], z[b, 2])
+            for name, row in vars(alone).items():
+                assert np.array_equal(row, getattr(ev, name)[b]), (b, name)
+        with pytest.raises(OverflowError):
+            evaluate(airfreight, z[7, :2], z[7, 2])
 
     def test_peak_memory_is_one_table(self):
         # the series table is streamed through cache-sized blocks, never
@@ -534,7 +556,8 @@ class TestFitReplicates:
                             lambda *a: sized.append(1) or series_terms(*a))
         monkeypatch.setattr(dist, "_table",
                             lambda lam, *a: built.append(len(lam)) or table(lam, *a))
-        loglik, _, _, errors = fit._evaluate_each(airfreight.X, Y, z)
+        ev, errors = fit._evaluate_each(airfreight.X, Y, z)
+        loglik = ev.loglik
         assert len(sized) == 1
         assert len(np.unique(terms)) > 1
         assert sorted(built) == sorted(np.unique(terms, return_counts=True)[1])

@@ -386,6 +386,18 @@ class TestWaldZ:
         with pytest.raises(ValueError, match="wald_z requires a converged fit"):
             wald_z(replace(airfreight_fit, converged=False), 1)
 
+    def test_extra_parameter_of_any_model(self):
+        # j = p is r for negbin and alpha for RGPR, read from fr.extra
+        ds = simulate(40, [1.0, 0.8], 0.4, seed=7)
+        for fr in (fit_negbin(ds), fit_rgpr(ds)):
+            assert not fr.boundary
+            assert wald_z(fr, 2) == fr.extra / fr.se[2]
+
+    def test_glm_has_no_extra_parameter(self, airfreight):
+        # a Poisson fit's j = 2 raised a bare IndexError
+        with pytest.raises(ValueError, match="j must lie in 0..1, got 2"):
+            wald_z(fit_poisson(airfreight), 2)
+
     def test_fixed_nu_has_no_z(self, airfreight):
         with pytest.raises(ValueError, match="covariance diagonal entry 2 is not positive"):
             wald_z(fit_com(airfreight, fix_nu=1.0), 2)
