@@ -94,16 +94,19 @@ def _invert_information(info: np.ndarray):
     pass and one inversion.  Returns (cov, errors): cov holds NaN where
     errors[b] is the SingularInformationError that refused matrix b (not
     finite, condition number above 1e14, or an inverse with a
-    non-positive diagonal), and errors[b] is None elsewhere."""
+    non-positive diagonal), and errors[b] is None elsewhere.  The condition
+    number of a symmetric information is max |eigenvalue| / min |eigenvalue|."""
     cond = np.full(len(info), np.nan)
     finite = np.isfinite(info).all(axis=(1, 2))
-    cond[finite] = np.linalg.cond(info[finite])
+    w = np.abs(np.linalg.eigvalsh(info[finite]))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cond[finite] = np.fmin(w.max(axis=1) / w.min(axis=1), np.inf)    # 0/0 is inf
     ok = cond <= 1e14
     cov = np.full_like(info, np.nan)
     cov[ok] = np.linalg.inv(info[ok])
     errors = [None if usable else SingularInformationError(
         f"information matrix not invertible (condition number {c:.3g})")
-        for usable, c in zip(ok, cond)]
+        for usable, c in zip(ok.tolist(), cond.tolist())]
     for b in np.flatnonzero(ok & ~(np.diagonal(cov, axis1=1, axis2=2) > 0).all(axis=1)):
         cov[b] = np.nan
         errors[b] = SingularInformationError(
@@ -199,7 +202,7 @@ def newton(model, z, at, lower, upper, max_iter):
             while idx.size:
                 trial = zi + step
                 if bounded:
-                    trial = np.clip(trial, lower, upper)
+                    trial = trial.clip(lower, upper)
                 small = np.abs(trial - zi).max(axis=1) <= tol
                 end = small if halved else small & last
                 if end.any():
@@ -213,10 +216,10 @@ def newton(model, z, at, lower, upper, max_iter):
                         break
                 new = model(idx, trial)
                 ok = new[0] >= base
-                rows = idx[ok]
-                z[rows] = trial[ok]
-                loglik[rows], score[rows], info[rows] = (a[ok] for a in new)
-                iterations[rows] += ~last[ok]
+                rows, take = (idx, slice(None)) if ok.all() else (idx[ok], ok)    # no gathers
+                z[rows] = trial[take]
+                loglik[rows], score[rows], info[rows] = (a[take] for a in new)
+                iterations[rows] += ~last[take]
                 # the last step, accepted or not, or an accepted step that small: converged
                 stop[idx[last | (ok & small)]] = "converged"
                 keep = ~(ok | last)

@@ -211,9 +211,10 @@ def cmd_diagnose(args, ds: Dataset) -> tuple[dict, str]:
     fr = MODELS["com"].fit(ds)
     report = diag.diagnostics_report(ds, fr, deviance_kind=args.deviance)
     body = report.to_dict()
-    # observation numbers are reported 1-based
+    # observation numbers are reported 1-based, notes keyed by them too
     body["flagged_leverage"] = [i + 1 for i in report.flagged_leverage]
     body["flagged_residual"] = [i + 1 for i in report.flagged_residual]
+    body["notes"] = {str(i + 1): note for i, note in report.notes.items()}
     lines = ["obs  leverage  pearson  deviance"]
     for i in range(ds.n_obs):
         lines.append(

@@ -9,8 +9,10 @@ The one series kernel, log_term_table, sums the terms until the largest
 lambda's fall 2^-64 below their peak at floor(lambda^(1/nu)), forming each
 cache-sized block of log terms as one k = 3 matrix product per replicate
 (_columns), and gives log Z and the raw moments of (Y, log Y!); pmf,
-moments and likelihood are views of it.  Its cap, MAX_TERMS, is read
-where a table is built, so it holds on every path.
+moments and likelihood are views of it.  A term more than FLUSH below
+its row's largest counts as 0: every sum tested is unchanged, but a
+lambda below the smallest normal double gets E Y = var Y = 0.  MAX_TERMS,
+the cap, and FLUSH are read where a table is built, on every path.
 """
 
 from __future__ import annotations
@@ -55,6 +57,7 @@ REL_TOL = 1e-12       # the truncation guard's bound on the last term and the ta
 TERMS_STEP = 32    # granularity of the support length
 EXP_BLOCK = 32     # table columns formed and exponentiated per step, so the block stays in cache
 CUT = 64.0 * np.log(2.0)    # a term 2^-64 below the largest cannot change a double sum
+FLUSH = float(np.log(np.finfo(float).tiny))    # shifted log terms below log(DBL_MIN) count as 0
 
 
 def series_terms(lam_max, nu):
@@ -69,7 +72,8 @@ def series_terms(lam_max, nu):
     on or past the cut.  That s, rounded up to a multiple of TERMS_STEP
     (at least 64) and capped at MAX_TERMS, is per replicate, so replicates
     of one length share a table without widening each other's rows.  A
-    mode at or past the cap gets the cap.  Returns (terms, lambda^(1/nu)).
+    mode at or past the cap has peak MAX_TERMS - 1, so s and terms are the
+    cap.  Returns (terms, lambda^(1/nu)).
     """
     nu = np.asarray(nu, dtype=float)
     lf = log_factorials(MAX_TERMS)
@@ -87,7 +91,7 @@ def series_terms(lam_max, nu):
             s = np.fmin(np.fmax(np.ceil((nu * lf[s.astype(np.intp)] - s * w + level)
                                         / (log_lam - w)), lo), MAX_TERMS)
     terms = np.ceil(np.maximum(s, 64.0) / TERMS_STEP) * TERMS_STEP
-    return np.where(mode < MAX_TERMS, np.fmin(terms, MAX_TERMS), MAX_TERMS).astype(int), mode
+    return np.fmin(terms, MAX_TERMS).astype(int), mode
 
 
 @dataclass(frozen=True)
@@ -104,7 +108,8 @@ class SeriesTable:
 
     def _rows(self, lead) -> np.ndarray:
         """lead times each replicate's columns, one row per lambda."""
-        t = np.matmul(lead, _columns(self.s, _support(len(self.s) - 1)[1], self.nu))
+        cols = np.empty((len(self.nu), 3, len(self.s)))
+        t = np.matmul(lead, _columns(self.s, _support(len(self.s) - 1)[1], self.nu, cols))
         return t[:, : len(self.log_z) // len(self.nu)].reshape(-1, len(self.s))
 
     @property
@@ -131,8 +136,8 @@ def _support(n_terms: int):
     return s, lf, np.stack([np.ones_like(s), s, lf, s * s, s * lf, lf * lf], axis=1)
 
 
-def _columns(s, lf, nu):
-    """The right factor of the log terms: B x 3 x len(s), rows s, nu*log(s!), 1.
+def _columns(s, lf, nu, out):
+    """The right factor of the log terms into out, B x 3 x len(s): rows s, nu*log(s!), 1.
 
     A left factor with rows [log lam_i, -1, -c_i] per replicate (B x rows x 3)
     times it gives (s*log lam_i - nu*log s!) - c_i.  dgemm sums k in order,
@@ -141,10 +146,9 @@ def _columns(s, lf, nu):
     product goes through gemv, which may sum in another order, so the left
     factor has at least two rows.
     """
-    cols = np.empty((len(nu), 3, len(s)))
-    cols[:, 0], cols[:, 2] = s, 1.0
-    np.multiply(nu, lf, out=cols[:, 1])
-    return cols
+    out[:, 0], out[:, 2] = s, 1.0
+    np.multiply(nu, lf, out=out[:, 1])
+    return out
 
 
 def log_term_table(lam, nu) -> SeriesTable:
@@ -177,19 +181,24 @@ def _table(lam, nu, terms, mode) -> SeriesTable:
     terms and mode, one per replicate, are series_terms on its largest
     lambda and its nu (of length B).  A stacked evaluation that has sized
     every replicate once, to group them by length, builds each group's
-    table here.  Raises as log_term_table does, but for a lambda that is
-    not a positive finite real, which the caller has refused.
+    table here.  A last block of one column is taken product by product;
+    shifted log terms below FLUSH become -inf, which exp maps to 0 off its
+    slow subnormal path.  Raises as log_term_table does, but for a lambda
+    that is not a positive finite real, which the caller has refused.
     """
     nu, mode = nu.reshape(-1, 1), mode.reshape(-1, 1)
-    if (nu < 0).any():
+    if nu.min() < 0:
         raise ValueError("nu must be nonnegative")
-    if ((nu == 0) & (lam >= 1)).any():
+    if not nu.all() and ((nu == 0) & (lam >= 1)).any():
         raise DivergentSeriesError("nu=0 requires lambda < 1 for every lambda")
-    if not np.isfinite(mode).all():
+    if not mode.max() < np.inf:    # NaN or inf
         raise OverflowError("series mode lambda^(1/nu) overflows")
     n_terms, (n_rep, n) = int(terms.max()), lam.shape
     s, lf, basis = _support(n_terms)
     rows = max(n, 2)    # a one-row product sums in another order (_columns); pads go unsummed
+    size, flush = n_rep * rows * EXP_BLOCK, FLUSH
+    work = np.empty(size + n_rep * 3 * len(s))    # one allocation: reused without page faults
+    block, cols = work[:size], _columns(s, lf, nu, work[size:].reshape(n_rep, 3, -1))
     lead = np.zeros((n_rep, rows, 3))
     log_lam, log_rel = np.log(lam, out=lead[:, :n, 0]), np.log(REL_TOL)
     lead[:, :n, 1] = -1.0
@@ -197,21 +206,31 @@ def _table(lam, nu, terms, mode) -> SeriesTable:
         peak = np.minimum(np.floor(lam ** (1.0 / nu)), n_terms)
         top = log_lam * peak - nu * lf[peak.astype(int)]
         np.negative(top, out=lead[:, :n, 2])
-        sums, block = np.zeros((n_rep, n, 6)), np.empty(n_rep * rows * EXP_BLOCK)
-        for a in range(0, len(s), EXP_BLOCK):
-            cols = _columns(s[a:a + EXP_BLOCK], lf[a:a + EXP_BLOCK], nu)
+        # the last two log terms, elementwise: the bits of their product (_columns)
+        before = log_lam * s[-2] - cols[:, 1, -2, None]
+        end = log_lam * s[-1] - cols[:, 1, -1, None]
+        # log terms are concave in s: a row's smallest is at s = 0 (0) or at the end
+        low = np.nonzero(np.minimum(end, 0.0) - top < flush)
+        for a in range(0, n_terms, EXP_BLOCK):    # the last block runs to the last column
+            c = cols[:, :, a:a + EXP_BLOCK]
             # contiguous B x rows x columns: exp and the basis product read it in order
-            t = block[: n_rep * rows * cols.shape[2]].reshape(n_rep, rows, -1)
-            np.matmul(lead, cols, out=t)
-            sums += np.exp(t, out=t)[:, :n] @ basis[a:a + EXP_BLOCK]
+            t = block[: n_rep * rows * c.shape[2]].reshape(n_rep, rows, -1)
+            np.matmul(lead, c, out=t)
+            if low[0].size:
+                sub = t[low]
+                t[low] = np.where(sub < flush, -np.inf, sub)
+            part = np.exp(t, out=t)[:, :n] @ basis[a:a + EXP_BLOCK]
+            sums = sums + part if a else part
+        if n_terms % EXP_BLOCK == 0:    # a last block of one column, whose cells are end - top
+            t = end - top
+            sums += np.exp(np.where(t < flush, -np.inf, t))[..., None] * basis[-1]
         log_z = top + np.log(sums[..., 0])
         np.negative(log_z, out=lead[:, :n, 2])
         # the last two terms over Z; geometric tail t_S r/(1-r), r = t_S/t_{S-1}
-        ends = (lead @ _columns(s[-2:], lf[-2:], nu))[:, :n]
-        prev, last = ends[..., 0], ends[..., 1]
+        prev, last = before - log_z, end - log_z
         step = np.minimum(last - prev, 0.0)
         tail = last + step - np.log1p(-np.exp(step))
-    done = (step < 0) & (last < log_rel) & (tail < log_rel) & (s[-1] > mode)
+    done = (step < 0) & (np.maximum(last, tail) < log_rel) & (s[-1] > mode)
     if not done.all():
         bad = int(np.flatnonzero(~done.all(axis=1))[0])
         raise TruncationError(
@@ -331,7 +350,9 @@ def sample(p: ComParams, rng: np.random.Generator, size: int | None = None):
 
 
 def sample_many(lam, nu: float, rng: np.random.Generator) -> np.ndarray:
-    """One draw per entry of lam (shared nu); used for regression resampling."""
+    """One draw per entry of lam (shared nu), none for an empty lam."""
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
+    if not lam.size:
+        return np.empty(0, dtype=np.int64)
     _, pmf = pmf_table(lam, nu)
     return inverse_cdf(pmf, rng.uniform(size=len(lam))).astype(np.int64)

@@ -70,7 +70,8 @@ def evaluate(ds: Dataset, beta: np.ndarray, nu: float) -> Evaluation:
         raise ValueError(f"nu must be nonnegative, got {nu}")
     if np.shape(beta) != (ds.n_cols,):
         raise ValueError(f"beta must have length {ds.n_cols}, got shape {np.shape(beta)}")
-    ev, (error,) = _evaluate_each(ds.X, ds.y[None], np.append(beta, float(nu))[None])
+    y = ds.y[None].astype(float)
+    ev, (error,) = _evaluate_each(ds.X, y, log_factorial(y), np.append(beta, float(nu))[None])
     if error is not None:
         raise error
     return Evaluation(float(ev.loglik[0]), ev.score[0], ev.info[0], ev.mean[0],
@@ -105,26 +106,27 @@ def fit_poisson_start(ds: Dataset) -> np.ndarray:
 SERIES_ERRORS = (dist.DivergentSeriesError, dist.TruncationError, OverflowError)
 
 
-def _evaluate_each(X: np.ndarray, Y: np.ndarray, z: np.ndarray):
-    """The stacked Evaluation (see evaluate) of each response Y[b] on X at z[b] = (beta..., nu).
+def _evaluate_each(X: np.ndarray, y: np.ndarray, lf_y: np.ndarray, z: np.ndarray):
+    """The stacked Evaluation (see evaluate) of each response y[b] on X at z[b] = (beta..., nu).
 
-    lambda = exp(eta) and each replicate's support (terms, mode) come
-    from one dist.series_terms pass per call: replicates share a table
-    only with replicates whose series has the same support length, in
-    chunks of at most CHUNK_CELLS table cells (or of one replicate), so
+    y holds the responses as floats and lf_y their log y!, both formed
+    once per fit.  lambda = exp(eta) and each replicate's support (terms,
+    mode) come from one dist.series_terms pass per call: replicates share
+    a table only with replicates whose series has the same support length,
+    in chunks of at most CHUNK_CELLS table cells (or of one replicate), so
     none widens the others' rows, and each chunk's table (dist._table) is
-    built on that support without sizing it again; a lone replicate skips
-    the grouping.  Every sum runs within one replicate (row-wise einsum,
-    or a stack of per-replicate matrix products, never one BLAS product
-    across replicates, whose rounding can depend on how many rows it
-    gets): a replicate's numbers do not depend on its chunk.  A chunk
-    that raises one of SERIES_ERRORS (OverflowError where a lambda is not
-    a positive finite double) is split in halves until the replicate that
-    raises it is alone.  Returns (Evaluation, errors): replicate b's rows
-    are NaN where errors[b] is the error it raised alone, not None; a
-    stack that is one chunk gets that chunk's own arrays.
+    built on that support without sizing it again.  Every sum runs within
+    one replicate (row-wise einsum, or a stack of per-replicate matrix
+    products, never one BLAS product across replicates, whose rounding
+    can depend on how many rows it gets): a replicate's numbers do not
+    depend on its chunk.  A chunk that raises one of SERIES_ERRORS
+    (OverflowError where a lambda is not a positive finite double) is
+    split in halves until the replicate that raises it is alone.  Returns
+    (Evaluation, errors): replicate b's rows are NaN where errors[b] is
+    the error it raised alone, not None; a stack that is one chunk gets
+    that chunk's own arrays.
     """
-    n_rep, n = Y.shape
+    n_rep, n = y.shape
     p1 = X.shape[1]
     eta = (z[:, None, :p1] @ X.T)[:, 0]
     nu = z[:, p1]
@@ -134,19 +136,20 @@ def _evaluate_each(X: np.ndarray, Y: np.ndarray, z: np.ndarray):
         lam = np.exp(eta)
     in_range = ((lam > 0) & np.isfinite(lam)).all(axis=1)
     terms, mode = dist.series_terms(lam.max(axis=1), nu)
-    chunks = [np.arange(n_rep)]
-    if n_rep > 1:
-        chunks = []
-        for width in np.unique(terms):
-            idx, size = np.flatnonzero(terms == width), max(1, CHUNK_CELLS // (n * width))
-            chunks += [idx[i:i + size] for i in range(0, len(idx), size)]
+    widths = np.unique(terms) if (terms != terms[:1]).any() else terms[:1]
+    chunks = []
+    for width in widths.tolist():
+        idx = np.flatnonzero(terms == width) if len(widths) > 1 else np.arange(n_rep)
+        size = max(1, CHUNK_CELLS // (n * width))
+        chunks += [idx[i:i + size] for i in range(0, len(idx), size)]
     parts = []
     while chunks:
         idx = chunks.pop()
+        rows = idx if len(idx) < n_rep else slice(None)    # the whole stack needs no copies
         try:
-            if not in_range[idx].all():
+            if not in_range[rows].all():
                 raise OverflowError("linear predictor out of range: lambda overflows or underflows")
-            tab = dist._table(lam[idx], nu[idx], terms[idx], mode[idx])
+            tab = dist._table(lam[rows], nu[rows], terms[rows], mode[rows])
         except SERIES_ERRORS as exc:
             if len(idx) == 1:
                 errors[idx[0]] = exc
@@ -155,17 +158,16 @@ def _evaluate_each(X: np.ndarray, Y: np.ndarray, z: np.ndarray):
             continue
         mean, e_lf, var, cov_y_lf, var_lf, log_z = (
             a.reshape(len(idx), n) for a in (*tab.moments(), tab.log_z))
-        y = Y[idx].astype(float)
-        lf_y = log_factorial(y)
+        y_c, lf_c = y[rows], lf_y[rows]
         info = np.empty((len(idx), p1 + 1, p1 + 1))
         info[:, :p1, :p1] = (X.T * var[:, None, :]) @ X
         info[:, :p1, p1] = -(cov_y_lf[:, None, :] @ X)[:, 0]
         info[:, p1, :p1] = info[:, :p1, p1]
         info[:, p1, p1] = var_lf.sum(axis=1)
         score = np.empty((len(idx), p1 + 1))
-        score[:, :p1] = ((y - mean)[:, None, :] @ X)[:, 0]
-        score[:, p1] = (e_lf - lf_y).sum(axis=1)
-        loglik = (np.einsum("ij,ij->i", y, eta[idx]) - nu[idx] * lf_y.sum(axis=1)
+        score[:, :p1] = ((y_c - mean)[:, None, :] @ X)[:, 0]
+        score[:, p1] = (e_lf - lf_c).sum(axis=1)
+        loglik = (np.einsum("ij,ij->i", y_c, eta[rows]) - nu[rows] * lf_c.sum(axis=1)
                   - log_z.sum(axis=1))
         parts.append((idx, Evaluation(loglik, score, info, mean, var, log_z)))
     if len(parts) == 1 and len(parts[0][0]) == n_rep:
@@ -239,29 +241,32 @@ def fit_replicates(
         # one (beta1, nu1) where it is usable
         with np.errstate(all="ignore"):
             mu = np.exp((beta0[:, None, :] @ X.T)[:, 0])
-            nu0 = np.clip((n - p1) / ((Y - mu) ** 2 / mu).sum(axis=1), lo, hi)
+            r2 = (Y - mu) ** 2
+            nu0 = ((n - p1) / (r2 / mu).sum(axis=1)).clip(lo, hi)
             z[moved] *= nu0[moved, None]
             m0 = mu + ((nu0 - 1.0) / (2.0 * nu0))[:, None]
-            nu1 = np.clip((n - p1) / ((Y - mu) ** 2 / m0).sum(axis=1), lo, hi)
+            nu1 = ((n - p1) / (r2 / m0).sum(axis=1)).clip(lo, hi)
             m1 = mu + ((nu1 - 1.0) / (2.0 * nu1))[:, None]
             z1 = np.column_stack([((nu1[:, None] * np.log(m1))[:, None, :] @ P.T)[:, 0], nu1])
         second = (moved & (m0 > 0).all(axis=1) & (m1 > 0).all(axis=1)
                   & np.isfinite(z1).all(axis=1))
         z[second] = z1[second]
-    def derivatives(responses, z):
-        ev, errors = _evaluate_each(X, responses, z)
+    y = Y.astype(float)
+    lf_y = log_factorial(y)
+    def derivatives(rows, z):
+        ev, errors = _evaluate_each(X, y[rows], lf_y[rows], z)
         return (ev.loglik, ev.score, ev.info), errors
 
-    (loglik, score, info), errors = derivatives(Y, z)
+    (loglik, score, info), errors = derivatives(slice(None), z)
     # an unusable moment start falls back to (beta0[b], 1), all in one stack
     redo = np.flatnonzero(moved & ~np.isfinite(loglik))
     if redo.size:
         z[redo] = np.column_stack([beta0[redo], np.ones(redo.size)])
-        (loglik[redo], score[redo], info[redo]), fallback = derivatives(Y[redo], z[redo])
+        (loglik[redo], score[redo], info[redo]), fallback = derivatives(redo, z[redo])
         for b, exc in zip(redo, fallback):
             errors[b] = exc
     z, (loglik, score, info), iterations, stop = baselines.newton(
-        lambda rows, z: derivatives(Y[rows], z)[0],
+        lambda rows, z: derivatives(rows, z)[0],
         z, (loglik, score, info), lower, upper, MAX_ITER)
     stop = baselines.ran_off(X, stop, info[:, :p1, :p1], score[:, :p1])
 
@@ -269,25 +274,17 @@ def fit_replicates(
     usable = np.flatnonzero([e is None for e in errors])
     cov = np.full((n_rep, p1 + 1, p1 + 1), np.nan if free_nu else 0.0)
     cov[usable, :k, :k], refused = _invert_information(info[usable, :k, :k])
+    beta = z[:, :p1].copy()    # one copy for the stack: each fit's beta is a row of it
+    boundary = (free_nu & (unidentified | ~((lo < z[:, p1]) & (z[:, p1] < hi)))).tolist()
+    nus, logliks, steps = z[:, p1].tolist(), loglik.tolist(), iterations.tolist()
+    converged = (stop == "converged").tolist()
     out = list(errors)
-    for b, exc in zip(usable, refused):
-        nu = float(z[b, p1])
-        boundary = free_nu and (unidentified[b] or not (lo < nu < hi))
-        if exc is not None and not boundary:    # at a boundary its cov is left NaN
+    for b, exc in zip(usable.tolist(), refused):
+        if exc is not None and not boundary[b]:    # at a boundary its cov is left NaN
             out[b] = exc
             continue
-        out[b] = FitResult(
-            beta=z[b, :p1].copy(),
-            cov=cov[b],
-            loglik=float(loglik[b]),
-            n_obs=n,
-            n_params=k,
-            converged=stop[b] == "converged",
-            iterations=int(iterations[b]),
-            boundary=bool(boundary),
-            extra=nu,
-            extra_name="nu",
-        )
+        out[b] = FitResult(beta[b], cov[b], logliks[b], n, k, converged[b], steps[b],
+                           boundary[b], nus[b], "nu")
     return out
 
 

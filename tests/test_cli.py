@@ -502,7 +502,7 @@ class TestStrictJson:
         body = strict_json(out)["diagnostics"]
         undefined = [i for i, r in enumerate(body["pearson"]) if r is None]
         assert len(undefined) == 15
-        assert all("Pearson residual undefined" in body["notes"][str(i)] for i in undefined)
+        assert all("Pearson residual undefined" in body["notes"][str(i + 1)] for i in undefined)
         assert all(isinstance(r, float) for r in body["deviance"])
 
 

@@ -5,6 +5,7 @@ import pytest
 from scipy.special import gammaln
 
 from comreg import baselines, dist, fit
+from comreg._special import log_factorial
 from comreg.baselines import fit_logistic, fit_poisson, information_criteria, poisson_newton
 from comreg.data import Dataset, simulate
 from comreg.fit import (
@@ -201,7 +202,8 @@ class TestEvaluate:
         Y = fitted_draws(airfreight, 20, seed=18)
         z = np.outer(np.geomspace(0.05, 1.0, 20), [*fr.beta, fr.nu])
         z[7] = [800.0, 0.0, 2.0]
-        ev, errors = fit._evaluate_each(airfreight.X, Y, z)
+        y = Y.astype(float)
+        ev, errors = fit._evaluate_each(airfreight.X, y, log_factorial(y), z)
         assert isinstance(errors[7], OverflowError)
         assert errors[:7] + errors[8:] == [None] * 19
         for name, stacked in vars(ev).items():
@@ -541,6 +543,9 @@ class TestFitReplicates:
             assert np.array_equal(got.cov, alone.cov)
         assert all(f.converged for f in stacked)
 
+    def test_no_responses(self, airfreight):
+        assert fit_replicates(airfreight.X, np.zeros((0, airfreight.n_obs), dtype=int), None) == []
+
     def test_one_support_pass_per_stacked_evaluation(self, airfreight, monkeypatch):
         # one series_terms pass sizes the whole stack and groups it by
         # length; each group's table is built on that support (dist._table).
@@ -556,7 +561,8 @@ class TestFitReplicates:
                             lambda *a: sized.append(1) or series_terms(*a))
         monkeypatch.setattr(dist, "_table",
                             lambda lam, *a: built.append(len(lam)) or table(lam, *a))
-        ev, errors = fit._evaluate_each(airfreight.X, Y, z)
+        y = Y.astype(float)
+        ev, errors = fit._evaluate_each(airfreight.X, y, log_factorial(y), z)
         loglik = ev.loglik
         assert len(sized) == 1
         assert len(np.unique(terms)) > 1
@@ -592,7 +598,8 @@ class TestMomentStart:
         seen = []
         evaluate_each = fit._evaluate_each
         monkeypatch.setattr(fit, "_evaluate_each",
-                            lambda X, Y, z: seen.append(z.copy()) or evaluate_each(X, Y, z))
+                            lambda X, y, lf_y, z: seen.append(z.copy())
+                            or evaluate_each(X, y, lf_y, z))
         return seen
 
     def test_start_is_the_moment_estimate(self, airfreight, starts):

@@ -22,3 +22,15 @@ def test_script_runs(script, args, expected):
     assert proc.returncode == 0, proc.stderr
     for line in expected:
         assert line in proc.stdout
+
+
+def test_ab_inprocess_aa_run():
+    # the script against a second load of this checkout's own sources: an
+    # A/A run, so no output differs between the two packages
+    proc = subprocess.run([sys.executable, str(REPO_ROOT / "scripts" / "ab_inprocess.py"),
+                           "--parent-src", str(REPO_ROOT / "src"), "--rounds", "2"],
+                          capture_output=True, text=True, cwd=REPO_ROOT)
+    assert proc.returncode == 0, proc.stderr
+    rows = {line.split()[0]: line.split() for line in proc.stdout.splitlines()[2:]}
+    assert set(rows) == {"bootstrap", "fit_com", "n868"}
+    assert all(row[-1] == "0" for row in rows.values())
