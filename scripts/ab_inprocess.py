@@ -1,20 +1,21 @@
 """Interleaved in-process A/B timing of this checkout's comreg against a parent tree.
 
-Both packages are loaded in one interpreter (the parent under a distinct
-package name, as is a second copy of it for an A/A control), with one
-BLAS thread, and each round runs every workload once per package in an
-order that alternates from round to round:
+Both packages are loaded in one interpreter under distinct package names
+(the parent twice, the second copy an A/A control), with one BLAS thread.
+Each round runs the benchmark's own workloads (bench/workloads.py) once
+per package, in an order that rotates from round to round, with that
+package bound to the name comreg while its workload prepares and runs:
 
-- bootstrap: a 100-replicate airfreight parametric bootstrap (seed = round)
-- fit_com:   the airfreight COM-Poisson fit
-- n868:      the full analysis of one of eight simulated n = 868 datasets
-             (nu = 0.35): fit, dispersion test, diagnostics, the three
-             baselines, median fitted values and the model comparison
+- bootstrap: an airfreight-bootstrap operation (a 100-replicate bootstrap)
+- fit_com:   the airfreight COM-Poisson fit, the "fit" stage of that
+             workload's preparation
+- n868:      an overdispersed-n868 operation (fit, dispersion test,
+             diagnostics and model comparison of one n = 868 dataset)
 
-It prints, per workload, the paired median ratio of the change's time
-to the parent's, the share of rounds in which the change was faster,
-the A/A control's paired median ratio and the number of rounds whose
-outputs (hashed) differ between parent and change.
+It prints, per workload, the parent's median time, the paired median
+ratio of the change's time to the parent's, the share of rounds in which
+the change was faster, the A/A control's paired median ratio and the
+number of rounds whose output digests differ between parent and change.
 
 Usage: python3 scripts/ab_inprocess.py (--parent REV | --parent-src DIR) [--rounds 300]
 
@@ -28,7 +29,6 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"    # before numpy loads its BLAS
 
 import argparse
-import hashlib
 import importlib.util
 import io
 import shutil
@@ -36,14 +36,17 @@ import subprocess
 import sys
 import tarfile
 import tempfile
-import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
-DATA = ROOT / "data" / "airfreight.csv"
-N868_BETA, N868_NU, N868_POOL = np.array([0.6, 0.5, -0.3]), 0.35, 8
+SEED = 1    # the run seed the workloads derive their inputs from
+sys.dont_write_bytecode = True
+sys.path.insert(0, str(ROOT / "bench"))
+import workloads  # noqa: E402
+
 WORKLOADS = ("bootstrap", "fit_com", "n868")
 
 
@@ -53,7 +56,7 @@ def load_package(src: Path, name: str):
         name, src / "comreg" / "__init__.py", submodule_search_locations=[str(src / "comreg")])
     pkg = importlib.util.module_from_spec(spec)
     sys.modules[name] = pkg
-    spec.loader.exec_module(pkg)    # its __init__ imports every submodule
+    spec.loader.exec_module(pkg)    # its __init__ imports every submodule the workloads use
     return pkg
 
 
@@ -66,70 +69,46 @@ def export_rev(rev: str, into: Path) -> Path:
     return into / "src"
 
 
-def digest(*parts) -> str:
-    h = hashlib.sha256()
-    for p in parts:
-        h.update(np.ascontiguousarray(p).tobytes() if isinstance(p, np.ndarray)
-                 else repr(p).encode())
-    return h.hexdigest()
+@contextmanager
+def bound(pkg):
+    """The workloads' `from comreg import ...` reads pkg while the block runs."""
+    sys.modules["comreg"] = pkg
+    try:
+        yield
+    finally:
+        del sys.modules["comreg"]
 
 
 class Subject:
-    """One loaded package with its inputs: the airfreight data and fit, the n = 868 pool."""
+    """One loaded package with its two benchmark workloads, prepared under it."""
 
-    def __init__(self, pkg, pool):
+    def __init__(self, pkg):
         self.pkg = pkg
-        self.ds = pkg.data.load_csv(DATA, "broken")
-        self.fr = pkg.fit.fit_com(self.ds)
-        self.pool = [pkg.data.Dataset(y=y, X=X, names=("intercept", "x1", "x2"))
-                     for y, X in pool]
+        self.boot = workloads.AirfreightBootstrap(ROOT, SEED)
+        self.n868 = workloads.Overdispersed868(ROOT, SEED)
+        with bound(pkg):
+            self.boot.prepare(workloads.Op(items=0))
+            self.n868.prepare(workloads.Op(items=0))
 
-    def bootstrap(self, k):
-        b = self.pkg.infer.parametric_bootstrap(self.ds, self.fr, n_boot=100, seed=k)
-        return b.intervals, b.n_failed, b.replicates
-
-    def fit_com(self, k):
-        f = self.pkg.fit.fit_com(self.ds)
-        return f.beta, f.nu, f.cov, f.loglik, f.iterations
-
-    def n868(self, k):
-        pkg, ds = self.pkg, self.pool[k % len(self.pool)]
-        fr = pkg.fit.fit_com(ds)
-        test = pkg.infer.dispersion_test(ds)
-        rep = pkg.diag.diagnostics_report(ds, fr)
-        fits, fitted = {"com-poisson": fr}, {}
-        for name, fn in (("poisson", pkg.baselines.fit_poisson),
-                         ("negbin", pkg.baselines.fit_negbin),
-                         ("rgpr", pkg.baselines.fit_rgpr)):
-            try:
-                fits[name] = fn(ds)
-                fitted[name] = np.exp(pkg.data.linear_predictor(ds, fits[name].beta))
-            except pkg.baselines.BaselineError as exc:
-                fits[name] = exc
-        fitted["com-poisson"] = pkg.fit.fitted_values(ds, fr, kind="median")
-        comp = pkg.baselines.compare_models(ds, fits, fitted)
-        return (fr.beta, fr.nu, fr.cov, test.statistic, rep.leverage, rep.pearson,
-                rep.deviance, fitted["com-poisson"], [vars(r) for r in comp.rows])
-
-
-def n868_pool(pkg):
-    """The (y, X) of the eight n = 868 datasets, drawn once with one package's sampler."""
-    pool = []
-    for s in range(N868_POOL):
-        rng = np.random.default_rng(s)
-        X = np.column_stack([np.ones(868), rng.uniform(0.0, 1.0, size=(868, 2))])
-        pool.append((pkg.dist.sample_many(np.exp(X @ N868_BETA), N868_NU, rng), X))
-    return pool
+    def run(self, name: str, k: int):
+        """(seconds, digest) of round k of workload name."""
+        with bound(self.pkg):
+            if name == "fit_com":
+                op = workloads.Op(items=0)
+                self.boot.prepare(op)
+                fr = self.boot.fr
+                return op.stages["fit"], workloads._digest(fr.beta, fr.cov, fr.loglik, fr.extra)
+            op = (self.boot if name == "bootstrap" else self.n868).run(k)
+        if not op.ok:
+            raise AssertionError(f"{name} round {k} under {self.pkg.__name__} failed its checks")
+        return op.wall, op.digest
 
 
 def run(parent_src: Path, rounds: int) -> dict:
-    """Interleave the rounds; per workload, (ratio, faster share, A/A ratio, mismatches)."""
-    change = load_package(ROOT / "src", "comreg_change")
-    parent = load_package(parent_src, "comreg_parent")
-    control = load_package(parent_src, "comreg_control")
-    pool = n868_pool(change)
-    subjects = {"A": Subject(parent, pool), "B": Subject(change, pool),
-                "C": Subject(control, pool)}
+    """Interleave the rounds; per workload, (ratio, faster share, A/A ratio, mismatches, ms)."""
+    subjects = {"A": Subject(load_package(parent_src, "comreg_parent")),
+                "B": Subject(load_package(ROOT / "src", "comreg_change")),
+                "C": Subject(load_package(parent_src, "comreg_control"))}
     times = {w: {s: [] for s in subjects} for w in WORKLOADS}
     mismatches = dict.fromkeys(WORKLOADS, 0)
     orders = ("ABC", "CBA", "BCA", "ACB", "CAB", "BAC")
@@ -137,11 +116,8 @@ def run(parent_src: Path, rounds: int) -> dict:
         for w in WORKLOADS:
             out = {}
             for s in orders[(k + len(w)) % len(orders)]:
-                fn = getattr(subjects[s], w)
-                t0 = time.perf_counter()
-                result = fn(k)
-                times[w][s].append(time.perf_counter() - t0)
-                out[s] = digest(*result)
+                seconds, out[s] = subjects[s].run(w, k)
+                times[w][s].append(seconds)
             mismatches[w] += out["A"] != out["B"]
     report = {}
     for w in WORKLOADS:

@@ -202,7 +202,7 @@ def newton(model, z, at, lower, upper, max_iter):
             while idx.size:
                 trial = zi + step
                 if bounded:
-                    trial = trial.clip(lower, upper)
+                    trial = np.clip(trial, lower, upper)
                 small = np.abs(trial - zi).max(axis=1) <= tol
                 end = small if halved else small & last
                 if end.any():

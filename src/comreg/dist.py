@@ -9,10 +9,8 @@ The one series kernel, log_term_table, sums the terms until the largest
 lambda's fall 2^-64 below their peak at floor(lambda^(1/nu)), forming each
 cache-sized block of log terms as one k = 3 matrix product per replicate
 (_columns), and gives log Z and the raw moments of (Y, log Y!); pmf,
-moments and likelihood are views of it.  A term more than FLUSH below
-its row's largest counts as 0: every sum tested is unchanged, but a
-lambda below the smallest normal double gets E Y = var Y = 0.  MAX_TERMS,
-the cap, and FLUSH are read where a table is built, on every path.
+moments and likelihood are views of it.  Its cap, MAX_TERMS, is read
+where a table is built, so it holds on every path.
 """
 
 from __future__ import annotations
@@ -57,7 +55,6 @@ REL_TOL = 1e-12       # the truncation guard's bound on the last term and the ta
 TERMS_STEP = 32    # granularity of the support length
 EXP_BLOCK = 32     # table columns formed and exponentiated per step, so the block stays in cache
 CUT = 64.0 * np.log(2.0)    # a term 2^-64 below the largest cannot change a double sum
-FLUSH = float(np.log(np.finfo(float).tiny))    # shifted log terms below log(DBL_MIN) count as 0
 
 
 def series_terms(lam_max, nu):
@@ -108,8 +105,7 @@ class SeriesTable:
 
     def _rows(self, lead) -> np.ndarray:
         """lead times each replicate's columns, one row per lambda."""
-        cols = np.empty((len(self.nu), 3, len(self.s)))
-        t = np.matmul(lead, _columns(self.s, _support(len(self.s) - 1)[1], self.nu, cols))
+        t = np.matmul(lead, _columns(self.s, _support(len(self.s) - 1)[1], self.nu))
         return t[:, : len(self.log_z) // len(self.nu)].reshape(-1, len(self.s))
 
     @property
@@ -136,8 +132,8 @@ def _support(n_terms: int):
     return s, lf, np.stack([np.ones_like(s), s, lf, s * s, s * lf, lf * lf], axis=1)
 
 
-def _columns(s, lf, nu, out):
-    """The right factor of the log terms into out, B x 3 x len(s): rows s, nu*log(s!), 1.
+def _columns(s, lf, nu):
+    """The right factor of the log terms: B x 3 x len(s), rows s, nu*log(s!), 1.
 
     A left factor with rows [log lam_i, -1, -c_i] per replicate (B x rows x 3)
     times it gives (s*log lam_i - nu*log s!) - c_i.  dgemm sums k in order,
@@ -146,9 +142,10 @@ def _columns(s, lf, nu, out):
     product goes through gemv, which may sum in another order, so the left
     factor has at least two rows.
     """
-    out[:, 0], out[:, 2] = s, 1.0
-    np.multiply(nu, lf, out=out[:, 1])
-    return out
+    cols = np.empty((len(nu), 3, len(s)))
+    cols[:, 0], cols[:, 2] = s, 1.0
+    np.multiply(nu, lf, out=cols[:, 1])
+    return cols
 
 
 def log_term_table(lam, nu) -> SeriesTable:
@@ -181,10 +178,9 @@ def _table(lam, nu, terms, mode) -> SeriesTable:
     terms and mode, one per replicate, are series_terms on its largest
     lambda and its nu (of length B).  A stacked evaluation that has sized
     every replicate once, to group them by length, builds each group's
-    table here.  A last block of one column is taken product by product;
-    shifted log terms below FLUSH become -inf, which exp maps to 0 off its
-    slow subnormal path.  Raises as log_term_table does, but for a lambda
-    that is not a positive finite real, which the caller has refused.
+    table here.  The columns are built once, for every block and the
+    truncation guard.  Raises as log_term_table does, but for a lambda that
+    is not a positive finite real, which the caller has refused.
     """
     nu, mode = nu.reshape(-1, 1), mode.reshape(-1, 1)
     if nu.min() < 0:
@@ -196,9 +192,7 @@ def _table(lam, nu, terms, mode) -> SeriesTable:
     n_terms, (n_rep, n) = int(terms.max()), lam.shape
     s, lf, basis = _support(n_terms)
     rows = max(n, 2)    # a one-row product sums in another order (_columns); pads go unsummed
-    size, flush = n_rep * rows * EXP_BLOCK, FLUSH
-    work = np.empty(size + n_rep * 3 * len(s))    # one allocation: reused without page faults
-    block, cols = work[:size], _columns(s, lf, nu, work[size:].reshape(n_rep, 3, -1))
+    cols, block = _columns(s, lf, nu), np.empty(n_rep * rows * EXP_BLOCK)
     lead = np.zeros((n_rep, rows, 3))
     log_lam, log_rel = np.log(lam, out=lead[:, :n, 0]), np.log(REL_TOL)
     lead[:, :n, 1] = -1.0
@@ -209,28 +203,20 @@ def _table(lam, nu, terms, mode) -> SeriesTable:
         # the last two log terms, elementwise: the bits of their product (_columns)
         before = log_lam * s[-2] - cols[:, 1, -2, None]
         end = log_lam * s[-1] - cols[:, 1, -1, None]
-        # log terms are concave in s: a row's smallest is at s = 0 (0) or at the end
-        low = np.nonzero(np.minimum(end, 0.0) - top < flush)
-        for a in range(0, n_terms, EXP_BLOCK):    # the last block runs to the last column
+        sums = np.zeros((n_rep, n, 6))
+        for a in range(0, len(s), EXP_BLOCK):
             c = cols[:, :, a:a + EXP_BLOCK]
             # contiguous B x rows x columns: exp and the basis product read it in order
             t = block[: n_rep * rows * c.shape[2]].reshape(n_rep, rows, -1)
             np.matmul(lead, c, out=t)
-            if low[0].size:
-                sub = t[low]
-                t[low] = np.where(sub < flush, -np.inf, sub)
-            part = np.exp(t, out=t)[:, :n] @ basis[a:a + EXP_BLOCK]
-            sums = sums + part if a else part
-        if n_terms % EXP_BLOCK == 0:    # a last block of one column, whose cells are end - top
-            t = end - top
-            sums += np.exp(np.where(t < flush, -np.inf, t))[..., None] * basis[-1]
+            sums += np.exp(t, out=t)[:, :n] @ basis[a:a + EXP_BLOCK]
         log_z = top + np.log(sums[..., 0])
         np.negative(log_z, out=lead[:, :n, 2])
         # the last two terms over Z; geometric tail t_S r/(1-r), r = t_S/t_{S-1}
         prev, last = before - log_z, end - log_z
         step = np.minimum(last - prev, 0.0)
         tail = last + step - np.log1p(-np.exp(step))
-    done = (step < 0) & (np.maximum(last, tail) < log_rel) & (s[-1] > mode)
+    done = (step < 0) & (last < log_rel) & (tail < log_rel) & (s[-1] > mode)
     if not done.all():
         bad = int(np.flatnonzero(~done.all(axis=1))[0])
         raise TruncationError(

@@ -241,11 +241,10 @@ def fit_replicates(
         # one (beta1, nu1) where it is usable
         with np.errstate(all="ignore"):
             mu = np.exp((beta0[:, None, :] @ X.T)[:, 0])
-            r2 = (Y - mu) ** 2
-            nu0 = ((n - p1) / (r2 / mu).sum(axis=1)).clip(lo, hi)
+            nu0 = np.clip((n - p1) / ((Y - mu) ** 2 / mu).sum(axis=1), lo, hi)
             z[moved] *= nu0[moved, None]
             m0 = mu + ((nu0 - 1.0) / (2.0 * nu0))[:, None]
-            nu1 = ((n - p1) / (r2 / m0).sum(axis=1)).clip(lo, hi)
+            nu1 = np.clip((n - p1) / ((Y - mu) ** 2 / m0).sum(axis=1), lo, hi)
             m1 = mu + ((nu1 - 1.0) / (2.0 * nu1))[:, None]
             z1 = np.column_stack([((nu1[:, None] * np.log(m1))[:, None, :] @ P.T)[:, 0], nu1])
         second = (moved & (m0 > 0).all(axis=1) & (m1 > 0).all(axis=1)
@@ -283,8 +282,18 @@ def fit_replicates(
         if exc is not None and not boundary[b]:    # at a boundary its cov is left NaN
             out[b] = exc
             continue
-        out[b] = FitResult(beta[b], cov[b], logliks[b], n, k, converged[b], steps[b],
-                           boundary[b], nus[b], "nu")
+        out[b] = FitResult(
+            beta=beta[b],
+            cov=cov[b],
+            loglik=logliks[b],
+            n_obs=n,
+            n_params=k,
+            converged=converged[b],
+            iterations=steps[b],
+            boundary=boundary[b],
+            extra=nus[b],
+            extra_name="nu",
+        )
     return out
 
 

@@ -48,13 +48,13 @@ def _keep_converged(fits: list):
     fails.  Returns the kept FitResults, which replicates were kept, and
     the counts by cause.
     """
-    ok = [isinstance(f, fit.FitResult) and f.converged for f in fits]
+    kept = np.array([isinstance(f, fit.FitResult) and f.converged for f in fits])
     failures = dict(sorted(Counter(
         "nonconverged" if isinstance(f, fit.FitResult) else type(f).__name__
-        for f, good in zip(fits, ok) if not good).items()))
-    if not any(ok):
+        for f, ok in zip(fits, kept) if not ok).items()))
+    if not kept.any():
         raise fit.FitError(f"every bootstrap replicate failed: {failures}")
-    return [f for f, good in zip(fits, ok) if good], np.array(ok), failures
+    return [f for f, ok in zip(fits, kept) if ok], kept, failures
 
 
 def _check_fit_of(ds: Dataset, fr: fit.FitResult) -> None:
@@ -163,10 +163,9 @@ def parametric_bootstrap(
     n_failed = n_boot - len(fits)
     lo = 100.0 * (1.0 - ci_level) / 2.0
     names = tuple([*ds.names, "nu"])
-    # order-statistic percentiles, numpy's inverted_cdf (the ceil(m q)-th of m): no
-    # interpolation, so equivariant under monotone reparameterization of the replicates
-    k = np.maximum(np.ceil(len(fits) * (np.array([lo, 100.0 - lo]) / 100.0) - 1.0), 0)
-    lows, highs = np.sort(good, axis=0)[k.astype(int)]
+    # order-statistic percentiles (no interpolation): equivariant under
+    # monotone reparameterization of the recorded replicates
+    lows, highs = np.percentile(good, [lo, 100.0 - lo], axis=0, method="inverted_cdf")
     intervals = {name: (float(a), float(b)) for name, a, b in zip(names, lows, highs)}
     return BootstrapResult(
         replicates=good,

@@ -165,65 +165,6 @@ class TestLogTermBits:
         assert np.array_equal(pmf, np.exp(terms - tab.log_z[:, None]))
 
 
-class TestFlush:
-    """Shifted log terms below dist.FLUSH (log of the smallest normal double)
-    are taken as 0 before exp, off its slow subnormal path; log Z and the
-    raw moments keep the bits of the unflushed table (FLUSH = -inf) but for
-    a subnormal lambda."""
-
-    @staticmethod
-    def unflushed(monkeypatch, build):
-        with monkeypatch.context() as m:
-            m.setattr(dist, "FLUSH", -np.inf)
-            return build()
-
-    @staticmethod
-    def flushes(tab):
-        shifted = tab.log_terms - tab.log_terms.max(axis=1, keepdims=True)
-        return bool((shifted < dist.FLUSH).any())
-
-    def test_far_tail_cells(self, monkeypatch):
-        lam, nu = [[2220.202747141367, 35.0]], [1.3949507939624215]
-        tab = dist.log_term_table(lam, nu)
-        assert self.flushes(tab)
-        plain = self.unflushed(monkeypatch, lambda: dist.log_term_table(lam, nu))
-        assert np.array_equal(tab.log_z, plain.log_z)
-        assert np.array_equal(tab.raw, plain.raw)
-
-    def test_bootstrap_stack(self, airfreight, monkeypatch):
-        from comreg import fit, infer
-
-        fr = fit.fit_com(airfreight)
-        built, table = [], dist._table
-        with monkeypatch.context() as m:
-            m.setattr(dist, "_table",
-                      lambda *a: built.append((a, table(*a))) or built[-1][1])
-            infer.parametric_bootstrap(airfreight, fr, n_boot=100, seed=7)
-        stacks = [(a, tab) for a, tab in built if len(a[0]) > 1]
-        assert stacks and any(self.flushes(tab) for _, tab in stacks)
-        for args, tab in stacks:
-            plain = self.unflushed(monkeypatch, lambda: dist._table(*args))
-            assert np.array_equal(tab.log_z, plain.log_z)
-            assert np.array_equal(tab.raw, plain.raw)
-
-    @pytest.mark.parametrize("lam", [1e-300, 1e-250])
-    def test_tiny_lambda_moments(self, monkeypatch, lam):
-        p = ComParams(lam, 1.0)
-        got = (mean_exact(p), var_exact(p), log_normalizer(p))
-        assert got == self.unflushed(monkeypatch,
-                                     lambda: (mean_exact(p), var_exact(p), log_normalizer(p)))
-        assert got[0] == pytest.approx(lam, rel=1e-13) and got[1] == pytest.approx(lam, rel=1e-13)
-
-    @pytest.mark.parametrize("lam", [2e-308, 1e-310])
-    def test_subnormal_lambda_has_mean_zero(self, monkeypatch, lam):
-        # log(lam) < FLUSH: the term at s = 1 is flushed, so E Y = var Y = 0
-        # (the unflushed table gives lam), and log Z = 0 either way
-        p = ComParams(lam, 1.0)
-        assert (mean_exact(p), var_exact(p)) == (0.0, 0.0)
-        assert float(dist.log_term_table(lam, 1.0).log_z[0]) == 0.0
-        assert self.unflushed(monkeypatch, lambda: mean_exact(p)) == pytest.approx(lam, rel=1e-13)
-
-
 class TestSeriesSizing:
     """series_terms starts each table where its largest lambda's terms have
     fallen 2^-64 below their peak, so one table below MAX_TERMS is enough."""
