@@ -15,7 +15,9 @@ package bound to the name comreg while its workload prepares and runs:
 It prints, per workload, the parent's median time, the paired median
 ratio of the change's time to the parent's, the share of rounds in which
 the change was faster, the A/A control's paired median ratio and the
-number of rounds whose output digests differ between parent and change.
+number of rounds whose output digests differ between parent and change;
+then the same timing columns for each stage of the n868 operation (fit,
+test, diagnose and compare, as the workload times them in Op.stages).
 
 Usage: python3 scripts/ab_inprocess.py (--parent REV | --parent-src DIR) [--rounds 300]
 
@@ -48,6 +50,7 @@ sys.path.insert(0, str(ROOT / "bench"))
 import workloads  # noqa: E402
 
 WORKLOADS = ("bootstrap", "fit_com", "n868")
+N868_STAGES = ("fit", "test", "diagnose", "compare")
 
 
 def load_package(src: Path, name: str):
@@ -91,39 +94,44 @@ class Subject:
             self.n868.prepare(workloads.Op(items=0))
 
     def run(self, name: str, k: int):
-        """(seconds, digest) of round k of workload name."""
+        """(seconds, digest, seconds per stage) of round k of workload name."""
         with bound(self.pkg):
             if name == "fit_com":
                 op = workloads.Op(items=0)
                 self.boot.prepare(op)
                 fr = self.boot.fr
-                return op.stages["fit"], workloads._digest(fr.beta, fr.cov, fr.loglik, fr.extra)
+                return (op.stages["fit"], workloads._digest(fr.beta, fr.cov, fr.loglik, fr.extra),
+                        {})
             op = (self.boot if name == "bootstrap" else self.n868).run(k)
         if not op.ok:
             raise AssertionError(f"{name} round {k} under {self.pkg.__name__} failed its checks")
-        return op.wall, op.digest
+        return op.wall, op.digest, op.stages
 
 
 def run(parent_src: Path, rounds: int) -> dict:
-    """Interleave the rounds; per workload, (ratio, faster share, A/A ratio, mismatches, ms)."""
+    """Interleave the rounds; per workload and n868 stage, (ratio, faster share, A/A ratio,
+    mismatches, ms), with mismatches None for a stage."""
     subjects = {"A": Subject(load_package(parent_src, "comreg_parent")),
                 "B": Subject(load_package(ROOT / "src", "comreg_change")),
                 "C": Subject(load_package(parent_src, "comreg_control"))}
-    times = {w: {s: [] for s in subjects} for w in WORKLOADS}
+    rows = [*WORKLOADS, *(f"n868.{stage}" for stage in N868_STAGES)]
+    times = {r: {s: [] for s in subjects} for r in rows}
     mismatches = dict.fromkeys(WORKLOADS, 0)
     orders = ("ABC", "CBA", "BCA", "ACB", "CAB", "BAC")
     for k in range(rounds):
         for w in WORKLOADS:
             out = {}
             for s in orders[(k + len(w)) % len(orders)]:
-                seconds, out[s] = subjects[s].run(w, k)
+                seconds, out[s], stages = subjects[s].run(w, k)
                 times[w][s].append(seconds)
+                for stage in N868_STAGES if w == "n868" else ():
+                    times[f"n868.{stage}"][s].append(stages[stage])
             mismatches[w] += out["A"] != out["B"]
     report = {}
-    for w in WORKLOADS:
-        a, b, c = (np.array(times[w][s]) for s in "ABC")
-        report[w] = (float(np.median(b / a)), float(np.mean(b < a)),
-                     float(np.median(c / a)), mismatches[w], float(np.median(a)) * 1e3)
+    for r in rows:
+        a, b, c = (np.array(times[r][s]) for s in "ABC")
+        report[r] = (float(np.median(b / a)), float(np.mean(b < a)),
+                     float(np.median(c / a)), mismatches.get(r), float(np.median(a)) * 1e3)
     return report
 
 
@@ -148,9 +156,10 @@ def main():
         if tmp is not None:
             shutil.rmtree(tmp, ignore_errors=True)
     print(f"{args.rounds} rounds, one BLAS thread; ratios are change / parent, paired per round")
-    print(f"{'workload':<10} {'parent ms':>9} {'ratio':>7} {'faster':>7} {'A/A':>7} {'mismatches':>10}")
+    print(f"{'workload':<14} {'parent ms':>9} {'ratio':>7} {'faster':>7} {'A/A':>7} {'mismatches':>10}")
     for w, (ratio, faster, control, bad, ms) in report.items():
-        print(f"{w:<10} {ms:9.2f} {ratio:7.3f} {faster:7.0%} {control:7.3f} {bad:10d}")
+        print(f"{w:<14} {ms:9.2f} {ratio:7.3f} {faster:7.0%} {control:7.3f} "
+              f"{'-' if bad is None else bad:>10}")
 
 
 if __name__ == "__main__":

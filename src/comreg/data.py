@@ -195,9 +195,9 @@ def simulate(
     X is an intercept plus len(beta) - 1 columns from U(x_min, x_max),
     then y_i ~ COM-Poisson(exp(x_i' beta), nu), all drawn in that order
     from default_rng(seed).  An unusable design or covariate range
-    (x_min > x_max, or either not finite) raises DataError, an
-    exp(x_i' beta) beyond the double range ValueError, and counts too
-    large for the series dist.TruncationError.
+    (x_min > x_max, or either not finite), or an exp(x_i' beta) that is not
+    a positive finite double, raises DataError, and counts too large for
+    the series dist.TruncationError.
     """
     beta = np.asarray(beta, dtype=float)
     if n < 1:
@@ -215,7 +215,10 @@ def simulate(
         [np.ones(n)] + [rng.uniform(x_min, x_max, size=n) for _ in range(n_cov)]
     )
     with np.errstate(over="ignore"):
-        lam = np.exp(X @ beta)
+        lam = np.exp(eta := X @ beta)
+    if not ((lam > 0) & (lam < np.inf)).all():
+        raise DataError(f"exp(x_i' beta) must be a positive finite double, but x_i' beta "
+                        f"runs from {eta.min():g} to {eta.max():g}")
     y = dist.sample_many(lam, nu, rng)
     names = tuple(["intercept"] + [f"x{j + 1}" for j in range(n_cov)])
     return Dataset(y=y, X=X, names=names)

@@ -160,7 +160,9 @@ def _deviance(ds: Dataset, fr: FitResult, ev: fit.Evaluation, h: np.ndarray, kin
     ll_fit = (y * linear_predictor(ds, fr.beta) - fr.nu * log_factorial(y) - ev.log_z)[rows]
     _, ll_sat, failed = _saturated(y[rows], fr.nu)
     d[rows] = np.maximum(0.0, -2.0 * (ll_fit - ll_sat))
-    notes.update({int(i): f"deviance unavailable: {failed[y[i]]}" for i in rows if y[i] in failed})
+    if failed:    # visit the rows only when some saturated lambda was not found
+        notes.update({int(i): f"deviance unavailable: {failed[y[i]]}"
+                      for i in rows if y[i] in failed})
     return np.sign(y - ev.mean) * np.sqrt(d) / np.sqrt(one_minus_h), notes
 
 

@@ -9,7 +9,8 @@ The one series kernel, log_term_table, sums the terms until the largest
 lambda's fall 2^-64 below their peak at floor(lambda^(1/nu)), forming each
 cache-sized block of log terms as one k = 3 matrix product per replicate
 (_columns), and gives log Z and the raw moments of (Y, log Y!); pmf,
-moments and likelihood are views of it.  Its cap, MAX_TERMS, is read
+moments and likelihood are views of it, and inverse_cdf streams its pmf
+to the first block that answers every draw.  Its cap, MAX_TERMS, is read
 where a table is built, so it holds on every path.
 """
 
@@ -103,10 +104,10 @@ class SeriesTable:
     lead: np.ndarray    # B x max(n, 2) x 3: [log lam_i, -1, -log Z_i] per row, see _columns
     nu: np.ndarray      # B x 1
 
-    def _rows(self, lead) -> np.ndarray:
-        """lead times each replicate's columns, one row per lambda."""
-        t = np.matmul(lead, _columns(self.s, _support(len(self.s) - 1)[1], self.nu))
-        return t[:, : len(self.log_z) // len(self.nu)].reshape(-1, len(self.s))
+    def _rows(self, lead, cols=slice(None)) -> np.ndarray:
+        """lead times each replicate's columns cols, one row per lambda."""
+        t = np.matmul(lead, _columns(self.s[cols], _support(len(self.s) - 1)[1][cols], self.nu))
+        return t[:, : len(self.log_z) // len(self.nu)].reshape(len(self.log_z), -1)
 
     @property
     def log_terms(self) -> np.ndarray:
@@ -295,43 +296,50 @@ def cdf(y: int, p: ComParams) -> float:
     return float(min(1.0, pmf[0][: int(y) + 1].sum()))
 
 
-def inverse_cdf(pmf: np.ndarray, u) -> np.ndarray:
-    """Smallest support index whose cumulative mass reaches u, per pmf row.
+def inverse_cdf(tab: SeriesTable, u) -> np.ndarray:
+    """Smallest support index whose cumulative mass reaches u, per table row.
 
-    u broadcasts against the rows of pmf (a single row may be 1-D) and may
-    add leading axes, one draw per pmf row on each; the result is clipped
-    to the last support point.  Each row is cumulated once.  A cumulative
-    row is non-decreasing, so its entries below u are a prefix, whose
-    length a binary search finds for all draws at once: adding the powers
-    of two from the largest down, each step moves a draw on while the
-    entry it would pass is below u, so no draw x support array is formed.
+    u broadcasts against the rows and may add leading axes, one draw per
+    row on each; the result is clipped to the last support point.  The
+    pmf is formed EXP_BLOCK columns at a time by the table's product with
+    its -log Z lead, each block cumulated after its rows' carried prefix
+    (a cumsum over [carry | block]: the bits of one cumsum over the row),
+    and a binary search counts each draw's entries below u in the block,
+    up to the first block that reaches every draw's u: none past it is formed.
     """
-    cum = np.cumsum(pmf, axis=-1)
-    width = cum.shape[-1]
     u = np.asarray(u, dtype=float)
-    start = np.arange(0, cum.size, width).reshape(cum.shape[:-1])    # each row in cum.ravel()
-    pos = np.broadcast_to(start, np.broadcast_shapes(u.shape, start.shape)).copy()
-    flat, last = cum.ravel(), start + (width - 1)
-    for k in reversed(range(width.bit_length())):
-        # a probe past the row reads its last entry: below u, every entry is, and the clip holds
-        np.add(pos, 1 << k, out=pos, where=flat[np.minimum(pos + ((1 << k) - 1), last)] < u)
-    return np.minimum(pos - start, width - 1)
+    shape, row = np.broadcast_shapes(u.shape, tab.log_z.shape), np.arange(len(tab.log_z))
+    below, carry = np.zeros(shape, dtype=int), 0.0
+    for a in range(0, len(tab.s), EXP_BLOCK):
+        cum = tab._rows(tab.lead, slice(a, a + EXP_BLOCK))
+        np.exp(cum, out=cum)
+        cum[:, 0] += carry
+        np.cumsum(cum, axis=1, out=cum)
+        # each draw's position in cum.ravel(): its row's last entry found below u
+        w, entries = cum.shape[1], cum.ravel()
+        pos, last = np.broadcast_to(row * w - 1, shape).copy(), row * w + (w - 1)
+        for k in reversed(range(w.bit_length())):
+            np.add(pos, 1 << k, out=pos, where=entries[np.minimum(pos + (1 << k), last)] < u)
+        count = np.minimum(pos - last, 0) + w    # 0 for a draw answered in an earlier block
+        below += count
+        if not (count == w).any():
+            break
+        carry = cum[:, -1]
+    return np.minimum(below, len(tab.s) - 1)
 
 
 def quantile(q: float, p: ComParams) -> int:
     """Smallest y with CDF(y) >= q (left-continuous inverse)."""
     if not (0 < q < 1):
         raise ValueError(f"q must lie in (0, 1), got {q}")
-    _, pmf = pmf_table(p.lam, p.nu)
-    return int(inverse_cdf(pmf[0], q))
+    return int(inverse_cdf(log_term_table(p.lam, p.nu), q)[0])
 
 
 def sample(p: ComParams, rng: np.random.Generator, size: int | None = None):
     """Inverse-CDF sampling driven by an explicit random source."""
-    _, pmf = pmf_table(p.lam, p.nu)
-    draws = inverse_cdf(pmf[0], rng.uniform(size=size))
+    draws = inverse_cdf(log_term_table(p.lam, p.nu), rng.uniform(size=size))
     if size is None:
-        return int(draws)
+        return int(draws[0])
     return draws.astype(np.int64)
 
 
@@ -340,5 +348,4 @@ def sample_many(lam, nu: float, rng: np.random.Generator) -> np.ndarray:
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
     if not lam.size:
         return np.empty(0, dtype=np.int64)
-    _, pmf = pmf_table(lam, nu)
-    return inverse_cdf(pmf, rng.uniform(size=len(lam))).astype(np.int64)
+    return inverse_cdf(log_term_table(lam, nu), rng.uniform(size=len(lam))).astype(np.int64)

@@ -344,6 +344,7 @@ def fitted_values(ds: Dataset, fr: FitResult, kind: str = "median") -> np.ndarra
     """Fitted values: 'mean_approx' via the closed-form mean, or 'median'.
 
     mean_approx (dist.mean_approx) is refused where dist.approx_mean_valid fails.
+    The median streams the fit's series table to its block (dist.inverse_cdf).
     """
     lam = np.exp(linear_predictor(ds, fr.beta))
     if kind == "mean_approx":
@@ -351,6 +352,5 @@ def fitted_values(ds: Dataset, fr: FitResult, kind: str = "median") -> np.ndarra
             raise ValueError(f"mean approximation invalid (nu = {fr.nu:g}); use kind='median'")
         return dist.mean_approx(lam, fr.nu)
     if kind == "median":
-        _, pmf = dist.pmf_table(lam, fr.nu)
-        return dist.inverse_cdf(pmf, 0.5).astype(float)
+        return dist.inverse_cdf(dist.log_term_table(lam, fr.nu), 0.5).astype(float)
     raise ValueError(f"unknown fitted-value kind {kind!r}")

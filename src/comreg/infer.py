@@ -132,7 +132,7 @@ def parametric_bootstrap(
 ) -> BootstrapResult:
     """Resample y* ~ COM-Poisson(lambda_hat_i, nu_hat), refit, collect (beta*, nu*).
 
-    The draws share one pmf table, cumulated once by one inverse_cdf call
+    The draws share one series table, streamed by one inverse_cdf call
     over an (n_boot, n) matrix of uniforms from np.random.default_rng(seed),
     filled in row order: a run is fixed by its seed, does not depend on
     execution order, and its first k replicates are those of any run with
@@ -155,10 +155,10 @@ def parametric_bootstrap(
         raise ValueError("parametric_bootstrap requires a converged fit")
 
     lam_hat = np.exp(linear_predictor(ds, fr.beta))
-    _, pmf = dist.pmf_table(lam_hat, fr.nu)
+    tab = dist.log_term_table(lam_hat, fr.nu)
     u = np.random.default_rng(seed).uniform(size=(n_boot, ds.n_obs))
     fits, _, failures = _keep_converged(
-        fit.fit_replicates(ds.X, dist.inverse_cdf(pmf, u), None))
+        fit.fit_replicates(ds.X, dist.inverse_cdf(tab, u), None))
     good = np.column_stack([np.array([f.beta for f in fits]), [f.extra for f in fits]])
     n_failed = n_boot - len(fits)
     lo = 100.0 * (1.0 - ci_level) / 2.0

@@ -536,7 +536,8 @@ class TestSimulate:
                      "--seed", "1", "--output", str(tmp_path / "o.csv")])
         assert code == EXIT_IO
         assert capsys.readouterr().err == (
-            "error: all lambda values must be positive finite reals\n")
+            "error: exp(x_i' beta) must be a positive finite double, but x_i' beta "
+            "runs from 1000.01 to 1000.48\n")
 
     def test_reversed_x_range_exit_two(self, capsys, tmp_path):
         dest = tmp_path / "r.csv"

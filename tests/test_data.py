@@ -203,6 +203,13 @@ class TestSimulate:
         with pytest.raises(ValueError, match="positive finite"):
             simulate(10, [1000.0, 0.5], 1.0, seed=1)
 
+    @pytest.mark.parametrize("beta, largest", [([100 * np.log(3000), 0.0], "800.637"),
+                                               ([-800.0, 0.5], "-799.5")])
+    def test_lambda_out_of_range_is_a_data_error(self, beta, largest):
+        # exp(x'beta) overflows to inf, or underflows to 0, before any draw
+        with pytest.raises(DataError, match=f"x_i' beta runs from .* to {largest}"):
+            simulate(100, beta, 100.0, seed=3)
+
 
 class TestRoundTrip:
     def test_csv_round_trip_identical(self, airfreight, tmp_path):

@@ -560,14 +560,44 @@ class TestSample:
 
     def test_inverse_cdf_is_left_search(self):
         rng = np.random.default_rng(8)
-        pmf = rng.dirichlet(np.ones(40), size=25)
-        pmf[:, 5:9] = 0.0                  # flat stretches in the CDF
+        # the support is sized for lambda = 400: the other rows' tails
+        # underflow to 0, flat stretches in the CDF
+        lam = np.append(rng.uniform(0.05, 3.0, size=24), 400.0)
+        tab = dist.log_term_table(lam, 1.0)
+        _, pmf = dist.pmf_table(lam, 1.0)
         cum = np.cumsum(pmf, axis=1)
-        u = np.concatenate([rng.uniform(size=20), cum[20:, 3:4].ravel()])  # ties
+        last = cum.shape[1] - 1
+        u = np.concatenate([rng.uniform(size=20), cum[20:, 3]])     # ties
         expected = [np.searchsorted(cum[i], u[i], side="left") for i in range(25)]
+        assert np.array_equal(dist.inverse_cdf(tab, u), np.minimum(expected, last))
         # u above the retained mass clips to the last support point
-        assert np.array_equal(dist.inverse_cdf(pmf, u), np.minimum(expected, 39))
-        assert np.array_equal(dist.inverse_cdf(pmf * 0.5, 0.9), np.full(25, 39))
+        assert np.array_equal(dist.inverse_cdf(tab, np.nextafter(cum[:, -1], 2.0)),
+                              np.full(25, last))
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_streamed_inverse_cdf_is_left_search_on_tables(self, seed):
+        # bit for bit the left search of each whole cumulated pmf row, on
+        # tables of 1 to 300 rows from the geometric branch to nu = 8
+        rng = np.random.default_rng(seed)
+        nu = 0.0 if seed % 6 == 0 else float(rng.uniform(0.05, 8.0))
+        n = int(rng.integers(1, 301)) if seed % 4 else 1 + seed // 4    # one-row tables too
+        lam = (rng.uniform(0.01, 0.99, n) if nu == 0
+               else np.exp(nu * rng.uniform(-2.0, np.log(200.0), n)))   # modes up to 200
+        tab = dist.log_term_table(lam, nu)
+        _, pmf = dist.pmf_table(lam, nu)
+        cum = np.cumsum(pmf, axis=1)
+        width = cum.shape[1]
+
+        def left(u):
+            return np.minimum([np.searchsorted(c, v, "left") for c, v in zip(cum, u)], width - 1)
+
+        u = rng.uniform(size=(6, n))
+        u[0], u[1] = 0.0, 1.0
+        u[2] = cum[np.arange(n), rng.integers(0, width, n)]    # ties with a cumulative entry
+        u[3] = np.nextafter(cum[:, -1], 2.0)                   # above the retained mass
+        assert np.array_equal(dist.inverse_cdf(tab, u), [left(row) for row in u])
+        q = float(rng.uniform())
+        assert np.array_equal(dist.inverse_cdf(tab, q), left(np.full(n, q)))
 
     def test_sample_many_on_no_lambda(self):
         draws = dist.sample_many(np.array([]), 1.5, np.random.default_rng(5))

@@ -390,8 +390,8 @@ class TestFitCom:
 def fitted_draws(ds, n_rep, seed):
     """n_rep responses drawn from the COM-Poisson fit of ds, one per row."""
     fr = fit_com(ds)
-    _, pmf = dist.pmf_table(np.exp(ds.X @ fr.beta), fr.nu)
-    return dist.inverse_cdf(pmf, np.random.default_rng(seed).uniform(size=(n_rep, ds.n_obs)))
+    tab = dist.log_term_table(np.exp(ds.X @ fr.beta), fr.nu)
+    return dist.inverse_cdf(tab, np.random.default_rng(seed).uniform(size=(n_rep, ds.n_obs)))
 
 
 def fit_stack(X, Y, **kwargs):
@@ -710,6 +710,20 @@ class TestFittedValues:
         with pytest.raises(ValueError, match="median"):
             fitted_values(ds, fr, "mean_approx")
         assert np.array_equal(fitted_values(ds, fr, "median"), np.full(12, 5.0))
+
+    def test_median_never_holds_a_whole_table(self):
+        # the inverse CDF streams the table's pmf in blocks: at criterion 08's
+        # optimum no n x S array (a pmf or its cumulative rows) is formed
+        ds = simulate(868, [0.6, 0.5, -0.3], 0.35, seed=2024)
+        fr = fit_com(ds)
+        s, _, _ = dist.log_term_table(np.exp(ds.X @ fr.beta), fr.nu)
+        tracemalloc.start()
+        try:
+            fitted_values(ds, fr, "median")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < ds.n_obs * len(s) * 8
 
     def test_unknown_kind(self, airfreight, airfreight_fit):
         with pytest.raises(ValueError):

@@ -245,8 +245,8 @@ class TestParametricBootstrap:
         clean = parametric_bootstrap(airfreight, airfreight_fit, n_boot=100, seed=5)
         inverse_cdf = dist.inverse_cdf
 
-        def degenerate(pmf, u):
-            y = inverse_cdf(pmf, u)
+        def degenerate(tab, u):
+            y = inverse_cdf(tab, u)
             y[:2] = 0
             y[1, 3] = 1
             return y
@@ -296,10 +296,10 @@ class TestParametricBootstrap:
         # the loop the stacked engine replaced: one draw and one fit_com per
         # replicate, its uniforms a row of one matrix drawn from the seed
         fr = airfreight_fit
-        _, pmf = dist.pmf_table(np.exp(airfreight.X @ fr.beta), fr.nu)
+        tab = dist.log_term_table(np.exp(airfreight.X @ fr.beta), fr.nu)
         rows = []
         for u in np.random.default_rng(99).uniform(size=(120, airfreight.n_obs)):
-            y = dist.inverse_cdf(pmf, u)
+            y = dist.inverse_cdf(tab, u)
             ref = fit_com(Dataset(y=y, X=airfreight.X, names=airfreight.names))
             assert ref.converged
             rows.append([*ref.beta, ref.nu])

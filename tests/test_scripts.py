@@ -32,5 +32,8 @@ def test_ab_inprocess_aa_run():
                           capture_output=True, text=True, cwd=REPO_ROOT)
     assert proc.returncode == 0, proc.stderr
     rows = {line.split()[0]: line.split() for line in proc.stdout.splitlines()[2:]}
-    assert set(rows) == {"bootstrap", "fit_com", "n868"}
-    assert all(row[-1] == "0" for row in rows.values())
+    stages = {f"n868.{stage}" for stage in ("fit", "test", "diagnose", "compare")}
+    assert set(rows) == {"bootstrap", "fit_com", "n868"} | stages
+    assert all(rows[w][-1] == "0" for w in ("bootstrap", "fit_com", "n868"))
+    # a stage row has timing columns and no digest of its own
+    assert all(rows[s][-1] == "-" and float(rows[s][2]) > 0 for s in stages)
