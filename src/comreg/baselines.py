@@ -141,12 +141,11 @@ def _solve_each(A: np.ndarray, b: np.ndarray) -> np.ndarray:
 def newton(model, z, at, lower, upper, max_iter):
     """Maximize the loglik of every replicate in a stack by damped Newton steps.
 
-    model(rows, z) returns, for the replicates rows (indices, or
-    slice(None) for the whole stack) at the points z (one row each), their
-    loglik (m,), score (m, k) and information (m, k, k), the information
-    being minus the Hessian or its expectation; a loglik that is not
-    finite marks the point unusable.  Row b of z is replicate b's start
-    and at is model's output there; a replicate whose start is
+    model(rows, z) returns, for the replicates rows at the points z (one
+    row each), their loglik (m,), score (m, k) and information (m, k, k),
+    the information being minus the Hessian or its expectation; a loglik
+    that is not finite marks the point unusable.  Row b of z is replicate
+    b's start and at is model's output there; a replicate whose start is
     unusable does not move.  Each step solves I step = g, or |I| step = g
     (|I| has the absolute values of I's eigenvalues) where the Newton
     step is not an ascent direction or I is singular, holds a coordinate
@@ -169,19 +168,19 @@ def newton(model, z, at, lower, upper, max_iter):
     loglik, score, info = (np.array(a, dtype=float) for a in at)
     bounded = np.isfinite(lower).any() or np.isfinite(upper).any()
     iterations = np.zeros(len(z), dtype=int)
-    # why each replicate stopped, "" while it is still stepping (active)
-    active, rounds = np.isfinite(loglik), 0
-    stop = np.where(active, "", "unusable start point").astype(object)
+    # why each replicate stopped, as an index into reasons: 0 while it is still stepping
+    reasons = np.array(["", "converged", "no usable trial point", "information not usable",
+                        f"no convergence in {max_iter} iterations", "unusable start point"],
+                       dtype=object)
+    why = np.where(np.isfinite(loglik), 0, 5)
     with np.errstate(all="ignore"):    # unusable points are rejected, not reported
-        while (todo := active.nonzero()[0]).size:
-            # the whole stack is read and written through views, a part through gathers
-            sel = slice(None) if todo.size == len(z) else todo
-            g, system, zi, base = score[sel], info[sel], z[sel], loglik[sel]
+        while (todo := np.flatnonzero(why == 0)).size:
+            g, system, zi, base = score[todo], info[todo], z[todo], loglik[todo]
             if bounded:
                 held = ((zi <= lower) & (g <= 0.0)) | ((zi >= upper) & (g >= 0.0))
-                if held.any():    # new arrays: g and system may be views of score and info
-                    g = np.where(held, 0.0, g)
-                    system = np.where(held[:, :, None] | held[:, None, :], 0.0, system)
+                if held.any():
+                    g[held] = 0.0
+                    system[held[:, :, None] | held[:, None, :]] = 0.0
                     rows, cols = np.nonzero(held)
                     system[rows, cols, cols] = 1.0
             step = _solve_each(system, g)
@@ -194,15 +193,10 @@ def newton(model, z, at, lower, upper, max_iter):
                 decrement[uphill] = (g[uphill] * step[uphill]).sum(axis=1)
             # a replicate whose decrement fired stops after its pending step
             last = decrement <= NEWTON_DECREMENT * np.maximum(1.0, np.abs(base))
-            rounds += 1    # a replicate takes at most one step per round
-            if rounds > max_iter or not (decrement < np.inf).all():
-                go = last | ((decrement < np.inf) & (iterations[sel] < max_iter))
-                stop[todo[~go]] = np.where(decrement[~go] < np.inf,
-                                           f"no convergence in {max_iter} iterations",
-                                           "information not usable")
-                active[todo[~go]] = False
+            go = last | ((decrement < np.inf) & (iterations[todo] < max_iter))
+            if not go.all():
+                why[todo[~go]] = np.where(decrement[~go] < np.inf, 4, 3)
                 todo, step, zi, base, last = todo[go], step[go], zi[go], base[go], last[go]
-                sel = todo
 
             idx, usable, halved = todo, np.zeros(len(todo), dtype=bool), False
             tol = NEWTON_RTOL * np.maximum(1.0, np.abs(zi).max(axis=1))
@@ -214,35 +208,28 @@ def newton(model, z, at, lower, upper, max_iter):
                 end = small if halved else small & last
                 if end.any():
                     # halved that far without a rise (rounding), or a last step that small
-                    stop[idx[end]] = np.where((usable | last)[end], "converged",
-                                              "no usable trial point")
-                    active[idx[end]] = False
+                    why[idx[end]] = np.where((usable | last)[end], 1, 2)
                     keep = ~end
                     idx, zi, base, step, tol, usable, trial, small, last = (
                         a[keep] for a in (idx, zi, base, step, tol, usable, trial, small, last))
-                    sel = idx
                     if not idx.size:
                         break
-                new = model(sel, trial)
+                new = model(idx, trial)
                 ok = new[0] >= base
-                accepted = ok.all()
-                rows, take = (sel, slice(None)) if accepted else (idx[ok], ok)    # no gathers
+                rows, take = (idx, slice(None)) if ok.all() else (idx[ok], ok)    # no gathers
                 z[rows] = trial[take]
                 loglik[rows], score[rows], info[rows] = (a[take] for a in new)
                 iterations[rows] += ~last[take]
                 # the last step, accepted or not, or an accepted step that small: converged
-                done = idx[last | (ok & small)]
-                stop[done], active[done] = "converged", False
-                if accepted:
-                    break
+                why[idx[last | (ok & small)]] = 1
                 keep = ~(ok | last)
                 if not keep.any():     # every trial accepted, or the last one
                     break
                 usable = usable[keep] | np.isfinite(new[0][keep])
                 idx, zi, base, step, tol, last = (
                     idx[keep], zi[keep], base[keep], step[keep] / 2.0, tol[keep], last[keep])
-                sel, halved = idx, True
-    return z, (loglik, score, info), iterations, stop
+                halved = True
+    return z, (loglik, score, info), iterations, reasons[why]
 
 
 def _fit_glm(X: np.ndarray, Y: np.ndarray, beta0, mean_fn, var_fn, cumulant_fn, log_c):

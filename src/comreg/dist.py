@@ -304,28 +304,33 @@ def inverse_cdf(tab: SeriesTable, u) -> np.ndarray:
     pmf is formed EXP_BLOCK columns at a time by the table's product with
     its -log Z lead, each block cumulated after its rows' carried prefix
     (a cumsum over [carry | block]: the bits of one cumsum over the row),
-    and a binary search counts each draw's entries below u in the block,
-    up to the first block that reaches every draw's u: none past it is formed.
+    up to the first block after which every row reaches its largest u.
+    The prefix is non-decreasing, so each draw's entries below u lead its
+    row, and a binary search counts them for all draws at once: adding
+    the powers of two from the largest down, each step moves a draw on
+    while the entry it would pass is below u (no draw x support array).
     """
     u = np.asarray(u, dtype=float)
-    shape, row = np.broadcast_shapes(u.shape, tab.log_z.shape), np.arange(len(tab.log_z))
-    below, carry = np.zeros(shape, dtype=int), 0.0
+    shape = np.broadcast_shapes(u.shape, tab.log_z.shape)
+    need = np.broadcast_to(u, shape).reshape(-1, len(tab.log_z)).max(axis=0, initial=0.0)
+    blocks, carry = [], 0.0
     for a in range(0, len(tab.s), EXP_BLOCK):
         cum = tab._rows(tab.lead, slice(a, a + EXP_BLOCK))
         np.exp(cum, out=cum)
         cum[:, 0] += carry
-        np.cumsum(cum, axis=1, out=cum)
-        # each draw's position in cum.ravel(): its row's last entry found below u
-        w, entries = cum.shape[1], cum.ravel()
-        pos, last = np.broadcast_to(row * w - 1, shape).copy(), row * w + (w - 1)
-        for k in reversed(range(w.bit_length())):
-            np.add(pos, 1 << k, out=pos, where=entries[np.minimum(pos + (1 << k), last)] < u)
-        count = np.minimum(pos - last, 0) + w    # 0 for a draw answered in an earlier block
-        below += count
-        if not (count == w).any():
-            break
+        blocks.append(np.cumsum(cum, axis=1, out=cum))
         carry = cum[:, -1]
-    return np.minimum(below, len(tab.s) - 1)
+        if (carry >= need).all():
+            break
+    cum = np.concatenate(blocks, axis=1) if len(blocks) > 1 else blocks[0]
+    width = cum.shape[-1]
+    start = np.arange(0, cum.size, width)    # each row in cum.ravel()
+    pos = np.broadcast_to(start, shape).copy()
+    flat, last = cum.ravel(), start + (width - 1)
+    for k in reversed(range(width.bit_length())):
+        # a probe past the row reads its last entry: below u, every entry is, and the clip holds
+        np.add(pos, 1 << k, out=pos, where=flat[np.minimum(pos + ((1 << k) - 1), last)] < u)
+    return np.minimum(pos - start, width - 1)
 
 
 def quantile(q: float, p: ComParams) -> int:
