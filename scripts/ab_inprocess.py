@@ -11,13 +11,17 @@ package bound to the name comreg while its workload prepares and runs:
              workload's preparation
 - n868:      an overdispersed-n868 operation (fit, dispersion test,
              diagnostics and model comparison of one n = 868 dataset)
+- fit_poisson.air, fit_negbin.air, fit_rgpr.air, and the same three
+  .n868: one call of that baseline fitter on airfreight or on the first
+  dataset of the n868 pool (a fit that fails is timed to its error)
 
-It prints, per workload, the parent's median time, the paired median
-ratio of the change's time to the parent's, the share of rounds in which
-the change was faster, the A/A control's paired median ratio and the
-number of rounds whose output digests differ between parent and change;
-then the same timing columns for each stage of the n868 operation (fit,
-test, diagnose and compare, as the workload times them in Op.stages).
+It prints, per workload and fitter row, the parent's median time, the
+paired median ratio of the change's time to the parent's, the share of
+rounds in which the change was faster, the A/A control's paired median
+ratio and the number of rounds whose output digests differ between
+parent and change; then the same timing columns for each stage of the
+n868 operation (fit, test, diagnose and compare, as the workload times
+them in Op.stages).
 
 Usage: python3 scripts/ab_inprocess.py (--parent REV | --parent-src DIR) [--rounds 300]
 
@@ -38,6 +42,7 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+import time
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -50,6 +55,8 @@ sys.path.insert(0, str(ROOT / "bench"))
 import workloads  # noqa: E402
 
 WORKLOADS = ("bootstrap", "fit_com", "n868")
+FITTERS = tuple(f"{fitter}.{data}" for fitter in ("fit_poisson", "fit_negbin", "fit_rgpr")
+                for data in ("air", "n868"))
 N868_STAGES = ("fit", "test", "diagnose", "compare")
 
 
@@ -95,6 +102,16 @@ class Subject:
 
     def run(self, name: str, k: int):
         """(seconds, digest, seconds per stage) of round k of workload name."""
+        if name in FITTERS:
+            fitter, data = name.split(".")
+            ds = self.boot.ds if data == "air" else self.n868.pool[0]
+            t0 = time.perf_counter()
+            try:
+                fr = getattr(self.pkg.baselines, fitter)(ds)
+                out = (fr.beta, fr.cov, fr.loglik, fr.extra, fr.iterations, fr.boundary)
+            except self.pkg.baselines.BaselineError as exc:
+                out = (type(exc).__name__, str(exc))
+            return time.perf_counter() - t0, workloads._digest(*out), {}
         with bound(self.pkg):
             if name == "fit_com":
                 op = workloads.Op(items=0)
@@ -114,12 +131,12 @@ def run(parent_src: Path, rounds: int) -> dict:
     subjects = {"A": Subject(load_package(parent_src, "comreg_parent")),
                 "B": Subject(load_package(ROOT / "src", "comreg_change")),
                 "C": Subject(load_package(parent_src, "comreg_control"))}
-    rows = [*WORKLOADS, *(f"n868.{stage}" for stage in N868_STAGES)]
+    rows = [*WORKLOADS, *FITTERS, *(f"n868.{stage}" for stage in N868_STAGES)]
     times = {r: {s: [] for s in subjects} for r in rows}
-    mismatches = dict.fromkeys(WORKLOADS, 0)
+    mismatches = dict.fromkeys(WORKLOADS + FITTERS, 0)
     orders = ("ABC", "CBA", "BCA", "ACB", "CAB", "BAC")
     for k in range(rounds):
-        for w in WORKLOADS:
+        for w in WORKLOADS + FITTERS:
             out = {}
             for s in orders[(k + len(w)) % len(orders)]:
                 seconds, out[s], stages = subjects[s].run(w, k)
@@ -156,9 +173,10 @@ def main():
         if tmp is not None:
             shutil.rmtree(tmp, ignore_errors=True)
     print(f"{args.rounds} rounds, one BLAS thread; ratios are change / parent, paired per round")
-    print(f"{'workload':<14} {'parent ms':>9} {'ratio':>7} {'faster':>7} {'A/A':>7} {'mismatches':>10}")
+    print(f"{'workload':<16} {'parent ms':>9} {'ratio':>7} {'faster':>7} {'A/A':>7} "
+          f"{'mismatches':>10}")
     for w, (ratio, faster, control, bad, ms) in report.items():
-        print(f"{w:<14} {ms:9.2f} {ratio:7.3f} {faster:7.0%} {control:7.3f} "
+        print(f"{w:<16} {ms:9.2f} {ratio:7.3f} {faster:7.0%} {control:7.3f} "
               f"{'-' if bad is None else bad:>10}")
 
 

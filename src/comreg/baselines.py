@@ -6,10 +6,12 @@ fit in the package is a model of it: COM-Poisson (comreg.fit) on its
 expected information, the Poisson and logistic GLMs on their canonical
 links, and negative binomial over (beta, log r) and restricted
 generalized Poisson (RGPR) over (beta, alpha) on their analytic score
-and observed information.  Each returns a FitResult whose covariance is
-its information at the optimum inverted by _invert_information.  A
-boundary is read from the score: negative binomial is the Poisson limit when log r reaches log NEGBIN_BOUNDARY_R with a
-non-negative score in log r; RGPR fails when alpha runs into the
+and observed information, both from one_step_start's beta (the
+bootstrap's start) and refused by ran_off as the GLMs are.  Each returns
+a FitResult whose covariance is its information at the optimum inverted
+by _invert_information.  A boundary is read from the score: negative
+binomial is the Poisson limit when log r reaches log NEGBIN_BOUNDARY_R
+with a non-negative score in log r; RGPR fails when alpha runs into the
 feasibility bound 1 + alpha*y_max > 0.
 """
 
@@ -141,17 +143,17 @@ def _solve_each(A: np.ndarray, b: np.ndarray) -> np.ndarray:
 def newton(model, z, at, lower, upper, max_iter):
     """Maximize the loglik of every replicate in a stack by damped Newton steps.
 
-    model(rows, z) returns, for the replicates rows at the points z (one
-    row each), their loglik (m,), score (m, k) and information (m, k, k),
-    the information being minus the Hessian or its expectation; a loglik
-    that is not finite marks the point unusable.  Row b of z is replicate
-    b's start and at is model's output there; a replicate whose start is
-    unusable does not move.  Each step solves I step = g, or |I| step = g
-    (|I| has the absolute values of I's eigenvalues) where the Newton
-    step is not an ascent direction or I is singular, holds a coordinate
-    at lower or upper whose score points outward (lower = upper fixes
-    it), and is halved, each trial clipped to [lower, upper], until the
-    loglik does not fall.
+    model(rows, z) returns, for the replicates rows at the points z (one row
+    each), their loglik (m,), score (m, k) and information (m, k, k), the
+    information being minus the Hessian or its expectation, as new arrays that
+    newton keeps and writes into; a loglik that is not finite marks the point
+    unusable.  Row b of z is replicate b's start and at is model's output
+    there; a replicate whose start is unusable does not move.  Each step
+    solves I step = g, or |I| step = g (|I| has the absolute values of I's
+    eigenvalues) where the Newton step is not an ascent direction or I is
+    singular, holds a coordinate at lower or upper whose score points outward
+    (lower = upper fixes it), and is halved, each trial clipped to [lower,
+    upper], until the loglik does not fall.
     A replicate converges when a step, full or halved, moves no
     coordinate by more than NEWTON_RTOL * max(1, max|z|), or when its
     Newton decrement g' step is at most NEWTON_DECREMENT * max(1,
@@ -166,23 +168,34 @@ def newton(model, z, at, lower, upper, max_iter):
     """
     z = np.array(z, dtype=float)
     loglik, score, info = (np.array(a, dtype=float) for a in at)
-    bounded = np.isfinite(lower).any() or np.isfinite(upper).any()
+    bounded = (np.isfinite(lower) | np.isfinite(upper)).any()
     iterations = np.zeros(len(z), dtype=int)
     # why each replicate stopped, as an index into reasons: 0 while it is still stepping
     reasons = np.array(["", "converged", "no usable trial point", "information not usable",
-                        f"no convergence in {max_iter} iterations", "unusable start point"],
-                       dtype=object)
+                        f"no convergence in {max_iter} iterations", "unusable start point"], object)
     why = np.where(np.isfinite(loglik), 0, 5)
+    # the stack of replicates still stepping (rows idx), each after steps steps
+    idx = (why == 0).nonzero()[0]
+    zs, lls, gs, Is = ((z, loglik, score, info) if len(idx) == len(z) else
+                       (z[idx], loglik[idx], score[idx], info[idx]))
+    steps = 0
+
+    def settle(mask, reason, taken=0):    # stop the stack's rows pos[mask] this round
+        nonlocal pos, gone
+        if gone is None:    # the round's first stop or rejection: rows by position from here on
+            pos, gone = np.arange(len(idx)), np.zeros(len(idx), dtype=bool)
+        gone[pos[mask]] = True
+        why[idx[pos[mask]]], iterations[idx[pos[mask]]] = reason, steps + taken
+
     with np.errstate(all="ignore"):    # unusable points are rejected, not reported
-        while (todo := np.flatnonzero(why == 0)).size:
-            g, system, zi, base = score[todo], info[todo], z[todo], loglik[todo]
-            if bounded:
-                held = ((zi <= lower) & (g <= 0.0)) | ((zi >= upper) & (g >= 0.0))
-                if held.any():
-                    g[held] = 0.0
-                    system[held[:, :, None] | held[:, None, :]] = 0.0
-                    rows, cols = np.nonzero(held)
-                    system[rows, cols, cols] = 1.0
+        while idx.size:
+            g, system = gs, Is
+            if bounded and not ((lower < zs) & (zs < upper)).all():
+                held = ((zs <= lower) & (g <= 0.0)) | ((zs >= upper) & (g >= 0.0))
+                g = np.where(held, 0.0, g)
+                system = np.where(held[:, :, None] | held[:, None, :], 0.0, system)
+                rows, cols = np.nonzero(held)
+                system[rows, cols, cols] = 1.0
             step = _solve_each(system, g)
             decrement = (g * step).sum(axis=1)
             if not (decrement > 0.0).all():
@@ -192,43 +205,58 @@ def newton(model, z, at, lower, upper, max_iter):
                 step[uphill] = (V @ ((g[uphill, None, :] @ V)[:, 0] / w)[..., None])[..., 0]
                 decrement[uphill] = (g[uphill] * step[uphill]).sum(axis=1)
             # a replicate whose decrement fired stops after its pending step
-            last = decrement <= NEWTON_DECREMENT * np.maximum(1.0, np.abs(base))
-            go = last | ((decrement < np.inf) & (iterations[todo] < max_iter))
-            if not go.all():
-                why[todo[~go]] = np.where(decrement[~go] < np.inf, 4, 3)
-                todo, step, zi, base, last = todo[go], step[go], zi[go], base[go], last[go]
-
-            idx, usable, halved = todo, np.zeros(len(todo), dtype=bool), False
-            tol = NEWTON_RTOL * np.maximum(1.0, np.abs(zi).max(axis=1))
-            while idx.size:
+            last = decrement <= NEWTON_DECREMENT * np.maximum(1.0, np.abs(lls))
+            # pos: the stack's rows still trying a step, all of them (no copies)
+            # until one stops or is rejected; gone: the rows that stop this round
+            pos, gone = slice(None), None
+            if steps >= max_iter or not (decrement < np.inf).all():
+                go = last | ((decrement < np.inf) & (steps < max_iter))
+                settle(~go, np.where(decrement[~go] < np.inf, 4, 3))
+                pos = pos[go]
+            zi, base, step, last = zs[pos], lls[pos], step[pos], last[pos]
+            tol = NEWTON_RTOL * np.abs(zi).max(axis=1, initial=1.0)
+            usable, halved = False, False
+            while len(zi):
                 trial = zi + step
                 if bounded:
-                    trial = np.clip(trial, lower, upper)
+                    trial = trial.clip(lower, upper)
                 small = np.abs(trial - zi).max(axis=1) <= tol
-                end = small if halved else small & last
-                if end.any():
+                calm = not (small | last).any()    # no replicate stops at this trial
+                if not calm and (end := small if halved else small & last).any():
                     # halved that far without a rise (rounding), or a last step that small
-                    why[idx[end]] = np.where((usable | last)[end], 1, 2)
-                    keep = ~end
-                    idx, zi, base, step, tol, usable, trial, small, last = (
-                        a[keep] for a in (idx, zi, base, step, tol, usable, trial, small, last))
-                    if not idx.size:
+                    settle(end, np.where((usable | last)[end], 1, 2))
+                    if end.all():
                         break
-                new = model(idx, trial)
+                    keep = ~end
+                    pos, zi, base, step, tol, trial, small, last = (
+                        a[keep] for a in (pos, zi, base, step, tol, trial, small, last))
+                    usable = usable[keep] if halved else False
+                new = model(idx if gone is None else idx[pos], trial)
                 ok = new[0] >= base
-                rows, take = (idx, slice(None)) if ok.all() else (idx[ok], ok)    # no gathers
-                z[rows] = trial[take]
-                loglik[rows], score[rows], info[rows] = (a[take] for a in new)
-                iterations[rows] += ~last[take]
+                if gone is None and calm and ok.all():
+                    zs, (lls, gs, Is) = trial, new    # the common round: the model's arrays
+                    break
                 # the last step, accepted or not, or an accepted step that small: converged
-                why[idx[last | (ok & small)]] = 1
+                done = last | (ok & small)
+                settle(done, 1, (ok & ~last)[done])
+                zs[pos[ok]] = trial[ok]
+                lls[pos[ok]], gs[pos[ok]], Is[pos[ok]] = (a[ok] for a in new)
                 keep = ~(ok | last)
                 if not keep.any():     # every trial accepted, or the last one
                     break
-                usable = usable[keep] | np.isfinite(new[0][keep])
-                idx, zi, base, step, tol, last = (
-                    idx[keep], zi[keep], base[keep], step[keep] / 2.0, tol[keep], last[keep])
+                usable = (usable | np.isfinite(new[0]))[keep]
+                pos, zi, base, step, tol, last = (
+                    pos[keep], zi[keep], base[keep], step[keep] / 2.0, tol[keep], last[keep])
                 halved = True
+            steps += 1
+            if gone is None:
+                continue
+            if gone.all():    # the whole stack stops
+                z[idx], loglik[idx], score[idx], info[idx] = zs, lls, gs, Is
+                break
+            out, keep = idx[gone], ~gone
+            z[out], loglik[out], score[out], info[out] = (a[gone] for a in (zs, lls, gs, Is))
+            idx, zs, lls, gs, Is = (a[keep] for a in (idx, zs, lls, gs, Is))
     return z, (loglik, score, info), iterations, reasons[why]
 
 
@@ -267,6 +295,15 @@ def ran_off(X: np.ndarray, stop: np.ndarray, H: np.ndarray, g: np.ndarray) -> np
     return stop
 
 
+def one_step_start(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Poisson-scale start beta of each response Y[b] (one per row) on X: one Poisson
+    scoring step from the least-squares fit of log(Y[b] + 1/2), row by row."""
+    beta0 = (np.log(Y + 0.5)[:, None, :] @ np.linalg.pinv(X).T)[:, 0]
+    with np.errstate(all="ignore"):
+        mu = np.exp((beta0[:, None, :] @ X.T)[:, 0])
+        return beta0 + _solve_each((X.T * mu[:, None, :]) @ X, ((Y - mu)[:, None, :] @ X)[:, 0])
+
+
 def poisson_newton(X: np.ndarray, Y: np.ndarray):
     """Poisson GLM fits of responses Y (one per row) sharing X, as one
     stacked Newton loop: (beta, H, loglik, iterations, failure) per row, as in
@@ -301,15 +338,17 @@ def fit_logistic(ds: Dataset) -> FitResult:
 
 
 def _one_response(derivatives, X: np.ndarray, y: np.ndarray, z0: np.ndarray, lower, upper):
-    """newton on one response whose derivatives(X, y, z) give its loglik,
-    score and information at z: (z, (loglik, score, info), iterations, stop)
-    at the end."""
+    """newton on one response whose derivatives(X, y, z) give its loglik, score and
+    information at z: (z, (loglik, score, info), iterations, stop) at the end, with
+    ran_off read on the beta block."""
     def model(rows, z):
         return tuple(np.asarray(a)[None] for a in derivatives(X, y, z[0]))
 
-    (z,), ((ll,), (g,), (info,)), (iterations,), (stop,) = newton(
+    (z,), (ll, g, info), (iterations,), stop = newton(
         model, z0[None], model(None, z0[None]), lower, upper, NEWTON_MAX_ITER)
-    return z, (float(ll), g, info), int(iterations), stop
+    p1 = X.shape[1]
+    (stop,) = ran_off(X, stop, info[:, :p1, :p1], g[:, :p1])
+    return z, (float(ll[0]), g[0], info[0]), int(iterations), stop
 
 
 def _negbin_ladder(y: np.ndarray) -> np.ndarray:
@@ -359,24 +398,26 @@ def _negbin_derivatives(X: np.ndarray, y: np.ndarray, z: np.ndarray):
 def fit_negbin(ds: Dataset) -> FitResult:
     """Negative binomial (gamma-Poisson mixture) MLE over (beta, log r).
 
-    Newton from the Poisson fit and r = NEGBIN_R0.  As r -> infinity the
-    model collapses onto Poisson: on equi- or under-dispersed data the
-    score in log r stays non-negative up to r = NEGBIN_BOUNDARY_R, and
-    the fit is reported as a boundary-flagged Poisson-equivalent fit.
+    Newton from one_step_start's beta and r = NEGBIN_R0; a beta that runs
+    off (ran_off) is refused.  As r -> infinity the model collapses onto
+    Poisson: on equi- or under-dispersed data the score in log r stays
+    non-negative up to r = NEGBIN_BOUNDARY_R, and the fit_poisson fit is
+    reported, flagged boundary.
     """
-    pois = fit_poisson(ds)
     p1 = ds.n_cols
     y = ds.y.astype(float)
     upper = np.append(np.full(p1, np.inf), np.log(NEGBIN_BOUNDARY_R))
     z, (ll, g, info), iterations, stop = _one_response(
-        _negbin_derivatives, ds.X, y, np.append(pois.beta, np.log(NEGBIN_R0)), -np.inf, upper)
+        _negbin_derivatives, ds.X, y, np.append(one_step_start(ds.X, y[None]), np.log(NEGBIN_R0)),
+        -np.inf, upper)
 
     if z[p1] >= upper[p1] and g[p1] >= 0:
         # Poisson limit: report the Poisson solution, flagged.
+        pois = fit_poisson(ds)
         cov = np.full((p1 + 1, p1 + 1), np.nan)
         cov[:p1, :p1] = pois.cov
         mu = np.exp(linear_predictor(ds, pois.beta))
-        return FitResult(pois.beta.copy(), cov, negbin_loglik(y, mu, NEGBIN_LIMIT_R), ds.n_obs,
+        return FitResult(pois.beta, cov, negbin_loglik(y, mu, NEGBIN_LIMIT_R), ds.n_obs,
                          p1 + 1, True, iterations, boundary=True, extra=NEGBIN_LIMIT_R,
                          extra_name="r")
     if stop != "converged":
@@ -443,23 +484,23 @@ def _rgpr_mass_deficiency(mu: np.ndarray, alpha: float):
 def fit_rgpr(ds: Dataset) -> FitResult:
     """Restricted generalized Poisson MLE over (beta, alpha).
 
-    Newton from the Poisson fit and alpha = 0.  Raises
+    Newton from one_step_start's beta and alpha = 0.  Raises
     NonConvergenceError when the likelihood runs into the feasibility
     boundary 1 + alpha*y_max = 0 (where it is unbounded and the
-    truncated pmf no longer sums to one) or the Newton loop fails.
+    truncated pmf no longer sums to one), when beta runs off (ran_off) or
+    when the Newton loop fails.
     """
-    pois = fit_poisson(ds)
     p1 = ds.n_cols
     y = ds.y.astype(float)
     y_max = float(y.max())
     z, (ll, _, info), iterations, stop = _one_response(
-        _rgpr_derivatives, ds.X, y, np.append(pois.beta, 0.0), -np.inf, np.inf)
+        _rgpr_derivatives, ds.X, y, np.append(one_step_start(ds.X, y[None]), 0.0), -np.inf, np.inf)
     beta_hat, alpha_hat = z[:p1], float(z[p1])
     mu_hat = np.exp(linear_predictor(ds, beta_hat))
 
     diagnostics = {
         "alpha": alpha_hat,
-        "alpha_feasibility_bound": -1.0 / y_max,
+        "alpha_feasibility_bound": -1.0 / y_max if y_max > 0 else -np.inf,
         "min_1_plus_alpha_y": float(1.0 + alpha_hat * y_max),
         "min_1_plus_alpha_mu": float(np.min(1.0 + alpha_hat * mu_hat)),
         "optimizer_message": stop,
@@ -530,10 +571,6 @@ def compare_models(ds: Dataset, fits: dict, fitted: dict) -> ModelComparison:
         yhat = fitted.get(name)
         mse = None if yhat is None else float(np.mean((y - np.asarray(yhat)) ** 2))
         note = "AICc infinite: n <= k+1" if np.isinf(aicc) else None
-        comp.rows.append(
-            ComparisonRow(
-                model=name, status="ok", loglik=f.loglik, k=k,
-                aic=aic, aicc=aicc, mse=mse, note=note,
-            )
-        )
+        comp.rows.append(ComparisonRow(model=name, status="ok", loglik=f.loglik, k=k, aic=aic,
+                                       aicc=aicc, mse=mse, note=note))
     return comp

@@ -188,9 +188,9 @@ def fit_replicates(
 ) -> list:
     """fit_com on every response Y[b] (one per row of Y) with the shared design X.
 
-    beta0[b] is replicate b's Poisson-scale start; beta0=None takes, for
-    each replicate, one Poisson Fisher-scoring step from the least-squares
-    fit of log(Y[b] + 1/2).  With nu free, replicate b starts at the
+    beta0[b] is replicate b's Poisson-scale start; beta0=None takes
+    baselines.one_step_start (one Poisson scoring step from the least-squares
+    fit of log(Y[b] + 1/2)).  With nu free, replicate b starts at the
     paper's second-order moment estimate.  At mu = exp(X beta0[b]), nu0 =
     (n - p) / sum((y - mu)^2 / mu) is the inverse Pearson dispersion;
     since E Y ~ lambda^(1/nu) - c(nu) and var Y ~ (E Y + c(nu)) / nu with
@@ -224,12 +224,7 @@ def fit_replicates(
     lower, upper = np.append(np.full(p1, -np.inf), lo), np.append(np.full(p1, np.inf), hi)
     P = np.linalg.pinv(X)    # (t[:, None, :] @ P.T)[:, 0]: least squares of each row of t on X
     if beta0 is None:
-        # one Poisson scoring step from the least-squares fit of log(y + 1/2)
-        beta0 = (np.log(Y + 0.5)[:, None, :] @ P.T)[:, 0]
-        with np.errstate(all="ignore"):
-            mu = np.exp((beta0[:, None, :] @ X.T)[:, 0])
-            beta0 = beta0 + baselines._solve_each((X.T * mu[:, None, :]) @ X,
-                                                  ((Y - mu)[:, None, :] @ X)[:, 0])
+        beta0 = baselines.one_step_start(X, Y)
     # a 0/1 or constant response has no finite nu-hat: the loglik rises
     # towards the Bernoulli limit or a point mass as nu grows, so its
     # nu-hat is wherever the stop fired
@@ -282,18 +277,9 @@ def fit_replicates(
         if exc is not None and not boundary[b]:    # at a boundary its cov is left NaN
             out[b] = exc
             continue
-        out[b] = FitResult(
-            beta=beta[b],
-            cov=cov[b],
-            loglik=logliks[b],
-            n_obs=n,
-            n_params=k,
-            converged=converged[b],
-            iterations=steps[b],
-            boundary=boundary[b],
-            extra=nus[b],
-            extra_name="nu",
-        )
+        out[b] = FitResult(beta=beta[b], cov=cov[b], loglik=logliks[b], n_obs=n, n_params=k,
+                           converged=converged[b], iterations=steps[b], boundary=boundary[b],
+                           extra=nus[b], extra_name="nu")
     return out
 
 

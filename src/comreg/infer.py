@@ -102,14 +102,9 @@ def dispersion_test(
     if not alt.converged:
         raise fit.FitError("COM-Poisson fit did not converge")
     stat = max(0.0, -2.0 * (null.loglik - alt.loglik))
-    result = DispersionTest(
-        statistic=stat,
-        df=1,
-        p_value=chi2_sf_1df(stat),
-        loglik_null=null.loglik,
-        loglik_alt=alt.loglik,
-        boundary_warning=alt.boundary,
-    )
+    result = DispersionTest(statistic=stat, df=1, p_value=chi2_sf_1df(stat),
+                            loglik_null=null.loglik, loglik_alt=alt.loglik,
+                            boundary_warning=alt.boundary)
     if bootstrap_calibrate:
         lam0 = np.exp(linear_predictor(ds, null.beta))
         y_star = np.random.default_rng(seed).poisson(lam0, size=(n_boot, ds.n_obs))
@@ -167,17 +162,9 @@ def parametric_bootstrap(
     # monotone reparameterization of the recorded replicates
     lows, highs = np.percentile(good, [lo, 100.0 - lo], axis=0, method="inverted_cdf")
     intervals = {name: (float(a), float(b)) for name, a, b in zip(names, lows, highs)}
-    return BootstrapResult(
-        replicates=good,
-        n_boot=n_boot,
-        seed=seed,
-        ci_level=ci_level,
-        intervals=intervals,
-        n_failed=n_failed,
-        param_names=names,
-        unreliable=n_failed > 0.2 * n_boot,
-        failures=failures,
-    )
+    return BootstrapResult(replicates=good, n_boot=n_boot, seed=seed, ci_level=ci_level,
+                           intervals=intervals, n_failed=n_failed, param_names=names,
+                           unreliable=n_failed > 0.2 * n_boot, failures=failures)
 
 
 def wald_z(fr: fit.FitResult, j: int) -> float:

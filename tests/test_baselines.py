@@ -3,7 +3,7 @@ import pytest
 from scipy.special import expit
 from scipy.stats import poisson
 
-from comreg import baselines, diag, fit
+from comreg import baselines, diag, fit, infer
 from comreg.baselines import (
     BaselineError,
     NonConvergenceError,
@@ -138,10 +138,12 @@ class TestNewtonStopRule:
 
 class TestNegbin:
     def test_airfreight_boundary_equals_poisson(self, airfreight):
+        # the Poisson limit reports the Poisson fit itself, bit for bit
         nb = fit_negbin(airfreight)
         pois = fit_poisson(airfreight)
         assert nb.boundary
-        assert np.allclose(nb.beta, pois.beta, atol=1e-6)
+        assert np.array_equal(nb.beta, pois.beta)
+        assert np.array_equal(nb.cov[:-1, :-1], pois.cov)
 
     def test_overdispersed_recovers_r(self):
         ds = gamma_poisson_dataset(5000, [1.0, 0.5], r=4.0, seed=3)
@@ -253,6 +255,87 @@ class TestRgpr:
         bf = fit_rgpr(ds)
         assert bf.extra > 0
         assert bf.extra / bf.se[-1] > 2
+
+
+def criterion_08(seed):
+    """A dataset of criterion 08's design: n = 868, beta = (0.6, 0.5, -0.3), nu = 0.35."""
+    return simulate(868, [0.6, 0.5, -0.3], 0.35, seed=seed)
+
+
+def refuse(_ds):
+    raise AssertionError("fit_poisson called")
+
+
+class TestBaselineStart:
+    """Negative binomial and RGPR start at one_step_start's beta, with no Poisson fit."""
+
+    CASES = {"negbin": (fit_negbin, "_negbin_derivatives", np.log(baselines.NEGBIN_R0)),
+             "rgpr": (fit_rgpr, "_rgpr_derivatives", 0.0)}
+
+    @pytest.mark.parametrize("seed", [2024, 2025, 2026])
+    @pytest.mark.parametrize("model", sorted(CASES))
+    def test_no_poisson_fit_off_the_limit(self, monkeypatch, model, seed):
+        fitter, _, _ = self.CASES[model]
+        monkeypatch.setattr(baselines, "fit_poisson", refuse)
+        result = fitter(criterion_08(seed))
+        assert result.converged and not result.boundary
+
+    @pytest.mark.parametrize("seed", [2024, 2025, 2026])
+    @pytest.mark.parametrize("model", sorted(CASES))
+    def test_same_steps_and_estimates_as_from_the_poisson_fit(self, model, seed):
+        # the earlier start: Newton from the converged Poisson fit's beta
+        fitter, derivatives, extra0 = self.CASES[model]
+        ds = criterion_08(seed)
+        upper = np.append(np.full(ds.n_cols, np.inf), np.log(baselines.NEGBIN_BOUNDARY_R))
+        z, _, iterations, stop = baselines._one_response(
+            getattr(baselines, derivatives), ds.X, ds.y.astype(float),
+            np.append(fit_poisson(ds).beta, extra0), -np.inf,
+            upper if model == "negbin" else np.inf)
+        assert stop == "converged"
+        result = fitter(ds)
+        assert result.iterations == iterations
+        extra = np.log(result.extra) if model == "negbin" else result.extra
+        np.testing.assert_allclose(np.append(result.beta, extra), z, rtol=1e-8, atol=0)
+
+    @pytest.mark.parametrize("fitter", [fit_negbin, fit_rgpr])
+    @pytest.mark.parametrize("case", ["all zero", "all-zero dummy level", "lone one"])
+    def test_run_off_responses_refused(self, fitter, case):
+        # TestPoisson's two run-off responses, and a lone 1 among zeros at
+        # the largest x, where the slope runs off to +infinity
+        rng = np.random.default_rng(1)
+        if case == "all zero":
+            ds = Dataset(y=np.zeros(5, dtype=int), X=np.ones((5, 1)), names=("intercept",))
+        elif case == "all-zero dummy level":
+            dummy = (np.arange(30) < 3).astype(float)
+            X = np.column_stack([np.ones(30), dummy, rng.uniform(-1, 1, 30)])
+            y = np.where(dummy == 1, 0, rng.poisson(4.0, 30))
+            ds = Dataset(y=y, X=X, names=("intercept", "d", "x"))
+        else:
+            X = np.column_stack([np.ones(10), np.arange(10.0)])
+            ds = Dataset(y=np.eye(10, dtype=int)[9], X=X, names=("intercept", "x"))
+        with pytest.raises(NonConvergenceError):
+            fitter(ds)
+
+
+def test_one_analysis_fits_poisson_three_times(monkeypatch):
+    # the n868 workload's analysis: fit_com's start, the dispersion test's
+    # null and the comparison's Poisson row; no start of another baseline
+    ds = criterion_08(2024)
+    calls = []
+    poisson = baselines.fit_poisson
+
+    def counted(d):
+        calls.append(1)
+        return poisson(d)
+
+    monkeypatch.setattr(baselines, "fit_poisson", counted)
+    monkeypatch.setattr(infer, "fit_poisson", counted)
+    fr = fit_com(ds)
+    infer.dispersion_test(ds)
+    diag.diagnostics_report(ds, fr)
+    for fitter in (baselines.fit_poisson, fit_negbin, fit_rgpr):
+        fitter(ds)
+    assert len(calls) == 3
 
 
 def central_differences(loglik, z, h=2e-4):
@@ -416,10 +499,8 @@ class TestNewtonLoop:
     @pytest.mark.parametrize("fitter, name", [(fit_negbin, "negative binomial fit"),
                                               (fit_rgpr, "RGPR fit")])
     def test_baseline_stops_after_max_iter(self, monkeypatch, fitter, name):
-        # the Poisson start is fitted before the loop is cut to one step
+        # no Poisson fit starts the loop, so one step is the whole fit
         ds = gamma_poisson_dataset(200, [1.0, 0.5], r=4.0, seed=3)
-        pois = fit_poisson(ds)
-        monkeypatch.setattr(baselines, "fit_poisson", lambda _: pois)
         monkeypatch.setattr(baselines, "NEWTON_MAX_ITER", 1)
         with pytest.raises(NonConvergenceError,
                            match=rf"^{name} did not converge \(no convergence in 1 iterations\)$"):

@@ -33,7 +33,11 @@ def test_ab_inprocess_aa_run():
     assert proc.returncode == 0, proc.stderr
     rows = {line.split()[0]: line.split() for line in proc.stdout.splitlines()[2:]}
     stages = {f"n868.{stage}" for stage in ("fit", "test", "diagnose", "compare")}
-    assert set(rows) == {"bootstrap", "fit_com", "n868"} | stages
-    assert all(rows[w][-1] == "0" for w in ("bootstrap", "fit_com", "n868"))
+    fitters = {f"{fitter}.{data}" for fitter in ("fit_poisson", "fit_negbin", "fit_rgpr")
+               for data in ("air", "n868")}
+    assert set(rows) == {"bootstrap", "fit_com", "n868"} | fitters | stages
+    # every workload and fitter row is timed and has digests that match
+    assert all(rows[w][-1] == "0" and float(rows[w][1]) > 0
+               for w in {"bootstrap", "fit_com", "n868"} | fitters)
     # a stage row has timing columns and no digest of its own
     assert all(rows[s][-1] == "-" and float(rows[s][2]) > 0 for s in stages)
