@@ -32,6 +32,7 @@ NEWTON_MAX_ITER = 500     # newton steps per baseline fit
 NEWTON_DECREMENT = 1e-12  # newton stops when g' step <= this * max(1, |loglik|)
 NEWTON_RTOL = 1e-8        # or when a step moves no coordinate by more than this * max(1, max|z|)
 RUNOFF_STEP = 0.5         # a GLM fit whose Newton step at the end moves some x'beta this far
+RAN_OFF = "ran off towards an estimate at infinity"    # the stop reason ran_off gives it
 
 
 class FitError(RuntimeError):
@@ -290,15 +291,14 @@ def ran_off(X: np.ndarray, stop: np.ndarray, H: np.ndarray, g: np.ndarray) -> np
     weights underflowed: only a fit that ran off gets there)."""
     done = np.flatnonzero(stop == "converged")
     step = _solve_each(H[done], g[done])
-    stop[done[~(np.abs(step @ X.T).max(axis=1) <= RUNOFF_STEP)]] = (
-        "ran off towards an estimate at infinity")
+    stop[done[~(np.abs(step @ X.T).max(axis=1) <= RUNOFF_STEP)]] = RAN_OFF
     return stop
 
 
-def one_step_start(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Poisson-scale start beta of each response Y[b] (one per row) on X: one Poisson
-    scoring step from the least-squares fit of log(Y[b] + 1/2), row by row."""
-    beta0 = (np.log(Y + 0.5)[:, None, :] @ np.linalg.pinv(X).T)[:, 0]
+def one_step_start(X: np.ndarray, P: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Poisson-scale start beta of each response Y[b] (one per row) on X, P = pinv(X):
+    one Poisson scoring step from the least-squares fit of log(Y[b] + 1/2), row by row."""
+    beta0 = (np.log(Y + 0.5)[:, None, :] @ P.T)[:, 0]
     with np.errstate(all="ignore"):
         mu = np.exp((beta0[:, None, :] @ X.T)[:, 0])
         return beta0 + _solve_each((X.T * mu[:, None, :]) @ X, ((Y - mu)[:, None, :] @ X)[:, 0])
@@ -407,9 +407,9 @@ def fit_negbin(ds: Dataset) -> FitResult:
     p1 = ds.n_cols
     y = ds.y.astype(float)
     upper = np.append(np.full(p1, np.inf), np.log(NEGBIN_BOUNDARY_R))
+    start = one_step_start(ds.X, np.linalg.pinv(ds.X), y[None])
     z, (ll, g, info), iterations, stop = _one_response(
-        _negbin_derivatives, ds.X, y, np.append(one_step_start(ds.X, y[None]), np.log(NEGBIN_R0)),
-        -np.inf, upper)
+        _negbin_derivatives, ds.X, y, np.append(start, np.log(NEGBIN_R0)), -np.inf, upper)
 
     if z[p1] >= upper[p1] and g[p1] >= 0:
         # Poisson limit: report the Poisson solution, flagged.
@@ -493,8 +493,9 @@ def fit_rgpr(ds: Dataset) -> FitResult:
     p1 = ds.n_cols
     y = ds.y.astype(float)
     y_max = float(y.max())
+    start = one_step_start(ds.X, np.linalg.pinv(ds.X), y[None])
     z, (ll, _, info), iterations, stop = _one_response(
-        _rgpr_derivatives, ds.X, y, np.append(one_step_start(ds.X, y[None]), 0.0), -np.inf, np.inf)
+        _rgpr_derivatives, ds.X, y, np.append(start, 0.0), -np.inf, np.inf)
     beta_hat, alpha_hat = z[:p1], float(z[p1])
     mu_hat = np.exp(linear_predictor(ds, beta_hat))
 

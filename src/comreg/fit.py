@@ -4,10 +4,10 @@ The model: Y_i ~ COM-Poisson(lambda_i, nu) with log lambda_i = x_i' beta
 and a shared dispersion nu.  Estimation maximizes the log-likelihood
 over (beta, nu) by Fisher scoring (the model handed to baselines.newton,
 the loop behind every fit in the package) from the paper's second-order
-moment estimate on the Poisson fit mu: since E Y ~ lambda^(1/nu) - c
-and var Y ~ (E Y + c) / nu with c = (nu - 1) / (2 nu), nu starts at the
-inverse of the Pearson dispersion about that variance, and beta at the
-least-squares projection of nu log(mu + c) on the design.
+moment estimate on one_step_start's mu (no Poisson fit): since E Y ~
+lambda^(1/nu) - c and var Y ~ (E Y + c) / nu with c = (nu - 1) / (2 nu),
+nu starts at the inverse of the Pearson dispersion about that variance,
+and beta at the least-squares projection of nu log(mu + c) on the design.
 The score and the expected (Fisher) information are covariances of the
 sufficient statistics (Y, log Y!), so the six sums of one series table
 per (beta, nu) give the loglik, both of them and the per-row moments,
@@ -98,7 +98,7 @@ def fisher_information(ds: Dataset, beta: np.ndarray, nu: float) -> np.ndarray:
 
 
 def fit_poisson_start(ds: Dataset) -> np.ndarray:
-    """Poisson GLM warm start (the nu=1 slice of the likelihood)."""
+    """The Poisson fit's beta.  No fit starts from it: it is kept for bench/layers.py."""
     return baselines.fit_poisson(ds).beta.copy()
 
 
@@ -190,8 +190,10 @@ def fit_replicates(
 
     beta0[b] is replicate b's Poisson-scale start; beta0=None takes
     baselines.one_step_start (one Poisson scoring step from the least-squares
-    fit of log(Y[b] + 1/2)).  With nu free, replicate b starts at the
-    paper's second-order moment estimate.  At mu = exp(X beta0[b]), nu0 =
+    fit of log(Y[b] + 1/2)), its intercept lowered at fix_nu=0 (geometric,
+    whose series needs every lambda < 1) until every start lambda is at
+    most 1/2.  With nu free, replicate b starts at the paper's second-order
+    moment estimate.  At mu = exp(X beta0[b]), nu0 =
     (n - p) / sum((y - mu)^2 / mu) is the inverse Pearson dispersion;
     since E Y ~ lambda^(1/nu) - c(nu) and var Y ~ (E Y + c(nu)) / nu with
     c(nu) = (nu - 1) / (2 nu), nu1 = (n - p) / sum((y - mu)^2 / (mu +
@@ -213,7 +215,8 @@ def fit_replicates(
     as one stack (see _evaluate_each).  A replicate whose trial point is
     unusable has that trial rejected, and no other.  Returns one entry per
     replicate: its FitResult, or the error that ended it (one of
-    SERIES_ERRORS at the start, or SingularInformationError away from a
+    SERIES_ERRORS at the start, NonConvergenceError where beta ran off
+    (baselines.ran_off), or SingularInformationError away from a
     boundary).  X is not validated here: pass the design of a Dataset.
     """
     Y = np.asarray(Y)
@@ -224,7 +227,9 @@ def fit_replicates(
     lower, upper = np.append(np.full(p1, -np.inf), lo), np.append(np.full(p1, np.inf), hi)
     P = np.linalg.pinv(X)    # (t[:, None, :] @ P.T)[:, 0]: least squares of each row of t on X
     if beta0 is None:
-        beta0 = baselines.one_step_start(X, Y)
+        beta0 = baselines.one_step_start(X, P, Y)
+        if fix_nu == 0:
+            beta0[:, 0] -= np.maximum(0.0, (beta0[:, None] @ X.T).max(axis=(1, 2)) + np.log(2.0))
     # a 0/1 or constant response has no finite nu-hat: the loglik rises
     # towards the Bernoulli limit or a point mass as nu grows, so its
     # nu-hat is wherever the stop fired
@@ -263,6 +268,8 @@ def fit_replicates(
         lambda rows, z: derivatives(rows, z)[0],
         z, (loglik, score, info), lower, upper, MAX_ITER)
     stop = baselines.ran_off(X, stop, info[:, :p1, :p1], score[:, :p1])
+    for b in np.flatnonzero(stop == baselines.RAN_OFF).tolist():    # refused, as the GLMs are
+        errors[b] = baselines.NonConvergenceError(f"Newton iterations did not converge ({stop[b]})")
 
     k = p1 + 1 if free_nu else p1    # a fixed nu is no parameter
     usable = np.flatnonzero([e is None for e in errors])
@@ -293,11 +300,12 @@ def fit_com(
     In (beta, nu) the model is a canonical exponential family: the loglik is
     concave and the expected information is its negative Hessian, so each
     scoring step I step = g is a Newton step.  The step is halved until the
-    loglik does not fall.  The start is fit_replicates' second-order moment
-    estimate on the Poisson fit, which refuses a response that runs off
-    (baselines.NonConvergenceError) or an ill-conditioned design
-    (SingularInformationError) before any COM-Poisson step, and nu is
-    clamped to [NU_FLOOR, NU_CEILING]; at a bound whose gradient
+    loglik does not fall.  This is fit_replicates with one replicate, so it
+    is bit for bit a bootstrap replicate of the same response: it starts at
+    the moment estimate on one_step_start with no Poisson fit, refuses a
+    beta that runs off (baselines.NonConvergenceError, whatever the start)
+    and a singular information away from a boundary (SingularInformationError),
+    and nu is clamped to [NU_FLOOR, NU_CEILING]; at a bound whose gradient
     points outward only beta moves, and the result is flagged boundary, as
     is a 0/1 response (the Bernoulli limit, where no finite nu maximizes the
     loglik) or a constant one (a point mass).  fix_nu pins the dispersion
@@ -305,22 +313,13 @@ def fit_com(
     solves the beta block only: cov inverts the beta block of the
     information, with 0 in nu's row and column, and n_params counts beta
     alone.  converged means one of baselines.newton's relative stop rules
-    fired within MAX_ITER steps and the fit did not run off
-    (baselines.ran_off).  beta0 (by default the Poisson fit's beta) is a
+    fired within MAX_ITER steps.  beta0 (by default one_step_start's) is a
     Poisson-scale start, the mean the moment estimate starts from (or
     paired with nu = 1 or fix_nu), so a COM-Poisson beta-hat, scaled for
-    its nu-hat, is not a valid start.  At
-    fix_nu=0 (geometric) the series needs every lambda < 1, so the default
-    start's intercept is lowered until every start lambda is at most 1/2; a
-    caller's beta0 is used as given.  This is fit_replicates with one
-    replicate.
+    its nu-hat, is not a valid start; a caller's beta0 is used as given.
     """
-    if beta0 is None:
-        beta0 = fit_poisson_start(ds)
-        if fix_nu == 0:
-            beta0[0] -= max(0.0, linear_predictor(ds, beta0).max() + np.log(2.0))
-    (result,) = fit_replicates(ds.X, ds.y[None], np.asarray(beta0, dtype=float)[None],
-                               fix_nu)
+    beta0 = None if beta0 is None else np.asarray(beta0, dtype=float)[None]
+    (result,) = fit_replicates(ds.X, ds.y[None], beta0, fix_nu)
     if isinstance(result, Exception):
         raise result
     return result

@@ -97,7 +97,7 @@ def dispersion_test(
         if n_boot < 1:
             raise ValueError(f"n_boot must be >= 1, got {n_boot}")
     null = fit_poisson(ds)
-    alt = fr if fr is not None else fit.fit_com(ds, beta0=null.beta)
+    alt = fr if fr is not None else fit.fit_com(ds)
     _check_fit_of(ds, alt)
     if not alt.converged:
         raise fit.FitError("COM-Poisson fit did not converge")

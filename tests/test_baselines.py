@@ -297,7 +297,7 @@ class TestBaselineStart:
         extra = np.log(result.extra) if model == "negbin" else result.extra
         np.testing.assert_allclose(np.append(result.beta, extra), z, rtol=1e-8, atol=0)
 
-    @pytest.mark.parametrize("fitter", [fit_negbin, fit_rgpr])
+    @pytest.mark.parametrize("fitter", [fit_negbin, fit_rgpr, fit_com])
     @pytest.mark.parametrize("case", ["all zero", "all-zero dummy level", "lone one"])
     def test_run_off_responses_refused(self, fitter, case):
         # TestPoisson's two run-off responses, and a lone 1 among zeros at
@@ -317,9 +317,9 @@ class TestBaselineStart:
             fitter(ds)
 
 
-def test_one_analysis_fits_poisson_three_times(monkeypatch):
-    # the n868 workload's analysis: fit_com's start, the dispersion test's
-    # null and the comparison's Poisson row; no start of another baseline
+def test_one_analysis_fits_poisson_twice(monkeypatch):
+    # the n868 workload's analysis: the dispersion test's null and the
+    # comparison's Poisson row; no fit, fit_com's included, starts from one
     ds = criterion_08(2024)
     calls = []
     poisson = baselines.fit_poisson
@@ -335,7 +335,7 @@ def test_one_analysis_fits_poisson_three_times(monkeypatch):
     diag.diagnostics_report(ds, fr)
     for fitter in (baselines.fit_poisson, fit_negbin, fit_rgpr):
         fitter(ds)
-    assert len(calls) == 3
+    assert len(calls) == 2
 
 
 def central_differences(loglik, z, h=2e-4):

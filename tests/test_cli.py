@@ -431,6 +431,14 @@ class TestFitErrors:
         assert code == EXIT_STAT
         assert "not converged" in strict_json(out)["errors"][0]["message"]
 
+    def test_run_off_exit_one(self, capsys, tmp_path):
+        # a lone 1 among zeros at the largest x: the slope runs off to +infinity
+        path = write_xy(tmp_path / "lone.csv", np.arange(10.0), np.eye(10, dtype=int)[9])
+        code, out = run_cli(capsys, "fit", "--data", path, "--response", "y", "--format", "json")
+        assert code == EXIT_STAT
+        assert strict_json(out)["errors"][0]["message"] == (
+            "Newton iterations did not converge (ran off towards an estimate at infinity)")
+
     def test_singular_information_exit_one(self, capsys, singular_path):
         code, out = run_cli(capsys, "diagnose", "--data", singular_path,
                             "--response", "y", "--format", "json")

@@ -271,14 +271,19 @@ class TestFitCom:
         assert not fr.cov[p1].any() and not fr.cov[:, p1].any()
 
     def test_geometric_fit_from_the_default_start(self, geometric_data):
-        # the Poisson start's intercept is lowered until every lambda <= 1/2
+        # the default start's intercept is lowered until every lambda <= 1/2,
+        # in a stack as in fit_com
         ds = geometric_data
         fr = fit_com(ds, fix_nu=0.0)
         assert fr.converged and fr.nu == 0.0 and fr.n_params == 2
-        assert fr.beta == pytest.approx([-2.53264342, 2.25422591], rel=0, abs=1e-8)
+        assert fr.beta == pytest.approx([-2.53264341, 2.25422589], rel=0, abs=1e-8)
         assert fr.loglik == pytest.approx(-38.4284607, rel=0, abs=1e-7)
+        (stacked,) = fit_replicates(ds.X, ds.y[None], None, fix_nu=0.0)
+        assert np.array_equal(stacked.beta, fr.beta) and stacked.loglik == fr.loglik
+        # two starts agree to the stop rule: a last step of NEWTON_RTOL * max|beta| ~ 2.5e-8
         given = fit_com(ds, beta0=[np.log(0.4), 0.0], fix_nu=0.0)
-        assert np.allclose(fr.beta, given.beta, rtol=0, atol=1e-8)
+        assert np.allclose(fr.beta, given.beta, rtol=0, atol=3e-8)
+        assert fr.loglik == pytest.approx(given.loglik, rel=1e-14, abs=0)
         # a caller's start is used as given
         with pytest.raises(dist.DivergentSeriesError, match="nu=0 requires lambda < 1"):
             fit_com(ds, beta0=fit_poisson(ds).beta, fix_nu=0.0)
@@ -291,7 +296,7 @@ class TestFitCom:
         assert (aic, aicc) == pytest.approx((50.3946, 52.1088), abs=1e-4)
 
     def test_likelihood_ascent(self, airfreight, airfreight_fit):
-        # the fit climbs from its Poisson warm start (beta_pois, nu = 1)
+        # the fit's loglik is at least the Poisson slice's at the Poisson fit (beta_pois, nu = 1)
         start = loglik(airfreight, fit_poisson(airfreight).beta, 1.0)
         assert airfreight_fit.loglik >= start
 
@@ -350,19 +355,24 @@ class TestFitCom:
 
     @pytest.mark.parametrize("seed", [1, 3])
     def test_all_zero_level_of_a_dummy_runs_off(self, seed):
-        # beta_d has no finite estimate: the decrement stops the fit near
-        # beta_d = -28, where the next Newton step still moves x'beta by one
+        # beta_d has no finite estimate: the decrement stops the fit where
+        # the next Newton step still moves x'beta by more than RUNOFF_STEP,
+        # and the fit is refused from the default start and a given one alike
         rng = np.random.default_rng(seed)
         dummy = (np.arange(30) < 3).astype(float)
         X = np.column_stack([np.ones(30), dummy, rng.uniform(-1, 1, 30)])
         y = np.where(dummy == 1, 0, rng.poisson(4.0, 30))
-        fr = fit_com(Dataset(y=y, X=X, names=("intercept", "d", "x")), beta0=[1.0, 0.0, 0.0])
-        assert not fr.converged and fr.beta[1] < -20
-        # in a stack only that replicate is flagged
+        ds = Dataset(y=y, X=X, names=("intercept", "d", "x"))
+        message = (r"^Newton iterations did not converge "
+                   r"\(ran off towards an estimate at infinity\)$")
+        for beta0 in (None, [1.0, 0.0, 0.0]):
+            with pytest.raises(baselines.NonConvergenceError, match=message):
+                fit_com(ds, beta0=beta0)
+        # in a stack only that replicate is refused
         y_ok = y.copy()
         y_ok[0] = 1
         stack = fit.fit_replicates(X, np.stack([y, y_ok]), np.array([[1.0, 0.0, 0.0]] * 2))
-        assert [f.converged for f in stack] == [False, True]
+        assert isinstance(stack[0], baselines.NonConvergenceError) and stack[1].converged
 
     @pytest.mark.parametrize("count", [1, 3, 50])
     def test_constant_response_is_flagged_boundary(self, count):
@@ -428,14 +438,14 @@ class TestFitReplicates:
 
     def test_airfreight_replicates_match_fit_com(self, airfreight):
         Y = fitted_draws(airfreight, 60, seed=11)
-        got = fit_stack(airfreight.X, Y)
-        assert_same_fits(got, fit_each(airfreight.X, airfreight.names, Y), rel=1e-9)
+        got = fit_replicates(airfreight.X, Y, None)
+        assert_same_fits(got, fit_each(airfreight.X, airfreight.names, Y), rel=0)
         assert all(g.converged for g in got)
 
     def test_criterion_08_design_matches_fit_com(self):
         ds = simulate(868, [0.6, 0.5, -0.3], 0.35, seed=2024)
         Y = fitted_draws(ds, 3, seed=12)
-        assert_same_fits(fit_stack(ds.X, Y), fit_each(ds.X, ds.names, Y), rel=1e-9)
+        assert_same_fits(fit_replicates(ds.X, Y, None), fit_each(ds.X, ds.names, Y), rel=0)
 
     def test_truncation_and_max_iter_touch_no_other_replicate(self, airfreight, monkeypatch):
         # With MAX_TERMS at 100 the over-dispersed responses' trials at small
@@ -449,23 +459,23 @@ class TestFitReplicates:
                          [150, 140, 160, 150, 170, 150, 140, 150, 160, 140]])
         easy = fitted_draws(airfreight, 20, seed=13)
         Y = np.concatenate([easy[:10], hard, easy[10:]])
-        got = fit_stack(airfreight.X, Y)
+        got = fit_replicates(airfreight.X, Y, None)
         assert_same_fits(got, fit_each(airfreight.X, airfreight.names, Y),
-                         rel=1e-12)
+                         rel=0)
         first, second, third = got[10:13]
         assert first.converged and not second.converged
         assert isinstance(third, dist.TruncationError)
-        alone = fit_stack(airfreight.X, easy)
-        assert_same_fits(got[:10] + got[13:], alone, rel=1e-12)
+        alone = fit_replicates(airfreight.X, easy, None)
+        assert_same_fits(got[:10] + got[13:], alone, rel=0)
 
         # a max_iter that cuts off the slow replicates leaves the others'
         # results as they are
         monkeypatch.setattr(fit, "MAX_ITER", 3)
-        short = fit_stack(airfreight.X, easy)
+        short = fit_replicates(airfreight.X, easy, None)
         assert 0 < sum(not f.converged for f in short) < len(easy)
         for f, ref in zip(short, alone):
             if f.converged:
-                assert_same_fits([f], [ref], rel=1e-12)
+                assert_same_fits([f], [ref], rel=0)
             else:
                 assert f.iterations == 3 and ref.iterations > 3
 
@@ -589,9 +599,14 @@ class TestFitReplicates:
         assert sum(cells) <= 750_000
 
 
+def one_step_start(ds):
+    return baselines.one_step_start(ds.X, np.linalg.pinv(ds.X), ds.y[None])[0]
+
+
 class TestMomentStart:
     """A free-nu fit starts at the second-order moment estimate (beta1, nu1) on
-    beta0, or at nu0 (beta0, 1), nu0 = 1 / (Pearson dispersion of beta0)."""
+    beta0, or at nu0 (beta0, 1), nu0 = 1 / (Pearson dispersion of beta0); by
+    default beta0 is baselines.one_step_start's, with no Poisson fit."""
 
     @pytest.fixture
     def starts(self, monkeypatch):
@@ -607,7 +622,7 @@ class TestMomentStart:
         def c(nu):
             return (nu - 1) / (2 * nu)
 
-        beta0 = fit_poisson(airfreight).beta
+        beta0 = one_step_start(airfreight)
         mu = np.exp(airfreight.X @ beta0)
         nu0 = (10 - 2) / np.sum((airfreight.y - mu) ** 2 / mu)
         nu1 = (10 - 2) / np.sum((airfreight.y - mu) ** 2 / (mu + c(nu0)))
@@ -623,7 +638,7 @@ class TestMomentStart:
         # sparse over-dispersed counts: c(nu0) = (nu0 - 1) / (2 nu0) < -mu on some rows
         ds = Dataset(y=np.array([0, 0, 0, 1, 0, 0, 9, 0, 14, 0]),
                      X=np.column_stack([np.ones(10), np.arange(10.0)]), names=("intercept", "x"))
-        beta0 = fit_poisson(ds).beta
+        beta0 = one_step_start(ds)
         mu = np.exp(ds.X @ beta0)
         nu0 = (10 - 2) / np.sum((ds.y - mu) ** 2 / mu)
         assert mu.min() + (nu0 - 1) / (2 * nu0) < 0
@@ -638,21 +653,24 @@ class TestMomentStart:
         assert fr.converged and fr.iterations <= 3
 
     def test_unidentified_response_keeps_the_poisson_start(self, starts):
-        # a 0/1 or constant response would start at nu0 = NU_CEILING and run off
+        # a 0/1 or constant response would start at nu0 = NU_CEILING and run
+        # off: it keeps the Poisson-scale start (beta0, 1)
         ds = simulate(3, [2.8426595437210866, 0.20773931548150548], 10.835156452665558, seed=145)
         assert list(ds.y) == [1, 1, 1]
         fr = fit_com(ds)
-        assert starts[0][0, -1] == 1.0
-        assert fr.converged and fr.boundary and fr.nu == 88.39826946866569
+        assert np.array_equal(starts[0], [np.append(one_step_start(ds), 1.0)])
+        assert fr.converged and fr.boundary and fr.nu == 88.09011367857764
 
     def test_unusable_moment_start_falls_back(self, starts):
-        # phi-hat ~ 0, so nu0 = NU_CEILING and lambda overflows: the
-        # replicate is evaluated again at (beta0, 1)
+        # phi-hat ~ 0, so nu1 ~ 436 and lambda = exp(nu1 log(mu + c)) overflows:
+        # the replicate is evaluated again at (beta0, 1); from there nu climbs
+        # with no finite optimum until beta's next step runs off
         ds = Dataset(y=np.array([1, 2, 4, 8]), X=np.column_stack([np.ones(4), np.arange(4.0)]),
                      names=("intercept", "x"))
-        fr = fit_com(ds)
-        assert starts[0][0, -1] == fit.NU_CEILING and starts[1][0, -1] == 1.0
-        assert (fr.nu, fr.iterations, fr.converged) == (331.94900481636574, 34, False)
+        with pytest.raises(baselines.NonConvergenceError, match="ran off"):
+            fit_com(ds)
+        assert starts[0][0, -1] == pytest.approx(435.983875140271, rel=1e-12)
+        assert np.array_equal(starts[1], [np.append(one_step_start(ds), 1.0)])
 
 
 class TestBernoulliLimit:
